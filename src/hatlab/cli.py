@@ -209,11 +209,10 @@ def cmd_run(instance, kind, players, colors, rule, strategy, assignment, seed, f
 @main.command("sweep")
 @instance_options
 @click.option("--strategy", required=True)
-@click.option("--jobs", type=int, default=1, help="Partition the sweep across threads.")
 @click.option("--max-assignments", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="json")
 @_guarded
-def cmd_sweep(instance, kind, players, colors, rule, strategy, jobs, max_assignments, fmt):
+def cmd_sweep(instance, kind, players, colors, rule, strategy, max_assignments, fmt):
     """Play every assignment; exit 0 iff the strategy wins all of them."""
     inst = _build_instance(instance, kind, players, colors, rule)
     strat = _build_strategy(strategy, inst)
@@ -228,7 +227,7 @@ def cmd_sweep(instance, kind, players, colors, rule, strategy, jobs, max_assignm
                 f"{result.incorrect_count},{int(result.verdict)}"
             )
         sys.exit(0 if winning else 1)
-    report = sweep(inst, strat, max_assignments=budget, jobs=jobs)
+    report = sweep(inst, strat, max_assignments=budget)
     _emit(report.to_json(), fmt)
     sys.exit(0 if report.winning else 1)
 

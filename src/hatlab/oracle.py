@@ -21,12 +21,13 @@ from itertools import product
 from .engine import (
     TableStrategy,
     Strategy,
+    _check_sweep_budget,
+    _play_chunks,
     evaluate,
     iter_assignment_tuples,
-    run_game,
     topological_extension,
 )
-from .errors import BudgetExceeded, SweepTooLarge
+from .errors import BudgetExceeded
 from .model import Instance, RuleKind
 
 
@@ -368,13 +369,8 @@ def correct_count_census(
     in exactly a 1/colors fraction of them. That invariance is what caps the
     guaranteed-correct count at players/colors, independently of any search.
     """
-    from .engine import DEFAULT_SWEEP_BUDGET
-
-    budget = DEFAULT_SWEEP_BUDGET if max_assignments is None else max_assignments
-    total_assignments = inst.assignment_count()
-    if total_assignments > budget:
-        raise SweepTooLarge(total_assignments, budget)
+    _check_sweep_budget(inst, max_assignments)
     total = 0
-    for values in iter_assignment_tuples(inst):
-        total += run_game(inst, strat, values).correct_count
+    for chunk in _play_chunks(inst, strat):
+        total += len(chunk.asked) * len(chunk.incorrect) - sum(chunk.incorrect)
     return total

@@ -24,7 +24,16 @@ from .model import ColorSpace, Instance, as_colors, at_least, custom_instance, h
 
 def constant(color: int) -> Strategy:
     """Everyone guesses the same fixed color."""
-    return RuleStrategy(lambda t, seen, heard: color, label=f"constant:{color}")
+    return RuleStrategy(
+        lambda t, seen, heard: color,
+        label=f"constant:{color}",
+        batch=lambda t, seen, heard, n: [color] * n,
+    )
+
+
+def _column_sum(cols, n: int) -> list[int]:
+    """Entrywise sum of equal-length columns (zeros when there are none)."""
+    return list(map(sum, zip(*cols))) if cols else [0] * n
 
 
 @dataclass(frozen=True)
@@ -73,7 +82,13 @@ def mod_sum(block: Sequence[int], colors: ColorSpace | int) -> Strategy:
             raise ValueError(f"player {t} cannot see block mates {missing}")
         return (rename[t] - sum(seen[m] for m in others)) % size
 
-    return RuleStrategy(decide, label=f"mod_sum:{list(block)}")
+    def batch(t, seen, heard, n):
+        if t not in members:
+            return [0] * n
+        r = rename[t]
+        return [(r - s) % size for s in _column_sum([seen[m] for m in members - {t}], n)]
+
+    return RuleStrategy(decide, label=f"mod_sum:{list(block)}", batch=batch)
 
 
 def block_mod_sum(m: int, c: int, n: int) -> Strategy:
@@ -113,7 +128,9 @@ def base_selector(base: int) -> Strategy:
     the base, and on the infinite line (see :mod:`hatlab.line`) there are
     only finitely many of those.
     """
-    return RuleStrategy(lambda t, seen, heard: base, label=f"base_selector:{base}")
+    strat = constant(base)
+    strat.label = f"base_selector:{base}"
+    return strat
 
 
 def sum_broadcast(colors: ColorSpace | int) -> Strategy:
@@ -129,18 +146,29 @@ def sum_broadcast(colors: ColorSpace | int) -> Strategy:
     colors = as_colors(colors)
     size = colors.size
 
+    def no_front(t):
+        return NotHBSF(
+            f"player {t} heard no front announcement; this strategy needs the "
+            "hear-backward-see-forward line"
+        )
+
     def decide(t, seen, heard):
         if t == -1:
             return sum(seen.values()) % size
         if -1 not in heard:
-            raise NotHBSF(
-                f"player {t} heard no front announcement; this strategy needs the "
-                "hear-backward-see-forward line"
-            )
+            raise no_front(t)
         behind = sum(v for x, v in heard.items() if x != -1)
         return (heard[-1] - sum(seen.values()) - behind) % size
 
-    return RuleStrategy(decide, label="sum_broadcast")
+    def batch(t, seen, heard, n):
+        if t == -1:
+            return [s % size for s in _column_sum(list(seen.values()), n)]
+        if -1 not in heard:
+            raise no_front(t)
+        rest = [*seen.values(), *(col for x, col in heard.items() if x != -1)]
+        return [(f - s) % size for f, s in zip(heard[-1], _column_sum(rest, n))]
+
+    return RuleStrategy(decide, label="sum_broadcast", batch=batch)
 
 
 def diagonal_adversary(strat: Strategy, inst: Instance) -> tuple[int, ...]:

@@ -252,3 +252,33 @@ class TestStrategySpecs:
     def test_json_form(self):
         spec = '{"name": "base_selector", "params": {"base": 1}}'
         assert parse_strategy_spec(spec) == {"name": "base_selector", "params": {"base": 1}}
+
+
+class TestImports:
+    def test_cli_and_a_sweep_stay_free_of_numpy(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys, hatlab.cli\n"
+            "from hatlab import block_mod_sum, hnsa, at_least, sweep\n"
+            "assert sweep(hnsa(6, 3, at_least(2)), block_mod_sum(6, 3, 2)).winning\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_click_is_the_only_dependency(self):
+        import re
+        from pathlib import Path
+
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        block = re.search(r"^dependencies\s*=\s*\[(.*?)\]", text, re.M | re.S).group(1)
+        names = [re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in re.findall(r'"([^"]+)"', block)]
+        assert names == ["click"]

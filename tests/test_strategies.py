@@ -199,6 +199,24 @@ class TestDescriptors:
         assert again == witness
         assert TableStrategy.from_json(witness.to_json()).entries == witness.entries
 
+    def test_table_pairs_are_keyed_in_canonical_order(self):
+        import random
+
+        inst = hnsa(3, 2, at_least(1))
+        rng = random.Random(4)
+        rows = [
+            {"t": p, "seen": [[x, v] for x, v in zip(seen, colors)], "heard": [], "guess": rng.randrange(2)}
+            for p in inst.players
+            for seen in [inst.seen_by(p)]
+            for colors in iter_assignment_tuples(hnsa(len(seen), 2, at_least(0)))
+        ]
+        shuffled = [dict(row, seen=row["seen"][::-1]) for row in rows]
+        assert shuffled != rows
+        table = TableStrategy.from_json(rows)
+        again = TableStrategy.from_json(shuffled)
+        assert again == table
+        assert sweep(inst, again) == sweep(inst, table)
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             strategy_from_descriptor({"name": "telepathy"}, hnsa(2, 2, at_least(1)))
