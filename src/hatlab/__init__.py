@@ -20,6 +20,7 @@ from .errors import (
     CoverageError,
     CyclicHearing,
     HatlabError,
+    MissingTableEntry,
     NeedsTwoColors,
     NotHBSF,
     OverlapError,

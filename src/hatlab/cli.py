@@ -59,6 +59,10 @@ def _env_budget() -> int | None:
     return int(raw) if raw else None
 
 
+def _first_given(*values):
+    return next(v for v in values if v is not None)
+
+
 def _guarded(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -98,10 +102,9 @@ def _load_json_arg(text: str):
 def _build_instance(instance, kind, players, colors, rule) -> Instance:
     if instance:
         data = _load_json_arg(instance)
-        inst = instance_from_json(data)
         if rule:
             data["rule"] = _parse_rule(rule).to_json()
-            inst = instance_from_json(data)
+        inst = instance_from_json(data)
     else:
         if not (kind and players and colors and rule):
             raise ValueError("give --instance, or all of --kind, -m, -c and --rule")
@@ -247,9 +250,11 @@ def cmd_search(instance, kind, players, colors, rule, mode, expect, prune,
     """Exhaust the table-strategy space for the instance's rule."""
     inst = _build_instance(instance, kind, players, colors, rule)
     env = _env_budget()
+    default = SearchBudget()
+    # ``is not None``, not ``or``: a budget of 0 must reach SearchBudget and be rejected
     budget = SearchBudget(
-        max_strategies=max_strategies or env or SearchBudget().max_strategies,
-        max_assignments=max_assignments or env or SearchBudget().max_assignments,
+        max_strategies=_first_given(max_strategies, env, default.max_strategies),
+        max_assignments=_first_given(max_assignments, env, default.max_assignments),
     )
     if mode == "best":
         verdict = best_guaranteed_correct(inst, budget=budget, prune=prune)

@@ -38,6 +38,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .errors import (
     CoverageError,
     CyclicHearing,
+    MissingTableEntry,
     OverlapError,
     StrategyRangeError,
     SweepTooLarge,
@@ -180,7 +181,7 @@ class TableStrategy(Strategy):
         try:
             return self.entries[key]
         except KeyError:
-            raise LookupError(
+            raise MissingTableEntry(
                 f"table strategy has no entry for asking {t} with seen={dict(seen)} heard={dict(heard)}"
             ) from None
 

@@ -23,6 +23,10 @@ class StrategyRangeError(HatlabError, ValueError):
     """A strategy returned a value outside the instance's color range."""
 
 
+class MissingTableEntry(HatlabError, LookupError):
+    """A table strategy has no entry for an observation the play presents."""
+
+
 class SweepTooLarge(HatlabError):
     """An assignment sweep would exceed its budget; no partial verdicts."""
 

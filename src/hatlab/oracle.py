@@ -2,11 +2,16 @@
 
 For desk-scale instances every table strategy can be enumerated, so claims of
 the form "no strategy guarantees k correct guesses" become checkable facts
-rather than arguments. The search walks the strategy space as a tree (one
-level per asking, one branch per table for that asking) and prunes a branch
-as soon as some assignment already caps what the completed strategies below
-it could guarantee. Pruning never changes a verdict, only the work done; the
-suite checks this by comparing against the unpruned walk.
+rather than arguments. Both searches are one branch-and-bound walk over the
+strategy space as a tree (one level per play step, one branch per table for
+that asking): find the first strategy, in enumeration order, whose guaranteed
+correct count is above a *floor*. The best-guaranteed search starts the floor
+at -1 and raises it to each leaf that beats it, walking on to the end; the
+existence search fixes the floor just below what the rule needs and stops at
+the first leaf above it. A branch is pruned once some assignment already has
+so many players wrong that no completion can get more than the floor right.
+Pruning never changes a verdict, only the work done; the suite checks this by
+comparing against the unpruned walk.
 
 Budgets are hard limits: a search that would outgrow them raises instead of
 returning an answer computed from a partial walk.
@@ -15,17 +20,16 @@ returning an answer computed from a partial walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .engine import (
     TableStrategy,
     Strategy,
     _check_sweep_budget,
+    _compiled,
     _play_chunks,
     evaluate,
     iter_assignment_tuples,
-    topological_extension,
 )
 from .errors import BudgetExceeded
 from .model import Instance, RuleKind
@@ -75,44 +79,24 @@ class SearchVerdict:
 
 
 # --- the strategy space -----------------------------------------------------
+#
+# One decision table per play step of ``engine._compiled``, in its canonical
+# play order, so that a prefix of chosen tables already fixes the guesses at
+# all its askings. A step ``(t, player, seen, heard)`` has a table of
+# ``c ** (len(seen) + len(heard))`` entries, lexicographic over the seen
+# colors and then the heard guesses.
 
-@dataclass(frozen=True)
-class _Slot:
-    """One asking's decision table shape: who is asked, what it observes."""
-
-    t: int
-    player: int
-    vis: tuple[int, ...]
-    hrd: tuple[int, ...]
-    patterns: tuple  # ((seen pairs), (heard pairs)) per table input, lexicographic
-
-
-@lru_cache(maxsize=64)
-def _slots(inst: Instance) -> tuple[_Slot, ...]:
-    # Slot order follows the canonical play order so that a prefix of chosen
-    # tables already determines the guesses at all its askings. On canonical
-    # instances this is simply asking order.
-    c = inst.colors.size
-    out = []
-    for t in topological_extension(inst):
-        player = inst.label_of(t)
-        vis = inst.seen_by(player)
-        hrd = inst.heard_at(t)
-        patterns = tuple(
-            (tuple(zip(vis, av)), tuple(zip(hrd, gv)))
-            for av in product(range(c), repeat=len(vis))
-            for gv in product(range(c), repeat=len(hrd))
-        )
-        out.append(_Slot(t, player, vis, hrd, patterns))
-    return tuple(out)
+def _table_size(c: int, step) -> int:
+    _, _, seen, heard = step
+    return c ** (len(seen) + len(heard))
 
 
 def count_table_strategies(inst: Instance) -> int:
     """Exact size of the table-strategy space (may be astronomically large)."""
     c = inst.colors.size
     total = 1
-    for slot in _slots(inst):
-        total *= c ** len(slot.patterns)
+    for step in _compiled(inst):
+        total *= c ** _table_size(c, step)
     return total
 
 
@@ -128,100 +112,105 @@ def enumerate_table_strategies(inst: Instance, max_strategies: int | None = None
     total = count_table_strategies(inst)
     if total > cap:
         raise BudgetExceeded(total, cap)
-    slots = _slots(inst)
     c = inst.colors.size
+    steps = _compiled(inst)
 
     def gen():
-        per_slot = [product(range(c), repeat=len(slot.patterns)) for slot in slots]
-        for combo in product(*per_slot):
-            yield _materialize(slots, combo)
+        per_step = [product(range(c), repeat=_table_size(c, step)) for step in steps]
+        for combo in product(*per_step):
+            yield _materialize(inst, combo)
 
     return gen()
 
 
-def _materialize(slots, tables) -> TableStrategy:
+def _materialize(inst: Instance, tables) -> TableStrategy:
+    c = inst.colors.size
     entries = {}
-    for slot, table in zip(slots, tables):
-        for idx, (seen_key, heard_key) in enumerate(slot.patterns):
-            entries[(slot.t, seen_key, heard_key)] = table[idx]
+    for (t, _, seen, heard), table in zip(_compiled(inst), tables):
+        keys = product(product(range(c), repeat=len(seen)), product(range(c), repeat=len(heard)))
+        for (av, gv), guess in zip(keys, table):
+            entries[(t, tuple(zip(seen, av)), tuple(zip(heard, gv)))] = guess
     return TableStrategy(entries)
 
 
 # --- branch-and-bound walk ---------------------------------------------------
 
-class _Search:
-    """Shared state for one walk over the strategy tree.
+def _walk(inst: Instance, budget: SearchBudget, prune: bool, floor, first: bool):
+    """Find the first strategy, in enumeration order, whose guaranteed correct
+    count is above ``floor``; return ``(floor, tables, examined, pruned)``.
 
-    Per assignment it tracks the guesses made so far (needed to resolve
-    heard-guess patterns deeper in the tree) and a bitmask of players already
-    guaranteed wrong; `asked - wrong` is then the best correct count any
-    completion of the current prefix can still reach on that assignment.
+    The walk descends one play step per level and tries that step's tables in
+    lexicographic order. Per assignment it keeps a bitmask of the players
+    already wrong, so ``asked - popcount(wrong)`` is the most any completion
+    of the prefix can get right there, and per level the table index it read,
+    so a deeper step finds its heard guesses in the tables chosen above it. A
+    branch is pruned when ``asked - max(popcount(wrong)) <= floor``: nothing
+    under it can beat the floor. A leaf above the floor becomes the witness
+    and the floor rises to its count. With ``first`` the walk stops there;
+    otherwise it goes on, so the final floor is the optimum and ``tables`` its
+    first attainer (``None`` if no leaf beat the starting floor).
     """
+    total = count_table_strategies(inst)
+    if total > budget.max_strategies:
+        raise BudgetExceeded(total, budget.max_strategies)
+    steps = _compiled(inst)
+    c = inst.colors.size
+    index = inst.player_index
+    assignments = list(iter_assignment_tuples(inst))
+    n_a = len(assignments)
+    asked = len(set(inst.labeling))
+    depth_of = {t: d for d, (t, _, _, _) in enumerate(steps)}
+    # Static per (step, assignment): the seen colors' table index and the
+    # color a correct guess must hit; per step, the wrong bit and heard depths.
+    levels = []
+    for step in steps:
+        _, player, seen, heard = step
+        seen_idx = [0] * n_a
+        for x in seen:
+            i = index[x]
+            seen_idx = [k * c + a[i] for k, a in zip(seen_idx, assignments)]
+        me = index[player]
+        levels.append((seen_idx, [a[me] for a in assignments], 1 << me,
+                       tuple(depth_of[x] for x in heard), _table_size(c, step)))
+    at: list = [None] * len(steps)  # per depth, the table index each assignment read
+    chosen: list = []
+    witness = None
+    spent = examined = pruned = 0
+    cap = budget.max_assignments
+    depth_count = len(steps)
 
-    def __init__(self, inst: Instance, budget: SearchBudget, prune: bool):
-        self.inst = inst
-        self.budget = budget
-        self.prune = prune
-        self.slots = _slots(inst)
-        self.c = inst.colors.size
-        total = count_table_strategies(inst)
-        if total > budget.max_strategies:
-            raise BudgetExceeded(total, budget.max_strategies)
-        self.total = total
+    def walk(depth: int, wrong: list[int]) -> bool:
+        nonlocal floor, witness, spent, examined, pruned
+        if depth == depth_count:
+            examined += 1
+            low = asked - max(map(int.bit_count, wrong))
+            if low > floor:
+                floor = low
+                witness = tuple(chosen)
+                return first
+            return False
+        indices, targets, bit, heard, size = levels[depth]
+        for d in heard:
+            above = chosen[d]
+            indices = [i * c + above[j] for i, j in zip(indices, at[d])]
+        at[depth] = indices
+        inner = prune and depth + 1 < depth_count
+        for table in product(range(c), repeat=size):
+            spent += n_a
+            if spent > cap:
+                raise BudgetExceeded(spent, cap, "play steps")
+            new_wrong = [w | bit if table[i] != y else w for w, i, y in zip(wrong, indices, targets)]
+            if inner and asked - max(map(int.bit_count, new_wrong)) <= floor:
+                pruned += 1
+                continue
+            chosen.append(table)
+            if walk(depth + 1, new_wrong):
+                return True
+            chosen.pop()
+        return False
 
-        self.assignments = [dict(zip(inst.players, v)) for v in iter_assignment_tuples(inst)]
-        self.n_a = len(self.assignments)
-        bit = {m: 1 << i for i, m in enumerate(inst.players)}
-        self.asked_total = len({slot.player for slot in self.slots})
-
-        slot_pos = {slot.t: d for d, slot in enumerate(self.slots)}
-        # Static per (slot, assignment): the seen-pattern part of the table
-        # index, the wrong-guess bit, and the color a correct guess must hit.
-        self.alpha_base: list[list[int]] = []
-        self.targets: list[list[int]] = []
-        self.bits: list[int] = []
-        self.heard_pos: list[tuple[int, ...]] = []
-        for slot in self.slots:
-            gamma_span = self.c ** len(slot.hrd)
-            bases, targets = [], []
-            for a in self.assignments:
-                idx = 0
-                for x in slot.vis:
-                    idx = idx * self.c + a[x]
-                bases.append(idx * gamma_span)
-                targets.append(a[slot.player])
-            self.alpha_base.append(bases)
-            self.targets.append(targets)
-            self.bits.append(bit[slot.player])
-            self.heard_pos.append(tuple(slot_pos[x] for x in slot.hrd))
-
-        self.guesses = [[0] * len(self.slots) for _ in range(self.n_a)]
-        self.evaluations = 0
-        self.examined = 0
-        self.pruned = 0
-
-    def spend(self, steps: int):
-        self.evaluations += steps
-        if self.evaluations > self.budget.max_assignments:
-            raise BudgetExceeded(self.evaluations, self.budget.max_assignments, "play steps")
-
-    def pattern_indices(self, depth: int) -> list[int]:
-        """Table index per assignment at this depth, under the current prefix."""
-        bases = self.alpha_base[depth]
-        hpos = self.heard_pos[depth]
-        c = self.c
-        guesses = self.guesses
-        out = []
-        for ai in range(self.n_a):
-            idx = 0
-            row = guesses[ai]
-            for p in hpos:
-                idx = idx * c + row[p]
-            out.append(bases[ai] + idx)
-        return out
-
-    def tables_at(self, depth: int):
-        return product(range(self.c), repeat=len(self.slots[depth].patterns))
+    walk(0, [0] * n_a)
+    return floor, witness, examined, pruned
 
 
 def best_guaranteed_correct(
@@ -231,55 +220,21 @@ def best_guaranteed_correct(
 ) -> SearchVerdict:
     """Largest k such that some strategy gets >= k correct on every assignment.
 
-    Walks the whole table-strategy space; the witness is the first strategy
-    (in enumeration order) attaining the maximum. The verdict's
+    Walks the whole table-strategy space from floor -1; the witness is the
+    first strategy (in enumeration order) attaining the maximum. The verdict's
     ``exists_winning`` applies the instance's rule to the guaranteed counts:
     on any instance, correct and incorrect counts sum to the number of asked
     players, so the guaranteed-correct optimum settles both rule kinds.
     """
-    search = _Search(inst, budget or DEFAULT_BUDGET, prune)
-    best = -1
-    witness_tables = None
-    depth_count = len(search.slots)
-
-    def walk(depth: int, wrong: list[int], chosen: list):
-        nonlocal best, witness_tables
-        if depth == depth_count:
-            search.examined += 1
-            low = min(search.asked_total - w.bit_count() for w in wrong)
-            if low > best:
-                best = low
-                witness_tables = tuple(chosen)
-            return
-        indices = search.pattern_indices(depth)
-        targets = search.targets[depth]
-        bit = search.bits[depth]
-        guesses = search.guesses
-        for table in search.tables_at(depth):
-            search.spend(search.n_a)
-            new_wrong = []
-            for ai in range(search.n_a):
-                g = table[indices[ai]]
-                guesses[ai][depth] = g
-                new_wrong.append(wrong[ai] | (bit if g != targets[ai] else 0))
-            if search.prune and depth + 1 < depth_count:
-                bound = min(search.asked_total - w.bit_count() for w in new_wrong)
-                if bound <= best:
-                    search.pruned += 1
-                    continue
-            chosen.append(table)
-            walk(depth + 1, new_wrong, chosen)
-            chosen.pop()
-
-    walk(0, [0] * search.n_a, [])
-    witness = _materialize(search.slots, witness_tables) if witness_tables else None
-    exists = bool(evaluate(inst.rule, best, search.asked_total - best))
+    best, tables, examined, pruned = _walk(inst, budget or DEFAULT_BUDGET, prune, -1, False)
+    asked = len(set(inst.labeling))
     return SearchVerdict(
-        exists_winning=exists,
-        witness=witness,
+        exists_winning=bool(evaluate(inst.rule, best, asked - best)),
+        # ``if tables``: an instance with no askings reports no witness here
+        witness=_materialize(inst, tables) if tables else None,
         best_guaranteed=best,
-        strategies_examined=search.examined,
-        pruned=search.pruned,
+        strategies_examined=examined,
+        pruned=pruned,
     )
 
 
@@ -290,67 +245,23 @@ def exists_winning_exhaustive(
 ) -> SearchVerdict:
     """Is any table strategy winning for the instance's rule?
 
-    Stops at the first winner in enumeration order (reported as the witness);
-    a negative verdict means the entire space was covered. A branch is pruned
-    once some assignment already breaks the rule no matter how the remaining
-    tables are filled in.
+    A strategy wins when its guaranteed correct count reaches ``need``: the
+    threshold for ``at_least:k``, ``asked - k + 1`` for ``fewer_incorrect:k``
+    (minus infinity for :data:`OMEGA`). The walk runs with the floor fixed at
+    ``need - 1`` and stops at the first winner in enumeration order (reported
+    as the witness); a negative verdict means the entire space was covered.
     """
-    search = _Search(inst, budget or DEFAULT_BUDGET, prune)
     rule = inst.rule
-    at_least_kind = rule.kind is RuleKind.AT_LEAST_CORRECT
-    asked = search.asked_total
-    depth_count = len(search.slots)
-    witness_tables = None
-
-    def doomed(wrong: list[int]) -> bool:
-        # Optimistic completion: every undecided guess comes out correct.
-        for w in wrong:
-            k = w.bit_count()
-            if at_least_kind:
-                if asked - k < rule.threshold:
-                    return True
-            elif k >= rule.threshold:
-                return True
-        return False
-
-    def walk(depth: int, wrong: list[int], chosen: list) -> bool:
-        nonlocal witness_tables
-        if depth == depth_count:
-            search.examined += 1
-            ok = all(
-                evaluate(rule, asked - w.bit_count(), w.bit_count()) for w in wrong
-            )
-            if ok:
-                witness_tables = tuple(chosen)
-            return ok
-        indices = search.pattern_indices(depth)
-        targets = search.targets[depth]
-        bit = search.bits[depth]
-        guesses = search.guesses
-        for table in search.tables_at(depth):
-            search.spend(search.n_a)
-            new_wrong = []
-            for ai in range(search.n_a):
-                g = table[indices[ai]]
-                guesses[ai][depth] = g
-                new_wrong.append(wrong[ai] | (bit if g != targets[ai] else 0))
-            if search.prune and depth + 1 < depth_count and doomed(new_wrong):
-                search.pruned += 1
-                continue
-            chosen.append(table)
-            if walk(depth + 1, new_wrong, chosen):
-                return True
-            chosen.pop()
-        return False
-
-    found = walk(0, [0] * search.n_a, [])
-    witness = _materialize(search.slots, witness_tables) if found else None
+    need = rule.threshold
+    if rule.kind is not RuleKind.AT_LEAST_CORRECT:
+        need = len(set(inst.labeling)) - need + 1
+    _, tables, examined, pruned = _walk(inst, budget or DEFAULT_BUDGET, prune, need - 1, True)
     return SearchVerdict(
-        exists_winning=found,
-        witness=witness,
+        exists_winning=tables is not None,
+        witness=None if tables is None else _materialize(inst, tables),
         best_guaranteed=None,
-        strategies_examined=search.examined,
-        pruned=search.pruned,
+        strategies_examined=examined,
+        pruned=pruned,
     )
 
 

@@ -124,6 +124,16 @@ class TestSweep:
         assert res.exit_code == 3
 
 
+class TestMissingTableEntry:
+    @pytest.mark.parametrize("command", [["run", "--assignment", "0,1"], ["sweep"]])
+    def test_is_a_config_error(self, runner, command):
+        res = invoke(runner, command[0], "--kind", "hnsa", "-m", "2", "-c", "2",
+                     "--rule", "at_least:1", "--strategy", "table:entries=[]", *command[1:])
+        assert res.exit_code == 2
+        [line] = res.output.splitlines()
+        assert line.startswith("config error: table strategy has no entry for asking 0 ")
+
+
 class TestSearch:
     def test_expect_yes(self, runner):
         res = invoke(runner, "search", "--kind", "hnsa", "-m", "3", "-c", "2",
@@ -159,6 +169,26 @@ class TestSearch:
         res = invoke(runner, "search", "--kind", "hnsa", "-m", "3", "-c", "3",
                      "--rule", "at_least:2")
         assert res.exit_code == 3
+
+    @pytest.mark.parametrize("flags,env", [
+        (["--max-strategies", "0"], None),
+        (["--max-assignments", "0"], None),
+        ([], {"HATLAB_BUDGET": "0"}),
+        (["--max-strategies", "0"], {"HATLAB_BUDGET": "100"}),
+    ])
+    def test_zero_budget_is_a_config_error(self, runner, flags, env):
+        res = invoke(runner, "search", "--kind", "hnsa", "-m", "2", "-c", "2",
+                     "--rule", "at_least:1", *flags, env=env)
+        assert res.exit_code == 2
+        assert res.output.splitlines() == ["config error: budgets must be positive"]
+
+    def test_flag_budget_overrides_env(self, runner):
+        res = invoke(runner, "search", "--kind", "hnsa", "-m", "2", "-c", "2",
+                     "--rule", "at_least:1", "--max-strategies", "15",
+                     env={"HATLAB_BUDGET": "100"})
+        assert res.exit_code == 3
+        assert res.output.splitlines() == [
+            "budget error: search needs 16 table strategies, budget is 15"]
 
 
 class TestLine:
@@ -207,6 +237,19 @@ class TestInstanceDescriptors:
                      "--strategy", "constant:0", "--assignment", "0,0,0")
         assert res.exit_code == 0
         assert json.loads(res.output)["instance"] == desc
+
+    def test_rule_option_replaces_the_descriptor_rule(self, runner):
+        desc = {
+            "kind": "custom", "players": 2, "colors": 2,
+            "sight": [[0, 1], [1, 0]], "labeling": [0, 1],
+            "rule": {"kind": "at_least", "threshold": 2},
+        }
+        res = invoke(runner, "search", "--instance", json.dumps(desc),
+                     "--rule", "fewer_incorrect:2", "--expect", "yes")
+        assert res.exit_code == 0
+        report = json.loads(res.output)
+        assert report["instance"]["rule"] == {"kind": "fewer_incorrect", "threshold": 2}
+        assert report["exists_winning"] is True
 
     def test_invalid_instance_exits_two(self, runner):
         desc = json.dumps({

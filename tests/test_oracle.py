@@ -1,8 +1,11 @@
+import random
+from functools import cache
 from itertools import product
 
 import pytest
 
 from hatlab import (
+    OMEGA,
     BudgetExceeded,
     SearchBudget,
     at_least,
@@ -11,7 +14,9 @@ from hatlab import (
     constant,
     correct_count_census,
     count_table_strategies,
+    custom_instance,
     enumerate_table_strategies,
+    evaluate,
     exists_winning_exhaustive,
     fewer_incorrect_than,
     hbsf,
@@ -19,7 +24,62 @@ from hatlab import (
     hnsf,
     is_winning,
     run_game,
+    sweep,
 )
+
+
+# --- reference: every table strategy, swept -----------------------------------
+
+def _seeded_custom(seed):
+    """A random custom instance (any sight, acyclic hearing, askings repeated or
+    missing per player) with 64 to 4,096 table strategies."""
+    rng = random.Random(seed)
+    while True:
+        n, c = rng.randint(2, 3), rng.randint(2, 3)
+        sight = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 6))]
+        askings = rng.randint(1, n + 1)
+        order = rng.sample(range(askings), askings)
+        hearing = [(order[i], order[j]) for i in range(askings) for j in range(i + 1, askings)
+                   if rng.random() < 0.4]
+        labeling = [rng.randrange(n) for _ in range(askings)]
+
+        def build(rule):
+            return custom_instance(n, c, sight, rule, hearing=hearing,
+                                   askings=range(askings), labeling=labeling)
+
+        if 64 <= count_table_strategies(build(at_least(1))) <= 4096:
+            return build
+
+
+SPACES = {
+    **{f"{kind.__name__}-{m}x{c}": (lambda rule, kind=kind, m=m, c=c: kind(m, c, rule))
+       for kind, m, c in [(hnsa, 2, 2), (hnsa, 3, 2), (hnsa, 2, 3), (hnsf, 3, 2),
+                          (hnsf, 2, 3), (hbsf, 2, 2), (hbsf, 3, 2), (hbsf, 2, 3)]},
+    **{f"custom-{seed}": _seeded_custom(seed) for seed in range(6)},
+}
+RULES = {
+    "at_least:0": at_least(0),
+    "at_least:1": at_least(1),
+    "at_least:2": at_least(2),
+    "fewer_incorrect:1": fewer_incorrect_than(1),
+    "fewer_incorrect:2": fewer_incorrect_than(2),
+    "fewer_incorrect:omega": fewer_incorrect_than(OMEGA),
+}
+CASES = pytest.mark.parametrize(
+    "space,rule", [(s, r) for s in SPACES for r in RULES], ids=lambda x: x)
+
+
+@cache
+def swept(space):
+    """``(strategy, min_correct, max_incorrect)`` for every table strategy, in
+    enumeration order. The worst-case counts do not depend on the rule, and
+    ``evaluate`` on them says whether the strategy wins on every assignment:
+    ``at_least`` reads only correct counts, ``fewer_incorrect`` only incorrect
+    ones."""
+    inst = SPACES[space](at_least(0))
+    return [(strat, r.min_correct, r.max_incorrect)
+            for strat in enumerate_table_strategies(inst)
+            for r in [sweep(inst, strat)]]
 
 
 class TestEnumeration:
@@ -75,14 +135,20 @@ class TestBestGuaranteed:
         assert verdict.exists_winning
         assert is_winning(inst, verdict.witness)[0]
 
-    def test_pruning_is_sound(self):
-        for inst in (hnsa(2, 2, at_least(1)), hbsf(2, 2, fewer_incorrect_than(1))):
-            pruned = best_guaranteed_correct(inst, prune=True)
-            full = best_guaranteed_correct(inst, prune=False)
-            assert pruned.best_guaranteed == full.best_guaranteed
-            assert pruned.exists_winning == full.exists_winning
-            assert full.pruned == 0
-            assert full.strategies_examined == count_table_strategies(inst)
+    @CASES
+    def test_pruning_is_sound(self, space, rule):
+        inst = SPACES[space](RULES[rule])
+        pruned = best_guaranteed_correct(inst, prune=True)
+        full = best_guaranteed_correct(inst, prune=False)
+        assert (pruned.best_guaranteed, pruned.exists_winning, pruned.witness) == (
+            full.best_guaranteed, full.exists_winning, full.witness)
+        assert full.pruned == 0
+        assert full.strategies_examined == count_table_strategies(inst)
+        reference = swept(space)
+        best = max(low for _, low, _ in reference)
+        assert full.best_guaranteed == best
+        assert full.witness == next(s for s, low, _ in reference if low == best)
+        assert full.exists_winning == any(evaluate(inst.rule, low, high) for _, low, high in reference)
 
 
 class TestExistsWinning:
@@ -105,12 +171,15 @@ class TestExistsWinning:
                 assert strat == found
                 break
 
-    def test_pruned_and_unpruned_agree(self):
-        inst = hnsa(2, 2, at_least(1))
-        assert (
-            exists_winning_exhaustive(inst, prune=True).exists_winning
-            == exists_winning_exhaustive(inst, prune=False).exists_winning
-        )
+    @CASES
+    def test_pruned_and_unpruned_agree(self, space, rule):
+        inst = SPACES[space](RULES[rule])
+        pruned = exists_winning_exhaustive(inst, prune=True)
+        full = exists_winning_exhaustive(inst, prune=False)
+        assert (pruned.exists_winning, pruned.witness) == (full.exists_winning, full.witness)
+        first = next((s for s, low, high in swept(space) if evaluate(inst.rule, low, high)), None)
+        assert full.witness == first
+        assert full.exists_winning == (first is not None)
 
     def test_report_serializes(self):
         inst = hbsf(2, 2, fewer_incorrect_than(2))

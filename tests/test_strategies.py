@@ -2,6 +2,7 @@ import pytest
 
 from hatlab import (
     BlockSizeMismatch,
+    MissingTableEntry,
     NeedsTwoColors,
     NotHBSF,
     TableStrategy,
@@ -216,6 +217,16 @@ class TestDescriptors:
         again = TableStrategy.from_json(shuffled)
         assert again == table
         assert sweep(inst, again) == sweep(inst, table)
+
+    @pytest.mark.parametrize("play", [
+        lambda inst, table: run_game(inst, table, (0, 1)),
+        lambda inst, table: sweep(inst, table),
+    ])
+    def test_missing_table_entry_is_a_package_lookup_error(self, play):
+        inst = hnsa(2, 2, at_least(1))
+        with pytest.raises(MissingTableEntry, match="no entry for asking 0 with seen=") as exc:
+            play(inst, TableStrategy({}))
+        assert isinstance(exc.value, LookupError)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
