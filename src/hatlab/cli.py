@@ -12,7 +12,6 @@ import functools
 import json
 import os
 import sys
-import time
 
 import click
 
@@ -47,7 +46,7 @@ from .oracle import (
     best_guaranteed_correct,
     exists_winning_exhaustive,
 )
-from .strategies import block_mod_sum, strategy_from_descriptor, sum_broadcast
+from .strategies import strategy_from_descriptor
 
 
 def _dumps(obj) -> str:
@@ -102,7 +101,7 @@ def _load_json_arg(text: str):
 def _build_instance(instance, kind, players, colors, rule) -> Instance:
     if instance:
         data = _load_json_arg(instance)
-        if rule:
+        if rule and isinstance(data, dict):  # instance_from_json rejects a non-object
             data["rule"] = _parse_rule(rule).to_json()
         inst = instance_from_json(data)
     else:
@@ -315,26 +314,6 @@ def cmd_verify(only):
     failed = [r for r in results if not r.passed]
     click.echo(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     sys.exit(1 if failed else 0)
-
-
-@main.command("bench")
-@_guarded
-def cmd_bench():
-    """Time a few representative workloads."""
-    rows = []
-
-    def timed(name, fn):
-        start = time.perf_counter()
-        fn()
-        rows.append({"name": name, "seconds": round(time.perf_counter() - start, 4)})
-
-    timed("sweep hnsa m=6 c=3 block_mod_sum",
-          lambda: sweep(build_canonical_instance("hnsa", 6, 3, at_least(2)), block_mod_sum(6, 3, 2)))
-    timed("search best hnsa m=3 c=2",
-          lambda: best_guaranteed_correct(build_canonical_instance("hnsa", 3, 2, at_least(1))))
-    timed("sweep hbsf m=7 c=3 sum_broadcast",
-          lambda: sweep(build_canonical_instance("hbsf", 7, 3, fewer_incorrect_than(2)), sum_broadcast(3)))
-    click.echo(_dumps(rows))
 
 
 if __name__ == "__main__":

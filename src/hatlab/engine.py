@@ -28,6 +28,7 @@ and the plays that come before them, are those of the scalar loop.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -248,21 +249,10 @@ def topological_extension(inst: Instance, seed: int | None = None) -> tuple[int,
         for nxt in sorted(succ[t]):
             pending[nxt] -= 1
             if pending[nxt] == 0:
-                _insort(ready, nxt)
+                bisect.insort(ready, nxt)
     if len(order) != len(inst.askings):
         raise CyclicHearing(find_hearing_cycle(inst) or ())
     return tuple(order)
-
-
-def _insort(lst: list[int], x: int) -> None:
-    lo, hi = 0, len(lst)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if lst[mid] < x:
-            lo = mid + 1
-        else:
-            hi = mid
-    lst.insert(lo, x)
 
 
 def _steps(inst: Instance, order: Sequence[int]) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]:
@@ -280,10 +270,6 @@ def _compiled(inst: Instance) -> tuple:
 
 
 # --- play and scoring -------------------------------------------------------
-
-GuessRecord = dict
-"""The unique play: a total map from asking to guessed color."""
-
 
 @dataclass(frozen=True)
 class GameResult:
@@ -400,6 +386,8 @@ class SweepReport:
 
 def _check_sweep_budget(inst: Instance, max_assignments: int | None) -> int:
     budget = DEFAULT_SWEEP_BUDGET if max_assignments is None else max_assignments
+    if budget < 1:
+        raise ValueError("budgets must be positive")
     total = inst.assignment_count()
     if total > budget:
         raise SweepTooLarge(total, budget)
@@ -585,18 +573,18 @@ class CombinedStrategy(Strategy):
             for t in sub.askings:
                 self._owner[t] = (sub, strat)
 
-    def decide(self, t, seen, heard):
+    def _part(self, t, seen, heard):
+        """The part owning ``t``, with ``seen`` and ``heard`` cut to its relations."""
         sub, strat = self._owner[t]
-        m = sub.label_of(t)
-        sub_seen = {x: seen[x] for x in sub.seen_by(m)}
-        sub_heard = {x: heard[x] for x in sub.heard_at(t)}
+        sub_seen = {x: seen[x] for x in sub.seen_by(sub.label_of(t))}
+        return strat, sub_seen, {x: heard[x] for x in sub.heard_at(t)}
+
+    def decide(self, t, seen, heard):
+        strat, sub_seen, sub_heard = self._part(t, seen, heard)
         return strat.decide(t, sub_seen, sub_heard)
 
     def decide_batch(self, t, seen_cols, heard_cols, n, memo):
-        sub, strat = self._owner[t]
-        m = sub.label_of(t)
-        sub_seen = {x: seen_cols[x] for x in sub.seen_by(m)}
-        sub_heard = {x: heard_cols[x] for x in sub.heard_at(t)}
+        strat, sub_seen, sub_heard = self._part(t, seen_cols, heard_cols)
         return strat.decide_batch(t, sub_seen, sub_heard, n, memo)
 
 

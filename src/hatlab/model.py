@@ -90,6 +90,7 @@ class EvaluationRule:
 
     @staticmethod
     def from_json(data: Mapping) -> "EvaluationRule":
+        _json_object(data, "rule", ("kind", "threshold"))
         kind = RuleKind(data["kind"])
         raw = data["threshold"]
         threshold = OMEGA if raw == "omega" else int(raw)
@@ -149,15 +150,6 @@ class Instance:
 
     def label_of(self, t: int) -> int:
         return self.label_map[t]
-
-    @cached_property
-    def askings_of(self) -> dict[int, tuple[int, ...]]:
-        """Player -> the askings at which that player must guess."""
-        out: dict[int, list[int]] = {m: [] for m in self.players}
-        for t, m in zip(self.askings, self.labeling):
-            if m in out:
-                out[m].append(t)
-        return {m: tuple(ts) for m, ts in out.items()}
 
     @cached_property
     def _seen_by(self) -> dict[int, tuple[int, ...]]:
@@ -411,8 +403,19 @@ def instance_to_json(inst: Instance) -> dict:
     return out
 
 
+def _json_object(data, what: str, required: Sequence[str]) -> Mapping:
+    """``data``, once checked to be a JSON object holding every ``required`` key."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{what} descriptor must be a JSON object, got {type(data).__name__}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ValueError(f"{what} descriptor is missing {', '.join(map(repr, missing))}")
+    return data
+
+
 def instance_from_json(data: Mapping) -> Instance:
     """Parse an instance descriptor (inverse of :func:`instance_to_json`)."""
+    _json_object(data, "instance", ("players", "colors", "rule"))
     kind = str(data.get("kind", "custom")).lower()
     rule = EvaluationRule.from_json(data["rule"])
     m = int(data["players"])
@@ -422,16 +425,6 @@ def instance_from_json(data: Mapping) -> Instance:
     if kind != "custom":
         raise ValueError(f"unknown instance kind {kind!r}")
     labeling = data.get("labeling")
-    if labeling is None:
-        labeling = list(range(m))
-    askings = list(range(len(labeling)))
-    return Instance(
-        players=tuple(range(m)),
-        colors=ColorSpace(c),
-        sight=data.get("sight", ()),
-        askings=tuple(askings),
-        hearing=data.get("hearing", ()),
-        labeling=tuple(int(x) for x in labeling),
-        rule=rule,
-        kind="custom",
-    )
+    askings = None if labeling is None else range(len(labeling))
+    return custom_instance(m, c, data.get("sight", ()), rule, hearing=data.get("hearing", ()),
+                           askings=askings, labeling=labeling)

@@ -32,7 +32,7 @@ from .engine import (
     iter_assignment_tuples,
 )
 from .errors import BudgetExceeded
-from .model import Instance, RuleKind
+from .model import Instance, instance_to_json
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,6 @@ class SearchVerdict:
     pruned: int = 0
 
     def to_json(self, inst: Instance) -> dict:
-        from .model import instance_to_json
-
         return {
             "instance": instance_to_json(inst),
             "best_guaranteed": self.best_guaranteed,
@@ -108,7 +106,8 @@ def enumerate_table_strategies(inst: Instance, max_strategies: int | None = None
     Raises :class:`BudgetExceeded` (carrying the exact count) before yielding
     anything if the space is too large.
     """
-    cap = DEFAULT_BUDGET.max_strategies if max_strategies is None else max_strategies
+    budget = DEFAULT_BUDGET if max_strategies is None else SearchBudget(max_strategies=max_strategies)
+    cap = budget.max_strategies
     total = count_table_strategies(inst)
     if total > cap:
         raise BudgetExceeded(total, cap)
@@ -246,15 +245,14 @@ def exists_winning_exhaustive(
     """Is any table strategy winning for the instance's rule?
 
     A strategy wins when its guaranteed correct count reaches ``need``: the
-    threshold for ``at_least:k``, ``asked - k + 1`` for ``fewer_incorrect:k``
-    (minus infinity for :data:`OMEGA`). The walk runs with the floor fixed at
-    ``need - 1`` and stops at the first winner in enumeration order (reported
-    as the witness); a negative verdict means the entire space was covered.
+    least ``k`` that ``evaluate`` accepts with ``asked - k`` wrong, or
+    ``asked + 1`` (out of reach) when there is none. The walk runs with the
+    floor fixed at ``need - 1`` and stops at the first winner in enumeration
+    order (reported as the witness); a negative verdict means the entire space
+    was covered.
     """
-    rule = inst.rule
-    need = rule.threshold
-    if rule.kind is not RuleKind.AT_LEAST_CORRECT:
-        need = len(set(inst.labeling)) - need + 1
+    asked = len(set(inst.labeling))
+    need = next((k for k in range(asked + 1) if evaluate(inst.rule, k, asked - k)), asked + 1)
     _, tables, examined, pruned = _walk(inst, budget or DEFAULT_BUDGET, prune, need - 1, True)
     return SearchVerdict(
         exists_winning=tables is not None,

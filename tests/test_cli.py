@@ -171,14 +171,18 @@ class TestSearch:
         assert res.exit_code == 3
 
     @pytest.mark.parametrize("flags,env", [
-        (["--max-strategies", "0"], None),
-        (["--max-assignments", "0"], None),
-        ([], {"HATLAB_BUDGET": "0"}),
-        (["--max-strategies", "0"], {"HATLAB_BUDGET": "100"}),
+        (["search", "--max-strategies", "0"], None),
+        (["search", "--max-assignments", "0"], None),
+        (["search"], {"HATLAB_BUDGET": "0"}),
+        (["search", "--max-strategies", "0"], {"HATLAB_BUDGET": "100"}),
+        (["sweep", "--strategy", "constant:0", "--max-assignments", "0"], None),
+        (["sweep", "--strategy", "constant:0", "--max-assignments", "-5"], None),
+        (["sweep", "--strategy", "constant:0"], {"HATLAB_BUDGET": "0"}),
     ])
     def test_zero_budget_is_a_config_error(self, runner, flags, env):
-        res = invoke(runner, "search", "--kind", "hnsa", "-m", "2", "-c", "2",
-                     "--rule", "at_least:1", *flags, env=env)
+        command, *rest = flags
+        res = invoke(runner, command, "--kind", "hnsa", "-m", "2", "-c", "2",
+                     "--rule", "at_least:1", *rest, env=env)
         assert res.exit_code == 2
         assert res.output.splitlines() == ["config error: budgets must be positive"]
 
@@ -251,6 +255,25 @@ class TestInstanceDescriptors:
         assert report["instance"]["rule"] == {"kind": "fewer_incorrect", "threshold": 2}
         assert report["exists_winning"] is True
 
+    @pytest.mark.parametrize("args,message", [
+        (["search", "--instance", "[1]"],
+         "instance descriptor must be a JSON object, got list"),
+        (["search", "--instance", "[1]", "--rule", "at_least:1"],
+         "instance descriptor must be a JSON object, got list"),
+        (["search", "--instance", '{"kind": "hnsa", "players": 2, "colors": 2}'],
+         "instance descriptor is missing 'rule'"),
+        (["search", "--instance", '{"kind": "hnsa", "players": 2, "colors": 2, "rule": 1}'],
+         "rule descriptor must be a JSON object, got int"),
+        (["line", "--strategy", "see_all_selector", "-c", "2", "--lazy", "[1]"],
+         "lazy assignment descriptor must be a JSON object, got list"),
+        (["line", "--strategy", "see_all_selector", "-c", "2", "--lazy", '{"blocks": 1}'],
+         "lazy assignment descriptor is missing 'base'"),
+    ])
+    def test_malformed_descriptor_is_a_config_error(self, runner, args, message):
+        res = invoke(runner, *args)
+        assert res.exit_code == 2
+        assert res.output.splitlines() == [f"config error: {message}"]
+
     def test_invalid_instance_exits_two(self, runner):
         desc = json.dumps({
             "kind": "custom", "players": 2, "colors": 2,
@@ -273,12 +296,16 @@ class TestVerify:
         assert res.exit_code == 2
 
 
-class TestBench:
-    def test_emits_timings(self, runner):
-        res = invoke(runner, "bench")
+class TestCommands:
+    def test_help_lists_exactly_the_commands(self, runner):
+        res = invoke(runner, "--help")
         assert res.exit_code == 0
-        rows = json.loads(res.output)
-        assert len(rows) == 3 and all(row["seconds"] >= 0 for row in rows)
+        commands = res.output.split("Commands:\n", 1)[1].splitlines()
+        names = [line.split()[0] for line in commands if line.strip()]
+        assert names == ["line", "run", "search", "sweep", "verify"]
+
+    def test_bench_is_gone(self, runner):
+        assert invoke(runner, "bench").exit_code == 2
 
 
 class TestStrategySpecs:

@@ -228,6 +228,13 @@ class TestSweeps:
         with pytest.raises(SweepTooLarge):
             is_winning(hnsa(4, 3, at_least(1)), constant(0), max_assignments=80)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_sweep_budget_must_be_positive(self, budget):
+        inst = hnsa(2, 2, at_least(1))
+        for call in (sweep, is_winning, lambda *a, **k: next(iter_plays(*a, **k))):
+            with pytest.raises(ValueError, match="budgets must be positive"):
+                call(inst, constant(0), max_assignments=budget)
+
     def test_iter_plays_covers_lexicographically(self):
         inst = hnsa(2, 2, at_least(1))
         seen = [values for values, _ in iter_plays(inst, constant(0))]

@@ -56,6 +56,9 @@ SPACES = {
        for kind, m, c in [(hnsa, 2, 2), (hnsa, 3, 2), (hnsa, 2, 3), (hnsf, 3, 2),
                           (hnsf, 2, 3), (hbsf, 2, 2), (hbsf, 3, 2), (hbsf, 2, 3)]},
     **{f"custom-{seed}": _seeded_custom(seed) for seed in range(6)},
+    # each player also sees its own hat, so some strategy is right everywhere:
+    # a floor one too low would call ``at_least:5`` and ``fewer_incorrect:0`` won
+    "self-sight-2x2": lambda rule: custom_instance(2, 2, [(0, 0), (1, 1), (1, 0)], rule),
 }
 RULES = {
     "at_least:0": at_least(0),
@@ -64,6 +67,8 @@ RULES = {
     "fewer_incorrect:1": fewer_incorrect_than(1),
     "fewer_incorrect:2": fewer_incorrect_than(2),
     "fewer_incorrect:omega": fewer_incorrect_than(OMEGA),
+    "at_least:5": at_least(5),
+    "fewer_incorrect:0": fewer_incorrect_than(0),
 }
 CASES = pytest.mark.parametrize(
     "space,rule", [(s, r) for s in SPACES for r in RULES], ids=lambda x: x)
@@ -104,6 +109,13 @@ class TestEnumeration:
         with pytest.raises(BudgetExceeded) as exc:
             enumerate_table_strategies(inst)
         assert exc.value.required == 19683**3
+
+    def test_budgets_must_be_positive(self):
+        inst = hnsa(2, 2, at_least(1))
+        with pytest.raises(ValueError, match="budgets must be positive"):
+            enumerate_table_strategies(inst, max_strategies=0)
+        with pytest.raises(ValueError, match="budgets must be positive"):
+            correct_count_census(inst, constant(0), max_assignments=0)
 
     def test_search_budget_guard(self):
         inst = hnsa(3, 3, at_least(2))
