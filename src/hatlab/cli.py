@@ -53,9 +53,20 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _ints(text: str, what: str, expects: str, count: int | None = None) -> tuple[int, ...]:
+    """Comma-separated integers, or a ``ValueError`` naming the input at fault."""
+    try:
+        values = tuple(map(int, text.split(",")))
+        if count is None or len(values) == count:
+            return values
+    except ValueError:
+        pass
+    raise ValueError(f"{what} {text!r}: expects {expects}")
+
+
 def _env_budget() -> int | None:
     raw = os.environ.get("HATLAB_BUDGET")
-    return int(raw) if raw else None
+    return _ints(raw, "HATLAB_BUDGET", "an integer", 1)[0] if raw else None
 
 
 def _first_given(*values):
@@ -70,7 +81,7 @@ def _guarded(fn):
         except (SweepTooLarge, BudgetExceeded) as exc:
             click.echo(f"budget error: {exc}", err=True)
             sys.exit(3)
-        except (HatlabError, ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+        except (HatlabError, ValueError, KeyError, TypeError, OverflowError, OSError) as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(2)
 
@@ -92,8 +103,11 @@ def _parse_rule(text: str) -> EvaluationRule:
 
 
 def _load_json_arg(text: str):
-    if text.strip().startswith(("{", "[")):
+    """JSON text, or else the path of a JSON file."""
+    try:
         return json.loads(text)
+    except json.JSONDecodeError:
+        pass
     with open(text, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -193,7 +207,7 @@ def cmd_run(instance, kind, players, colors, rule, strategy, assignment, seed, f
     """Play one game and print the result; exit 0 iff the rule is satisfied."""
     inst = _build_instance(instance, kind, players, colors, rule)
     strat = _build_strategy(strategy, inst)
-    values = tuple(int(x) for x in assignment.split(","))
+    values = _ints(assignment, "--assignment", "comma-separated integer colors")
     order = topological_extension(inst, seed) if seed is not None else None
     result = run_game(inst, strat, values, order=order)
     report = {
@@ -288,7 +302,7 @@ def cmd_line(kind, colors, lazy, blocks, assignment_base, exceptions, front, bas
     else:
         parsed = {}
         for text in exceptions:
-            k, n, color = (int(x) for x in text.split(","))
+            k, n, color = _ints(text, "--exception", "k,n,color", 3)
             parsed[OrdinalPosition(k, n)] = color
         shape = LineShape(blocks, front_present=front is not None)
         a = LazyAssignment.of(assignment_base, parsed, front)

@@ -13,6 +13,17 @@ so many players wrong that no completion can get more than the floor right.
 Pruning never changes a verdict, only the work done; the suite checks this by
 comparing against the unpruned walk.
 
+The walk works on the assignment space transposed: every set of assignments
+is one Python int used as a bitset, so a table's effect on all assignments is
+an OR of one precomputed set per table entry, and the prune test is one AND.
+The last level is not visited leaf by leaf: a leaf changes the guaranteed
+count by at most one, and which leaves keep it is a product of per-entry
+choices, so the whole level is settled by arithmetic. The walk still counts
+every table it settles or prunes and charges every one to the budget, so its
+verdicts, witnesses, counts and budget errors are those of a walk that plays
+each table against each assignment; the suite checks that against such a
+walk.
+
 Budgets are hard limits: a search that would outgrow them raises instead of
 returning an answer computed from a partial walk.
 """
@@ -20,7 +31,9 @@ returning an answer computed from a partial walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import or_
 
 from .engine import (
     TableStrategy,
@@ -29,7 +42,6 @@ from .engine import (
     _compiled,
     _play_chunks,
     evaluate,
-    iter_assignment_tuples,
 )
 from .errors import BudgetExceeded
 from .model import Instance, instance_to_json
@@ -134,20 +146,56 @@ def _materialize(inst: Instance, tables) -> TableStrategy:
 
 # --- branch-and-bound walk ---------------------------------------------------
 
+_TAIL = 1 << 12  # most ORs _lex_ors builds ahead as one list
+
+
+def _lex_ors(rows):
+    """``OR(rows[i][t[i]])`` for every table ``t`` in lexicographic order.
+
+    The trailing entries are combined eagerly into one list of at most
+    ``_TAIL`` ints; the leading ones are walked lazily, so a huge table space
+    costs memory only for what the walk reaches before its budget stops it.
+    """
+    tail, j = [0], len(rows)
+    while j and len(tail) * len(rows[j - 1]) <= _TAIL:
+        j -= 1
+        tail = [m | t for m in rows[j] for t in tail]
+    if not j:
+        return tail
+    return (h | t for picks in product(*rows[:j]) for h in [reduce(or_, picks)] for t in tail)
+
+
 def _walk(inst: Instance, budget: SearchBudget, prune: bool, floor, first: bool):
     """Find the first strategy, in enumeration order, whose guaranteed correct
     count is above ``floor``; return ``(floor, tables, examined, pruned)``.
 
     The walk descends one play step per level and tries that step's tables in
-    lexicographic order. Per assignment it keeps a bitmask of the players
-    already wrong, so ``asked - popcount(wrong)`` is the most any completion
-    of the prefix can get right there, and per level the table index it read,
-    so a deeper step finds its heard guesses in the tables chosen above it. A
-    branch is pruned when ``asked - max(popcount(wrong)) <= floor``: nothing
-    under it can beat the floor. A leaf above the floor becomes the witness
-    and the floor rises to its count. With ``first`` the walk stops there;
-    otherwise it goes on, so the final floor is the optimum and ``tables`` its
-    first attainer (``None`` if no leaf beat the starting floor).
+    lexicographic order. Its state is held as bitsets over the assignments
+    (bit ``a`` for the ``a``-th assignment in lexicographic order): per player,
+    the assignments where that player is already wrong, and the thresholds
+    ``S[k]``, the assignments with at least ``k`` players wrong, for ``k`` up
+    to ``top``, the most players wrong anywhere; ``asked - top`` is the most
+    any completion of the prefix can guarantee. A node splits the
+    assignments into its table entries: by the seen colors, then by the
+    guesses the tables chosen above it make at each heard step. Entry ``i``
+    with guess ``g`` newly makes the player wrong on ``entry_i & hat != g``
+    minus where the player is wrong already, so a table's new wrong set is the
+    OR of one such set per entry. A table is pruned when ``asked - top' <=
+    floor`` after it: nothing under it can beat the floor.
+
+    The last level is settled without visiting its leaves. A leaf adds one
+    player, so its score is ``asked - top`` unless some entry's guess makes the
+    player wrong on an assignment at ``top``, and then one less. The leaves
+    that keep ``asked - top`` are the product of a set of good guesses per
+    entry: every color if the entry reads no assignment at ``top``, else only
+    the hat those assignments share, if they share one. So the first leaf
+    above the floor, the count examined and the play steps spent follow by
+    arithmetic, including the exact count at which the budget is exceeded.
+
+    A leaf above the floor becomes the witness and the floor rises to its
+    count. With ``first`` the walk stops there; otherwise it goes on, so the
+    final floor is the optimum and ``tables`` its first attainer (``None`` if
+    no leaf beat the starting floor).
     """
     total = count_table_strategies(inst)
     if total > budget.max_strategies:
@@ -155,60 +203,125 @@ def _walk(inst: Instance, budget: SearchBudget, prune: bool, floor, first: bool)
     steps = _compiled(inst)
     c = inst.colors.size
     index = inst.player_index
-    assignments = list(iter_assignment_tuples(inst))
-    n_a = len(assignments)
+    n = len(inst.players)
+    n_a = c ** n
+    full = (1 << n_a) - 1
     asked = len(set(inst.labeling))
+    if not steps:  # the empty strategy is the only leaf, and nobody is wrong
+        return (asked, (), 1, 0) if asked > floor else (floor, None, 1, 0)
+    if n_a > budget.max_assignments:  # the first table tried already passes the cap
+        raise BudgetExceeded(n_a, budget.max_assignments, "play steps")
+    # hats[p][g]: the assignments where player p wears g, a run of ``stride``
+    # bits at offset ``g * stride`` repeated every ``c * stride`` bits.
+    strides = [c ** (n - 1 - p) for p in range(n)]
+    hats = [[full // ((1 << c * s) - 1) * (((1 << s) - 1) << g * s) for g in range(c)]
+            for s in strides]
     depth_of = {t: d for d, (t, _, _, _) in enumerate(steps)}
-    # Static per (step, assignment): the seen colors' table index and the
-    # color a correct guess must hit; per step, the wrong bit and heard depths.
+    heard_later = {depth_of[x] for _, _, _, heard in steps for x in heard}
     levels = []
-    for step in steps:
-        _, player, seen, heard = step
-        seen_idx = [0] * n_a
+    for d, (_, player, seen, heard) in enumerate(steps):
+        cells = [full]  # the assignments behind each seen-color pattern
         for x in seen:
-            i = index[x]
-            seen_idx = [k * c + a[i] for k, a in zip(seen_idx, assignments)]
+            cells = [e & h for e in cells for h in hats[index[x]]]
         me = index[player]
-        levels.append((seen_idx, [a[me] for a in assignments], 1 << me,
-                       tuple(depth_of[x] for x in heard), _table_size(c, step)))
-    at: list = [None] * len(steps)  # per depth, the table index each assignment read
+        levels.append((cells, me, [full ^ h for h in hats[me]],
+                       tuple(depth_of[x] for x in heard), d in heard_later))
+    last = len(steps) - 1
+    last_size = _table_size(c, steps[last])
+    last_cells, last_me, last_not_hat, last_heard, _ = levels[last]
+    wrong = [0] * n  # per player, the assignments where it is already wrong
+    guessed: list = [None] * len(steps)  # per depth, where its chosen table guesses g
     chosen: list = []
     witness = None
     spent = examined = pruned = 0
     cap = budget.max_assignments
-    depth_count = len(steps)
 
-    def walk(depth: int, wrong: list[int]) -> bool:
-        nonlocal floor, witness, spent, examined, pruned
-        if depth == depth_count:
-            examined += 1
-            low = asked - max(map(int.bit_count, wrong))
-            if low > floor:
-                floor = low
-                witness = tuple(chosen)
-                return first
-            return False
-        indices, targets, bit, heard, size = levels[depth]
+    def entries(depth: int) -> list:
+        """The assignments behind each table entry of the node at ``depth``."""
+        cells, _, _, heard, _ = levels[depth]
         for d in heard:
-            above = chosen[d]
-            indices = [i * c + above[j] for i, j in zip(indices, at[d])]
-        at[depth] = indices
-        inner = prune and depth + 1 < depth_count
-        for table in product(range(c), repeat=size):
+            cells = [e & s for e in cells for s in guessed[d]]
+        return cells
+
+    def settle(top: int, at_top: int) -> bool:
+        """Every leaf under a last-step node, by arithmetic; ``at_top`` is
+        ``S[top]`` after the tables chosen so far."""
+        nonlocal floor, witness, spent, examined
+        hi = asked - top
+        rank = None  # of the first leaf scoring ``hi``, if any does
+        if hi > floor:
+            at_top &= ~wrong[last_me]
+            stride = strides[last_me]
+            rank = 0
+            for e in entries(last) if last_heard else last_cells:
+                y = e & at_top
+                if y:  # only the hat these assignments share keeps them right
+                    g = ((y & -y).bit_length() - 1) // stride % c
+                    if y & last_not_hat[g]:
+                        rank = None
+                        break
+                    rank = rank * c + g
+                else:
+                    rank *= c
+        beats = ()  # (rank, count) of each leaf that raises the floor, in order
+        if hi - 1 > floor:
+            beats = ((0, hi if rank == 0 else hi - 1),)
+        if rank is not None and not (rank == 0 and beats):
+            beats += ((rank, hi),)
+        end = beats[0][0] if first and beats else c ** last_size - 1
+        over = (cap - spent) // n_a  # the first rank whose play steps pass the cap
+        if over <= end:
+            raise BudgetExceeded(spent + (over + 1) * n_a, cap, "play steps")
+        spent += (end + 1) * n_a
+        examined += end + 1
+        if beats:
+            rank, floor = beats[0] if first else beats[-1]
+            witness = (*chosen, tuple(rank // c ** k % c for k in reversed(range(last_size))))
+        return first and bool(beats)
+
+    def walk(depth: int, S: list) -> bool:
+        nonlocal spent, pruned
+        cells = entries(depth)
+        _, me, not_hat, _, shared = levels[depth]
+        top = len(S) - 1
+        fresh = ~wrong[me]
+        rows = [[e & fresh & m for m in not_hat] for e in cells]
+        deeper = depth + 1 < last
+        for table, new in zip(product(range(c), repeat=len(cells)), _lex_ors(rows)):
             spent += n_a
             if spent > cap:
                 raise BudgetExceeded(spent, cap, "play steps")
-            new_wrong = [w | bit if table[i] != y else w for w, i, y in zip(wrong, indices, targets)]
-            if inner and asked - max(map(int.bit_count, new_wrong)) <= floor:
+            hit = S[top] & new
+            if prune and asked - floor <= top + (1 if hit else 0):
                 pruned += 1
                 continue
+            if shared:
+                split = [0] * c
+                for e, g in zip(cells, table):
+                    split[g] |= e
+                guessed[depth] = split
+            before = wrong[me]
+            wrong[me] = before | new
             chosen.append(table)
-            if walk(depth + 1, new_wrong):
+            if deeper:
+                below = [full] + [S[k] | S[k - 1] & new for k in range(1, top + 1)]
+                if hit:
+                    below.append(hit)
+                done = walk(depth + 1, below)
+            elif hit:
+                done = settle(top + 1, hit)
+            else:
+                done = settle(top, S[top] | S[top - 1] & new if top else full)
+            if done:
                 return True
             chosen.pop()
+            wrong[me] = before
         return False
 
-    walk(0, [0] * n_a)
+    if last:
+        walk(0, [full])
+    else:
+        settle(0, full)
     return floor, witness, examined, pruned
 
 

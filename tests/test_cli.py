@@ -2,6 +2,7 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, seed, settings, strategies as st
 
 from hatlab.cli import main, parse_strategy_spec
 
@@ -283,6 +284,109 @@ class TestInstanceDescriptors:
         res = invoke(runner, "run", "--instance", desc,
                      "--strategy", "constant:0", "--assignment", "0,0")
         assert res.exit_code == 2
+
+
+class TestConfigErrorsNameTheirInput:
+    @pytest.mark.parametrize("args,env,message", [
+        (["line", "--strategy", "sum_broadcast", "-c", "2", "--exception", "0,3", "--front", "1"],
+         None, "--exception '0,3': expects k,n,color"),
+        (["line", "--strategy", "sum_broadcast", "-c", "2", "--exception", "0,3,x", "--front", "1"],
+         None, "--exception '0,3,x': expects k,n,color"),
+        (["sweep", "--kind", "hnsa", "-m", "2", "-c", "2", "--rule", "at_least:1",
+          "--strategy", "constant:0"], {"HATLAB_BUDGET": "lots"}, "HATLAB_BUDGET 'lots': expects an integer"),
+        (["search", "--kind", "hnsa", "-m", "2", "-c", "2", "--rule", "at_least:1"],
+         {"HATLAB_BUDGET": "1,2"}, "HATLAB_BUDGET '1,2': expects an integer"),
+        (["run", "--kind", "hnsa", "-m", "3", "-c", "2", "--rule", "at_least:1",
+          "--strategy", "constant:0", "--assignment", "0,x,0"],
+         None, "--assignment '0,x,0': expects comma-separated integer colors"),
+    ], ids=["exception-short", "exception-text", "env-budget", "env-budget-list", "assignment"])
+    def test_error_names_the_input(self, runner, args, env, message):
+        res = invoke(runner, *args, env=env)
+        assert res.exit_code == 2
+        assert res.output.splitlines() == [f"config error: {message}"]
+
+    @pytest.mark.parametrize("text", ['"x"', "5", "null", "true"])
+    def test_json_scalar_is_a_descriptor_not_a_path(self, runner, text):
+        res = invoke(runner, "search", "--instance", text)
+        assert res.exit_code == 2
+        kind = type(json.loads(text)).__name__
+        assert res.output.splitlines() == [
+            f"config error: instance descriptor must be a JSON object, got {kind}"]
+
+
+# --- fuzz: any text on the input options and in HATLAB_BUDGET ----------------------
+
+# Numbers stay small: a huge player count makes the instance build allocate
+# without bound (recorded in CHANGES.md), and a large one lets a sweep run for
+# minutes under the default budget. Infinities, NaN and fractions still reach
+# every integer field.
+_FLOAT = st.floats(-4, 4) | st.sampled_from([float("inf"), float("-inf"), float("nan")])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | _FLOAT | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=8)
+
+
+def _descriptor(**fields):
+    """JSON objects holding every one of ``fields`` well typed, or any subset of
+    them, each well typed or arbitrary."""
+    return (st.fixed_dictionaries(fields)
+            | st.fixed_dictionaries({}, optional={k: v | _JSON for k, v in fields.items()}))
+
+
+_SMALL = st.integers(-1, 3) | _FLOAT
+_PAIRS = st.lists(st.lists(_SMALL, max_size=3), max_size=4)
+_RULE = _descriptor(kind=st.sampled_from(["at_least", "fewer_incorrect"]),
+                    threshold=_SMALL | st.just("omega"))
+_INSTANCE = _descriptor(kind=st.sampled_from(["hnsa", "hnsf", "hbsf", "custom"]), players=_SMALL,
+                        colors=_SMALL, rule=_RULE, sight=_PAIRS, hearing=_PAIRS,
+                        labeling=st.lists(_SMALL, max_size=4))
+_NAMES = st.sampled_from(["constant", "mod_sum", "block_mod_sum", "base_selector",
+                          "sum_broadcast", "random", "table"])
+_STRATEGY = _descriptor(name=_NAMES, params=_descriptor(
+    value=_SMALL, base=_SMALL, n=_SMALL, seed=_SMALL, block=st.lists(_SMALL, max_size=3),
+    entries=st.lists(_descriptor(t=_SMALL, seen=_PAIRS, heard=_PAIRS, guess=_SMALL), max_size=3)))
+_LAZY = _descriptor(base=_SMALL, front=_SMALL, blocks=_SMALL,
+                    exceptions=st.lists(_descriptor(k=_SMALL, n=_SMALL, color=_SMALL), max_size=3))
+
+
+def _text(descriptor=None):
+    """Random text, JSON text, or the JSON text of a descriptor-shaped object."""
+    shapes = [st.text(max_size=12), _JSON.map(json.dumps)]
+    if descriptor is not None:
+        shapes.append(descriptor.map(json.dumps))
+    return st.one_of(shapes)
+
+
+_INTS = st.lists(_SMALL.map(str) | st.text(max_size=2), max_size=4).map(",".join)
+_ENV = st.text(st.characters(blacklist_characters="\x00"), max_size=8)
+_COMPACT = st.tuples(_NAMES, st.text(max_size=10)).map(":".join)
+_HNSA = ["--kind", "hnsa", "-m", "2", "-c", "2", "--rule", "at_least:1"]
+_CALLS = st.one_of(
+    st.tuples(_text(_INSTANCE), _INTS).map(
+        lambda a: (["run", "--instance", a[0], "--strategy", "constant:0", "--assignment", a[1]], None)),
+    st.tuples(_text(_STRATEGY) | _COMPACT, _INTS).map(
+        lambda a: (["run", *_HNSA, "--strategy", a[0], "--assignment", a[1]], None)),
+    st.tuples(_text(_INSTANCE), _text(_STRATEGY) | _COMPACT).map(
+        lambda a: (["sweep", "--instance", a[0], "--strategy", a[1]], None)),
+    st.lists(_INTS, min_size=1, max_size=2).map(
+        lambda xs: (["line", "--strategy", "sum_broadcast", "-c", "2", "--front", "1",
+                     *(arg for x in xs for arg in ("--exception", x))], None)),
+    _text(_LAZY).map(lambda t: (["line", "--strategy", "see_all_selector", "-c", "2", "--lazy", t], None)),
+    _ENV.map(lambda t: (["search", *_HNSA], {"HATLAB_BUDGET": t})),
+    _ENV.map(lambda t: (["sweep", *_HNSA, "--strategy", "constant:0"], {"HATLAB_BUDGET": t})),
+)
+
+
+class TestFuzz:
+    @seed(20261018)
+    @given(_CALLS)
+    @settings(max_examples=150, deadline=None)
+    def test_any_input_gets_a_documented_exit_code(self, call):
+        args, env = call
+        res = CliRunner().invoke(main, args, env=env)
+        assert res.exception is None or isinstance(res.exception, SystemExit), (args, env, res.output)
+        assert res.exit_code in {0, 1, 2, 3}
 
 
 class TestVerify:

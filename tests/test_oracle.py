@@ -26,6 +26,9 @@ from hatlab import (
     run_game,
     sweep,
 )
+from hatlab.engine import _compiled, iter_assignment_tuples
+from hatlab import oracle
+from hatlab.oracle import DEFAULT_BUDGET, _table_size, _walk
 
 
 # --- reference: every table strategy, swept -----------------------------------
@@ -85,6 +88,120 @@ def swept(space):
     return [(strat, r.min_correct, r.max_incorrect)
             for strat in enumerate_table_strategies(inst)
             for r in [sweep(inst, strat)]]
+
+
+def _reference_walk(inst, budget, prune, floor, first):
+    """The walk one assignment at a time: the scalar reference for ``_walk``,
+    which must visit, count, report and run out of budget exactly as this does.
+
+    Per assignment it keeps a bitmask of the players already wrong, and per
+    level the table index each assignment read, so a deeper step finds its
+    heard guesses in the tables chosen above it. Every table of every level,
+    the last included, is tried one at a time.
+    """
+    total = count_table_strategies(inst)
+    if total > budget.max_strategies:
+        raise BudgetExceeded(total, budget.max_strategies)
+    steps = _compiled(inst)
+    c = inst.colors.size
+    index = inst.player_index
+    assignments = list(iter_assignment_tuples(inst))
+    n_a = len(assignments)
+    asked = len(set(inst.labeling))
+    depth_of = {t: d for d, (t, _, _, _) in enumerate(steps)}
+    levels = []
+    for step in steps:
+        _, player, seen, heard = step
+        seen_idx = [0] * n_a
+        for x in seen:
+            i = index[x]
+            seen_idx = [k * c + a[i] for k, a in zip(seen_idx, assignments)]
+        me = index[player]
+        levels.append((seen_idx, [a[me] for a in assignments], 1 << me,
+                       tuple(depth_of[x] for x in heard), _table_size(c, step)))
+    at: list = [None] * len(steps)
+    chosen: list = []
+    witness = None
+    spent = examined = pruned = 0
+    cap = budget.max_assignments
+    depth_count = len(steps)
+
+    def walk(depth, wrong):
+        nonlocal floor, witness, spent, examined, pruned
+        if depth == depth_count:
+            examined += 1
+            low = asked - max(map(int.bit_count, wrong))
+            if low > floor:
+                floor = low
+                witness = tuple(chosen)
+                return first
+            return False
+        indices, targets, bit, heard, size = levels[depth]
+        for d in heard:
+            above = chosen[d]
+            indices = [i * c + above[j] for i, j in zip(indices, at[d])]
+        at[depth] = indices
+        inner = prune and depth + 1 < depth_count
+        for table in product(range(c), repeat=size):
+            spent += n_a
+            if spent > cap:
+                raise BudgetExceeded(spent, cap, "play steps")
+            new_wrong = [w | bit if table[i] != y else w for w, i, y in zip(wrong, indices, targets)]
+            if inner and asked - max(map(int.bit_count, new_wrong)) <= floor:
+                pruned += 1
+                continue
+            chosen.append(table)
+            if walk(depth + 1, new_wrong):
+                return True
+            chosen.pop()
+        return False
+
+    walk(0, [0] * n_a)
+    return floor, witness, examined, pruned
+
+
+WALK_BUDGETS = [SearchBudget(max_assignments=cap) for cap in (5, 50, 777, 20_000)] + [DEFAULT_BUDGET]
+
+
+def _walk_outcomes(walk, inst, searches):
+    """``(floor, witness, examined, pruned)`` or the budget error's text, for
+    each ``(floor, first)`` search, prune on and off, and every budget of
+    ``WALK_BUDGETS``."""
+    out = []
+    for prune, budget, (floor, first) in product((True, False), WALK_BUDGETS, searches):
+        try:
+            out.append(walk(inst, budget, prune, floor, first))
+        except BudgetExceeded as exc:
+            out.append(str(exc))
+    return out
+
+
+class TestWalkMatchesReference:
+    @CASES
+    def test_spaces(self, space, rule):
+        inst = SPACES[space](RULES[rule])
+        asked = len(set(inst.labeling))
+        need = next((k for k in range(asked + 1) if evaluate(inst.rule, k, asked - k)), asked + 1)
+        searches = [(-1, False), (need - 1, True)]  # best, and exists for the rule
+        assert _walk_outcomes(_walk, inst, searches) == _walk_outcomes(_reference_walk, inst, searches)
+
+    @pytest.mark.parametrize("tail", [1, 4])
+    def test_tables_built_lazily(self, monkeypatch, tail):
+        # the spaces here have at most 4,096 tables per step, all built eagerly
+        # unless the eager part is capped this low
+        monkeypatch.setattr(oracle, "_TAIL", tail)
+        for space in ("hnsa-3x2", "hnsf-2x3", "hbsf-3x2", "custom-0", "custom-4"):
+            inst = SPACES[space](at_least(1))
+            searches = [(-1, False), (0, True)]
+            assert _walk_outcomes(_walk, inst, searches) == _walk_outcomes(_reference_walk, inst, searches)
+
+    @pytest.mark.parametrize("seed", range(6, 46))
+    def test_more_custom_instances(self, seed):
+        inst = _seeded_custom(seed)(at_least(1))
+        asked = len(set(inst.labeling))
+        # the walk reads the rule only through its floor: best, then exists at every floor
+        searches = [(-1, False)] + [(floor, True) for floor in range(-1, asked + 1)]
+        assert _walk_outcomes(_walk, inst, searches) == _walk_outcomes(_reference_walk, inst, searches)
 
 
 class TestEnumeration:
