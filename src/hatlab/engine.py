@@ -12,18 +12,22 @@ rule for every assignment; :func:`is_winning` and :func:`sweep` decide this
 by exhausting the assignment space, never from a partial scan.
 
 All whole-space work (:func:`sweep`, :func:`is_winning`, :func:`iter_plays`
-and the oracle's census) runs on one column kernel, :func:`_play_chunks`. It
+and the oracle's census) runs on one set kernel, :func:`_play_chunks`. It
 cuts the lexicographic assignment space into chunks of at most
 :data:`CHUNK_PLAYS` assignments that share their leading colors and run
-through every value of the trailing ones. Inside a chunk each player's hat is
-a column, one entry per assignment. The kernel walks the canonical play order
-once per chunk; at each asking it asks :meth:`Strategy.decide_batch` for the
-guess column, given the visible hat columns and the heard guess columns, and
-it keeps one wrong-flag column per asked player (a player is wrong when any
-of its guesses is). Chunks run in lexicographic order, so the first failing
-entry of the first failing chunk is the least counterexample. A chunk that
-raises is replayed one assignment at a time through :func:`_play`, so errors,
-and the plays that come before them, are those of the scalar loop.
+through every value of the trailing ones. Inside a chunk a set of
+assignments is one int, bit ``i`` for the ``i``-th; each player's hat is a
+partition of the chunk into one set per color, and so is each asking's guess.
+The kernel walks the canonical play order once per chunk; at each asking it
+asks :meth:`Strategy.decide_sets` for the guess partition, given the visible
+hat partitions and the heard guess partitions, and checks that it is one
+set per color, disjoint and covering the chunk. It keeps one wrong set per
+asked player (a player is wrong when any of its guesses is) and the sets
+``S[k]`` of assignments with at least ``k`` players wrong. Chunks run in
+lexicographic order, so the lowest bit of the first failing ``S[k]`` of the
+first failing chunk is the least counterexample. A chunk that raises is
+replayed one assignment at a time through :func:`_play`, so errors, and the
+plays that come before them, are those of the scalar loop.
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress, product, repeat
-from operator import ne, or_
+from operator import and_, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -70,13 +74,13 @@ class Strategy:
     Purity is load-bearing: a sweep may call ``decide`` once per distinct
     observation rather than once per play, and reuse the answer.
 
-    ``decide_batch`` is the column form the sweeps use. ``seen_cols`` maps each
-    visible player to a column of hats and ``heard_cols`` each heard asking to
-    a column of guesses, all ``n`` long; ``memo`` is a dict that lives for one
-    sweep. It returns the guess column, a list of ``n`` colors, and must be
-    elementwise equal to ``decide``: entry ``i`` is what ``decide`` returns for
-    the ``i``-th entries of the columns. The default calls ``decide`` once per
-    distinct observation and keeps the answers in ``memo``; a subclass that
+    ``decide_sets`` is the set form the sweeps use. A set of a chunk's
+    assignments is an int (bit ``i`` for the ``i``-th, ``full`` for all), and
+    a partition is a list of ``colors`` sets, set ``g`` where a hat or guess
+    is ``g``. ``seen`` and ``heard`` map to hat and guess partitions; ``memo``
+    lives for one sweep. It returns the guess partition, equal to ``decide``
+    on every assignment. The default adapts ``decide``, calling it once per
+    distinct observation and keeping the answers in ``memo``; a subclass that
     overrides ``decide`` keeps that default or overrides both.
     """
 
@@ -85,72 +89,84 @@ class Strategy:
     def decide(self, t: int, seen: Mapping[int, int], heard: Mapping[int, int]) -> int:
         raise NotImplementedError
 
-    def decide_batch(
-        self,
-        t: int,
-        seen_cols: Mapping[int, list[int]],
-        heard_cols: Mapping[int, list[int]],
-        n: int,
-        memo: dict,
-    ) -> list[int]:
-        decide = self.decide
-        return _memo_column(
-            t, seen_cols, heard_cols, n, memo, lambda seen, heard: decide(t, dict(seen), dict(heard))
-        )
+    def decide_sets(self, t: int, seen: Mapping, heard: Mapping, full: int, colors: int, memo: dict) -> list[int]:
+        known = memo.setdefault(t, {})
+        if len(known) > CHUNK_PLAYS:  # keeps the memo within a few chunks' size
+            known.clear()
+
+        def guess_of(seen_pairs, heard_pairs):
+            if (seen_pairs, heard_pairs) not in known:
+                known[seen_pairs, heard_pairs] = self.decide(t, dict(seen_pairs), dict(heard_pairs))
+            return known[seen_pairs, heard_pairs]
+
+        return _cell_partition(seen, heard, full, colors, guess_of)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.label}>"
 
 
-def _memo_column(t, seen_cols, heard_cols, n, memo, guess_of) -> list[int]:
-    """The guess column at ``t``, calling ``guess_of(seen_pairs, heard_pairs)``
-    once per observation that ``memo`` does not hold yet.
-
-    An asking's answers are dropped once they outnumber a chunk's plays, so
-    the memo stays within a few chunks' size however long the sweep runs.
-    """
-    seen_keys, heard_keys = tuple(seen_cols), tuple(heard_cols)
-    split = len(seen_keys)
-    rows = list(_rows([*seen_cols.values(), *heard_cols.values()], n))
-    known = memo.setdefault(t, {})
-    if len(known) > CHUNK_PLAYS:
-        known.clear()
-    for obs in dict.fromkeys(rows):
-        if obs not in known:
-            known[obs] = guess_of(tuple(zip(seen_keys, obs[:split])), tuple(zip(heard_keys, obs[split:])))
-    return list(map(known.__getitem__, rows))
+def _cell_partition(seen, heard, full, colors, guess_of) -> list[int]:
+    """The guess partition giving each non-empty cell of ``full``, split by the
+    ``seen`` then the ``heard`` partitions, ``guess_of(seen_pairs, heard_pairs)``."""
+    split = len(seen)
+    part = [0] * colors
+    labelled = [list(zip(zip(repeat(x), range(colors)), p)) for x, p in (*seen.items(), *heard.items())]
+    for pairs, cell in _cells(full, labelled):
+        g = guess_of(pairs[:split], pairs[split:])
+        if not _is_color(g, colors):
+            raise StrategyRangeError(f"strategy returned {g!r}; colors are 0..{colors - 1}")
+        part[g] |= cell
+    return part
 
 
-def _rows(cols: Sequence[list], n: int) -> Iterator[tuple]:
-    """The entries of equal-length columns, one tuple per index."""
-    return zip(*cols) if cols else repeat((), n)
+def _cells(full: int, partitions: Sequence[Sequence[tuple]]) -> Iterator[tuple[tuple, int]]:
+    """``(labels, cell)`` for each non-empty cell of ``full`` split by each
+    partition, a list of ``(label, set)``, in turn: lexicographic, depth first."""
+    depth = len(partitions)
+    stack = [((), full)]
+    while stack:
+        key, cell = stack.pop()
+        if len(key) == depth:
+            yield key, cell
+            continue
+        stack += [((*key, label), sub) for label, s in reversed(partitions[len(key)]) if (sub := cell & s)]
+
+
+def _hat_sets(colors: int, width: int) -> list[list[int]]:
+    """The hat partition of each of ``width`` trailing players over the
+    ``colors ** width`` assignments of their colors, built by doubling."""
+    n = colors**width
+    hats = []
+    for j in range(width):
+        stride = colors ** (width - 1 - j)
+        row, period = [((1 << stride) - 1) << g * stride for g in range(colors)], colors * stride
+        while period < n:
+            row, period = [x | x << period for x in row], 2 * period
+        hats.append([x & ((1 << n) - 1) for x in row])
+    return hats
 
 
 class RuleStrategy(Strategy):
     """Strategy backed by a plain decision function.
 
-    ``batch``, when given, is the same rule over columns:
-    ``batch(t, seen_cols, heard_cols, n)`` returns the guess column (see
-    :meth:`Strategy.decide_batch`). Without it sweeps memoize ``fn``.
+    ``sets``, when given, is the same rule in set form:
+    ``sets(t, seen, heard, full, colors)`` returns the guess partition (see
+    :meth:`Strategy.decide_sets`). Without it sweeps memoize ``fn``.
     """
 
-    def __init__(
-        self,
-        fn: Callable[[int, Mapping[int, int], Mapping[int, int]], int],
-        label: str = "rule",
-        batch: Callable[[int, Mapping[int, list[int]], Mapping[int, list[int]], int], list[int]] | None = None,
-    ):
+    def __init__(self, fn: Callable[[int, Mapping, Mapping], int], label: str = "rule",
+                 sets: Callable[[int, Mapping, Mapping, int, int], list[int]] | None = None):
         self.fn = fn
         self.label = label
-        self.batch = batch
+        self.sets = sets
 
     def decide(self, t, seen, heard):
         return self.fn(t, seen, heard)
 
-    def decide_batch(self, t, seen_cols, heard_cols, n, memo):
-        if self.batch is None:
-            return super().decide_batch(t, seen_cols, heard_cols, n, memo)
-        return self.batch(t, seen_cols, heard_cols, n)
+    def decide_sets(self, t, seen, heard, full, colors, memo):
+        if self.sets is None:
+            return super().decide_sets(t, seen, heard, full, colors, memo)
+        return self.sets(t, seen, heard, full, colors)
 
 
 def freeze_observation(mapping: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
@@ -169,13 +185,10 @@ class TableStrategy(Strategy):
         self.entries = dict(entries)
         self.label = label
 
-    def decide_batch(self, t, seen_cols, heard_cols, n, memo):
-        # Canonical key order, so each observation reads the same entry as ``decide``.
-        entries = self.entries
-        return _memo_column(
-            t, dict(sorted(seen_cols.items())), dict(sorted(heard_cols.items())), n, memo,
-            lambda seen, heard: entries[(t, seen, heard)],
-        )
+    def decide_sets(self, t, seen, heard, full, colors, memo):
+        # canonical key order, so each cell reads the same entry as ``decide``
+        return _cell_partition(dict(sorted(seen.items())), dict(sorted(heard.items())), full, colors,
+                               lambda seen_pairs, heard_pairs: self.entries[t, seen_pairs, heard_pairs])
 
     def decide(self, t, seen, heard):
         key = (t, freeze_observation(seen), freeze_observation(heard))
@@ -193,15 +206,10 @@ class TableStrategy(Strategy):
         return hash(frozenset(self.entries.items()))
 
     def to_json(self) -> list:
-        rows = []
-        for (t, seen, heard), guess in sorted(self.entries.items()):
-            rows.append({
-                "t": t,
-                "seen": [list(p) for p in seen],
-                "heard": [list(p) for p in heard],
-                "guess": guess,
-            })
-        return rows
+        return [
+            {"t": t, "seen": [list(p) for p in seen], "heard": [list(p) for p in heard], "guess": guess}
+            for (t, seen, heard), guess in sorted(self.entries.items())
+        ]
 
     @staticmethod
     def from_json(rows: Iterable[Mapping]) -> "TableStrategy":
@@ -229,16 +237,12 @@ def topological_extension(inst: Instance, seed: int | None = None) -> tuple[int,
     randomizes the tie-breaks, which is how the suite exercises that play does
     not depend on the extension.
     """
-    ready: list[int] = []
     pending: dict[int, int] = {}
     succ: dict[int, list[int]] = {t: [] for t in inst.askings}
     for earlier, later in inst.hearing:
         succ[earlier].append(later)
         pending[later] = pending.get(later, 0) + 1
-    for t in sorted(inst.askings):
-        if not pending.get(t):
-            ready.append(t)
-    ready.sort()
+    ready = sorted(t for t in inst.askings if not pending.get(t))
 
     rng = random.Random(seed) if seed is not None else None
     order: list[int] = []
@@ -309,10 +313,7 @@ def run_game(
     seed; the resulting play is the same for every valid order.
     """
     a = as_assignment(inst, assignment)
-    if order is None:
-        steps = _compiled(inst)
-    else:
-        steps = _ordered_steps(inst, order)
+    steps = _compiled(inst) if order is None else _ordered_steps(inst, order)
     guesses, asked, wrong = _play(steps, a, strat.decide, inst.colors.size)
     correct = frozenset(asked - wrong)
     incorrect = frozenset(wrong)
@@ -344,7 +345,7 @@ def _play(steps, a, decide, size):
     asked: set[int] = set()
     for t, m, vis, hrd in steps:
         g = decide(t, {x: a[x] for x in vis}, {x: guesses[x] for x in hrd})
-        if not isinstance(g, int) or isinstance(g, bool) or not 0 <= g < size:
+        if not _is_color(g, size):
             raise StrategyRangeError(
                 f"strategy returned {g!r} at asking {t}; colors are 0..{size - 1}"
             )
@@ -353,6 +354,11 @@ def _play(steps, a, decide, size):
         if g != a[m]:
             wrong.add(m)
     return guesses, asked, wrong
+
+
+def _is_color(g, size: int) -> bool:
+    """Whether a strategy's answer is a color: an int, not a bool, in range."""
+    return isinstance(g, int) and not isinstance(g, bool) and 0 <= g < size
 
 
 # --- whole-space sweeps -----------------------------------------------------
@@ -395,43 +401,30 @@ def _check_sweep_budget(inst: Instance, max_assignments: int | None) -> int:
 
 
 class _Chunk:
-    """The plays of consecutive assignments, as columns indexed alike.
+    """The plays of consecutive assignments, as sets of them.
 
     The chunk's assignments share the leading colors ``prefix`` and run
-    lexicographically through every value of the ``width`` trailing ones.
-    ``guesses`` holds one column per asking, in play order; ``wrong`` one
-    flag column per player in ``asked``; ``incorrect`` counts the wrong
-    players of each assignment.
+    lexicographically through every value of the ``width`` trailing ones;
+    bit ``i`` of a set stands for the ``i``-th. ``guesses`` holds one guess
+    partition per asking, in play order; ``wrong`` the wrong set of each
+    player in ``asked``; ``S[k]`` the assignments with at least ``k`` players
+    wrong, for ``k`` up to the most wrong anywhere.
     """
 
-    __slots__ = ("prefix", "width", "colors", "asked", "guesses", "wrong", "incorrect")
+    __slots__ = ("prefix", "width", "colors", "asked", "guesses", "wrong", "S")
 
-    def __init__(self, prefix, width, colors, asked, guesses, wrong, incorrect):
-        self.prefix = prefix
-        self.width = width
-        self.colors = colors
-        self.asked = asked
-        self.guesses = guesses
-        self.wrong = wrong
-        self.incorrect = incorrect
+    def __init__(self, prefix, width, colors, asked, guesses, wrong, S):
+        self.prefix, self.width, self.colors, self.asked = prefix, width, colors, asked
+        self.guesses, self.wrong, self.S = guesses, wrong, S
 
     def assignment(self, i: int) -> tuple[int, ...]:
-        tail = []
-        for _ in range(self.width):
-            i, color = divmod(i, self.colors)
-            tail.append(color)
-        return self.prefix + tuple(reversed(tail))
-
-    def assignments(self) -> Iterator[tuple[int, ...]]:
-        return (self.prefix + tail for tail in product(range(self.colors), repeat=self.width))
+        return self.prefix + tuple(i // self.colors**k % self.colors for k in reversed(range(self.width)))
 
     def least_failure(self, rule: EvaluationRule) -> tuple[int, ...] | None:
         """The first assignment of the chunk whose play breaks ``rule``."""
         asked = len(self.asked)
-        losing = [k for k in set(self.incorrect) if not evaluate(rule, asked - k, k)]
-        if not losing:
-            return None
-        return self.assignment(min(map(self.incorrect.index, losing)))
+        losing = next((s for k, s in enumerate(self.S) if not evaluate(rule, asked - k, k)), 0)
+        return self.assignment((losing & -losing).bit_length() - 1) if losing else None
 
 
 def _play_chunks(inst: Instance, strat: Strategy) -> Iterator[_Chunk]:
@@ -443,53 +436,54 @@ def _play_chunks(inst: Instance, strat: Strategy) -> Iterator[_Chunk]:
     width = 0
     while width < len(players) and size ** (width + 1) <= CHUNK_PLAYS:
         width += 1
-    n = size**width
-    trailing = [
-        [color for color in range(size) for _ in range(size ** (width - 1 - j))] * size**j
-        for j in range(width)
-    ]
+    full = (1 << size**width) - 1
+    trailing = _hat_sets(size, width)
     memo: dict = {}
     for prefix in product(range(size), repeat=len(players) - width):
-        hats = dict(zip(players, [*([color] * n for color in prefix), *trailing]))
+        leading = [[full if g == color else 0 for g in range(size)] for color in prefix]
+        hats = dict(zip(players, leading + trailing))
+        guesses: dict[int, list[int]] = {}
+        wrong, S = dict.fromkeys(asked, 0), [full]
         try:
-            columns = _play_columns(steps, hats, asked, strat, size, n, memo)
+            for t, m, vis, hrd in steps:
+                part = strat.decide_sets(t, {x: hats[x] for x in vis}, {x: guesses[x] for x in hrd}, full, size, memo)
+                if not _is_partition(part, size, full):
+                    raise ValueError(f"decide_sets did not split the chunk into {size} disjoint sets at asking {t}")
+                guesses[t] = part
+                new = ~wrong[m] & (full ^ reduce(or_, map(and_, part, hats[m])))  # where m is newly wrong
+                if new:  # S[k] gains the assignments with k - 1 wrong before
+                    wrong[m] |= new
+                    hit = S[-1] & new
+                    S = [full] + [S[k] | S[k - 1] & new for k in range(1, len(S))] + ([hit] if hit else [])
         except Exception as exc:  # replayed below, so the scalar play raises it first
             error = exc
         else:
-            yield _Chunk(prefix, width, size, asked, *columns)
+            yield _Chunk(prefix, width, size, asked, list(guesses.values()), [wrong[m] for m in asked], S)
             continue
         for values in (prefix + tail for tail in product(range(size), repeat=width)):
             guesses, _, wrong = _play(steps, dict(zip(players, values)), strat.decide, size)
-            yield _Chunk(
-                values, 0, size, asked,
-                [[g] for g in guesses.values()], [[m in wrong] for m in asked], [len(wrong)],
-            )
+            points = [[int(g == color) for color in range(size)] for g in guesses.values()]
+            yield _Chunk(values, 0, size, asked, points, [int(m in wrong) for m in asked], [1] * (len(wrong) + 1))
         raise error
 
 
-def _play_columns(steps, hats, asked, strat, size, n, memo):
-    """Guess, wrong-flag and incorrect-count columns of one chunk."""
-    decide_batch = strat.decide_batch
-    guesses: dict[int, list[int]] = {}
-    wrong: dict[int, list[bool]] = {}
-    for t, m, vis, hrd in steps:
-        col = decide_batch(t, {x: hats[x] for x in vis}, {x: guesses[x] for x in hrd}, n, memo)
-        if len(col) != n:
-            raise ValueError(f"decide_batch returned {len(col)} guesses at asking {t}, expected {n}")
-        if not _valid_guesses(col, size):
-            raise StrategyRangeError(f"decide_batch returned a guess outside 0..{size - 1} at asking {t}")
-        guesses[t] = col
-        miss = list(map(ne, col, hats[m]))
-        wrong[m] = list(map(or_, wrong[m], miss)) if m in wrong else miss
-    flags = [wrong[m] for m in asked]
-    return list(guesses.values()), flags, list(map(sum, _rows(flags, n)))
+def _is_partition(part, size: int, full: int) -> bool:
+    """Whether ``part`` is ``size`` disjoint sets covering ``full``: they cover
+    it, and their sizes add up to its size."""
+    return len(part) == size and reduce(or_, part) == full and sum(map(int.bit_count, part)) == full.bit_count()
 
 
-def _valid_guesses(col: list, size: int) -> bool:
-    """The guess check of :func:`_play`, over a whole column."""
-    return all(
-        ty is int or (issubclass(ty, int) and ty is not bool) for ty in set(map(type, col))
-    ) and 0 <= min(col) and max(col) < size
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _column(part: list[int], n: int) -> list[int]:
+    """The color of each of ``n`` assignments in a partition; ``[0, s]`` flags ``s``."""
+    col = [0] * n
+    for g, s in enumerate(part):
+        if g and s:
+            for i in compress(range(n), format(s, f"0{n}b")[::-1].encode().translate(_BITS)):
+                col[i] = g
+    return col
 
 
 def sweep(
@@ -507,7 +501,7 @@ def sweep(
     counterexample = None
     for chunk in _play_chunks(inst, strat):
         asked = len(chunk.asked)
-        max_incorrect = max(max_incorrect, max(chunk.incorrect))
+        max_incorrect = max(max_incorrect, len(chunk.S) - 1)
         if counterexample is None:
             counterexample = chunk.least_failure(inst.rule)
     return SweepReport(
@@ -529,14 +523,17 @@ def iter_plays(
     order = [t for t, _, _, _ in _compiled(inst)]
     rule = inst.rule
     for chunk in _play_chunks(inst, strat):
-        n = len(chunk.incorrect)
-        outcomes: dict[tuple[bool, ...], tuple[frozenset[int], frozenset[int], bool]] = {}
-        for values, row, flags in zip(chunk.assignments(), _rows(chunk.guesses, n), _rows(chunk.wrong, n)):
-            outcome = outcomes.get(flags)
+        n = chunk.colors**chunk.width
+        rows = zip(*(_column(part, n) for part in chunk.guesses)) if order else repeat((), n)
+        flags = zip(*(_column([0, w], n) for w in chunk.wrong)) if chunk.asked else repeat((), n)
+        outcomes: dict[tuple[int, ...], tuple[frozenset[int], frozenset[int], bool]] = {}
+        tails = product(range(chunk.colors), repeat=chunk.width)
+        for values, row, wrong in zip((chunk.prefix + tail for tail in tails), rows, flags):
+            outcome = outcomes.get(wrong)
             if outcome is None:
-                incorrect = frozenset(compress(chunk.asked, flags))
+                incorrect = frozenset(compress(chunk.asked, wrong))
                 correct = frozenset(chunk.asked) - incorrect
-                outcome = outcomes[flags] = (correct, incorrect, evaluate(rule, len(correct), len(incorrect)))
+                outcome = outcomes[wrong] = (correct, incorrect, evaluate(rule, len(correct), len(incorrect)))
             yield values, GameResult(dict(zip(order, row)), *outcome)
 
 
@@ -568,10 +565,7 @@ class CombinedStrategy(Strategy):
 
     def __init__(self, parts: Sequence[tuple[Instance, Strategy]]):
         self.parts = tuple(parts)
-        self._owner: dict[int, tuple[Instance, Strategy]] = {}
-        for sub, strat in self.parts:
-            for t in sub.askings:
-                self._owner[t] = (sub, strat)
+        self._owner = {t: (sub, strat) for sub, strat in self.parts for t in sub.askings}
 
     def _part(self, t, seen, heard):
         """The part owning ``t``, with ``seen`` and ``heard`` cut to its relations."""
@@ -583,9 +577,9 @@ class CombinedStrategy(Strategy):
         strat, sub_seen, sub_heard = self._part(t, seen, heard)
         return strat.decide(t, sub_seen, sub_heard)
 
-    def decide_batch(self, t, seen_cols, heard_cols, n, memo):
-        strat, sub_seen, sub_heard = self._part(t, seen_cols, heard_cols)
-        return strat.decide_batch(t, sub_seen, sub_heard, n, memo)
+    def decide_sets(self, t, seen, heard, full, colors, memo):
+        strat, sub_seen, sub_heard = self._part(t, seen, heard)
+        return strat.decide_sets(t, sub_seen, sub_heard, full, colors, memo)
 
 
 def combine(parts: Sequence[tuple[Instance, Strategy]], target: Instance) -> CombinedStrategy:

@@ -38,8 +38,10 @@ from operator import or_
 from .engine import (
     TableStrategy,
     Strategy,
+    _cells,
     _check_sweep_budget,
     _compiled,
+    _hat_sets,
     _play_chunks,
     evaluate,
 )
@@ -211,18 +213,14 @@ def _walk(inst: Instance, budget: SearchBudget, prune: bool, floor, first: bool)
         return (asked, (), 1, 0) if asked > floor else (floor, None, 1, 0)
     if n_a > budget.max_assignments:  # the first table tried already passes the cap
         raise BudgetExceeded(n_a, budget.max_assignments, "play steps")
-    # hats[p][g]: the assignments where player p wears g, a run of ``stride``
-    # bits at offset ``g * stride`` repeated every ``c * stride`` bits.
     strides = [c ** (n - 1 - p) for p in range(n)]
-    hats = [[full // ((1 << c * s) - 1) * (((1 << s) - 1) << g * s) for g in range(c)]
-            for s in strides]
+    hats = _hat_sets(c, n)  # hats[p][g]: the assignments where player p wears g
     depth_of = {t: d for d, (t, _, _, _) in enumerate(steps)}
     heard_later = {depth_of[x] for _, _, _, heard in steps for x in heard}
     levels = []
     for d, (_, player, seen, heard) in enumerate(steps):
-        cells = [full]  # the assignments behind each seen-color pattern
-        for x in seen:
-            cells = [e & h for e in cells for h in hats[index[x]]]
+        # the assignments behind each seen-color pattern (none is empty)
+        cells = [cell for _, cell in _cells(full, [list(enumerate(hats[index[x]])) for x in seen])]
         me = index[player]
         levels.append((cells, me, [full ^ h for h in hats[me]],
                        tuple(depth_of[x] for x in heard), d in heard_later))
@@ -394,5 +392,5 @@ def correct_count_census(
     _check_sweep_budget(inst, max_assignments)
     total = 0
     for chunk in _play_chunks(inst, strat):
-        total += len(chunk.asked) * len(chunk.incorrect) - sum(chunk.incorrect)
+        total += sum(chunk.colors**chunk.width - wrong.bit_count() for wrong in chunk.wrong)
     return total

@@ -24,16 +24,26 @@ from .model import ColorSpace, Instance, as_colors, at_least, custom_instance, h
 
 def constant(color: int) -> Strategy:
     """Everyone guesses the same fixed color."""
-    return RuleStrategy(
-        lambda t, seen, heard: color,
-        label=f"constant:{color}",
-        batch=lambda t, seen, heard, n: [color] * n,
-    )
+
+    def sets(t, seen, heard, full, colors):
+        # an invalid color covers nothing, so the sweep replays the scalar error
+        return [full if g == color and engine._is_color(color, colors) else 0 for g in range(colors)]
+
+    return RuleStrategy(lambda t, seen, heard: color, label=f"constant:{color}", sets=sets)
 
 
-def _column_sum(cols, n: int) -> list[int]:
-    """Entrywise sum of equal-length columns (zeros when there are none)."""
-    return list(map(sum, zip(*cols))) if cols else [0] * n
+def _mod_sum(full: int, start: int, terms, size: int, colors: int) -> list[int]:
+    """The partition of ``start + sum(sign * term) mod size`` over ``(sign,
+    term)`` pairs, by one c x c convolution per term, as ``colors`` sets (sums
+    past the instance's colors leave them short of the chunk, as they must)."""
+    acc = [0] * start + [full]
+    for sign, term in terms:
+        out = [0] * size
+        for a, x in enumerate(acc):
+            for b, y in enumerate(term):
+                out[(a + sign * b) % size] |= x & y
+        acc = out
+    return (acc + [0] * colors)[:colors]
 
 
 @dataclass(frozen=True)
@@ -82,13 +92,11 @@ def mod_sum(block: Sequence[int], colors: ColorSpace | int) -> Strategy:
             raise ValueError(f"player {t} cannot see block mates {missing}")
         return (rename[t] - sum(seen[m] for m in others)) % size
 
-    def batch(t, seen, heard, n):
-        if t not in members:
-            return [0] * n
-        r = rename[t]
-        return [(r - s) % size for s in _column_sum([seen[m] for m in members - {t}], n)]
+    def sets(t, seen, heard, full, colors):
+        terms = [(-1, seen[m]) for m in members - {t}] if t in members else ()
+        return _mod_sum(full, rename.get(t, 0), terms, size, colors)
 
-    return RuleStrategy(decide, label=f"mod_sum:{list(block)}", batch=batch)
+    return RuleStrategy(decide, label=f"mod_sum:{list(block)}", sets=sets)
 
 
 def block_mod_sum(m: int, c: int, n: int) -> Strategy:
@@ -160,15 +168,15 @@ def sum_broadcast(colors: ColorSpace | int) -> Strategy:
         behind = sum(v for x, v in heard.items() if x != -1)
         return (heard[-1] - sum(seen.values()) - behind) % size
 
-    def batch(t, seen, heard, n):
+    def sets(t, seen, heard, full, colors):
         if t == -1:
-            return [s % size for s in _column_sum(list(seen.values()), n)]
+            return _mod_sum(full, 0, [(1, part) for part in seen.values()], size, colors)
         if -1 not in heard:
             raise no_front(t)
-        rest = [*seen.values(), *(col for x, col in heard.items() if x != -1)]
-        return [(f - s) % size for f, s in zip(heard[-1], _column_sum(rest, n))]
+        rest = [*seen.values(), *(part for x, part in heard.items() if x != -1)]
+        return _mod_sum(full, 0, [(1, heard[-1]), *((-1, part) for part in rest)], size, colors)
 
-    return RuleStrategy(decide, label="sum_broadcast", batch=batch)
+    return RuleStrategy(decide, label="sum_broadcast", sets=sets)
 
 
 def diagonal_adversary(strat: Strategy, inst: Instance) -> tuple[int, ...]:

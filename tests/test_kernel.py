@@ -1,7 +1,7 @@
-"""The column kernel against the scalar reference.
+"""The set kernel against the scalar reference.
 
 ``sweep``, ``is_winning``, ``iter_plays`` and ``correct_count_census`` all run
-on the chunked column kernel; here each must agree with a plain ``run_game``
+on the chunked set kernel; here each must agree with a plain ``run_game``
 loop over ``itertools.product``, including the exceptions it raises and the
 plays streamed before them.
 """
@@ -151,19 +151,38 @@ def test_table_gather_matches_scalar(inst, seed, chunk):
 
 @given(instances(), st.data(), CHUNKS)
 @settings(max_examples=60, deadline=None)
-def test_column_functions_match_scalar(inst, data, chunk):
+def test_set_forms_match_scalar(inst, data, chunk):
     c = inst.colors.size
     # mod_sum's block must see itself whole; on most random instances it does
-    # not, and the column function must fail exactly as ``decide`` does
+    # not, and the set form must fail exactly as ``decide`` does
     block = data.draw(st.permutations(inst.players))[:c]
     strats = [constant(data.draw(st.integers(0, c - 1))), sum_broadcast(c)]
     if len(block) == c:
         strats.append(mod_sum(block, c))
+    # a strategy written for another color count: its sums wrap at its own c,
+    # and its guesses past the instance's colors fail as in the scalar loop
+    other = data.draw(st.integers(1, 5))
+    strats += [constant(data.draw(st.integers(-1, c))), sum_broadcast(other)]
+    if len(inst.players) >= other:
+        strats.append(mod_sum(inst.players[:other], other))
     for strat in strats:
         assert_matches_reference(inst, strat, chunk)
 
 
-@pytest.mark.parametrize("chunk", [1, 4, 7, engine.CHUNK_PLAYS])
+def relay_table():
+    """A table on ``hbsf`` 4x2 holding only the observations that occur: the
+    front always guesses 1, so each later asking has entries for a heard
+    front guess of 1 and none for 0."""
+    inst = hbsf(4, 2, fewer_incorrect_than(2))
+    entries = {}
+    for t in inst.askings:
+        for seen, heard in observations(inst, t):
+            if all(g == 1 for x, g in heard if x == -1):
+                entries[(t, seen, heard)] = 1 if t == -1 else (sum(c for _, c in seen) + len(heard)) % 2
+    return inst, TableStrategy(entries)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 4, 7, 8, 16, engine.CHUNK_PLAYS])
 @pytest.mark.parametrize("inst, strat", [
     (hnsa(5, 2, at_least(2)), block_mod_sum(5, 2, 2)),
     (hnsa(4, 3, at_least(1)), block_mod_sum(4, 3, 1)),
@@ -171,6 +190,7 @@ def test_column_functions_match_scalar(inst, data, chunk):
     (hbsf(5, 3, fewer_incorrect_than(2)), sum_broadcast(3)),
     (hbsf(4, 2, fewer_incorrect_than(1)), sum_broadcast(2)),
     (hnsa(4, 3, at_least(1)), constant(2)),
+    relay_table(),
 ])
 def test_constructive_strategies_match_scalar(inst, strat, chunk):
     assert_matches_reference(inst, strat, chunk)
@@ -219,17 +239,27 @@ def test_missing_table_entry_fails_as_in_scalar(inst, seed, chunk):
     assert_matches_reference(inst, table, chunk)
 
 
-def test_out_of_range_column_function_reports_the_scalar_error():
+@pytest.mark.parametrize("color", [2, -1, True, 1.0])
+def test_out_of_range_set_form_reports_the_scalar_error(color):
+    # True and 1.0 equal the color 1, but the scalar play rejects them
     inst = hnsa(3, 2, at_least(1))
-    with pytest.raises(StrategyRangeError, match="strategy returned 2 at asking 0"):
-        sweep(inst, constant(2))
+    with pytest.raises(StrategyRangeError, match=f"strategy returned {color!r} at asking 0"):
+        sweep(inst, constant(color))
 
 
-def test_wrong_batch_is_reported_when_decide_is_fine():
-    # the replay cannot reproduce a fault of decide_batch alone; its own error stands
+@pytest.mark.parametrize("fault", [
+    lambda full: [full, 1],  # overlapping sets
+    lambda full: [full & ~1, 0],  # an assignment in no set
+    lambda full: [full & ~1, 2],  # an overlap hiding a gap: the sizes add up
+    lambda full: [full & ~1, full + 1],  # an assignment outside the chunk in place of one inside
+    lambda full: [full],  # too few sets
+    lambda full: [full, 0, 0],  # too many sets
+], ids=["overlap", "gap", "overlap-and-gap", "outside", "too-few", "too-many"])
+def test_bad_partition_is_reported_when_decide_is_fine(fault):
+    # the replay cannot reproduce a fault of the set form alone; its own error stands
     inst = hnsa(3, 2, at_least(1))
-    strat = RuleStrategy(lambda t, s, h: 0, batch=lambda t, s, h, n: [0] * (n - 1))
-    with pytest.raises(ValueError, match="decide_batch returned"):
+    strat = RuleStrategy(lambda t, s, h: 0, sets=lambda t, s, h, full, colors: fault(full))
+    with pytest.raises(ValueError, match="decide_sets did not split the chunk into 2 disjoint sets"):
         sweep(inst, strat)
     assert run_game(inst, strat, (0, 0, 0)).correct_count == 3
 
@@ -272,8 +302,8 @@ def test_is_winning_stops_at_the_first_failing_chunk():
 def test_memo_stays_bounded():
     memos = []
     strat = RuleStrategy(lambda t, s, h: 0)
-    batch = strat.decide_batch
-    strat.decide_batch = lambda t, s, h, n, memo: memos.append(memo) or batch(t, s, h, n, memo)
+    sets = strat.decide_sets
+    strat.decide_sets = lambda t, s, h, full, colors, memo: memos.append(memo) or sets(t, s, h, full, colors, memo)
     with mock.patch.object(engine, "CHUNK_PLAYS", 4):
         assert sweep(hnsa(5, 2, at_least(0)), strat).winning
     # every asking meets 16 observations over the sweep, at most 4 per chunk
