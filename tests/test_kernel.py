@@ -151,7 +151,7 @@ def test_table_gather_matches_scalar(inst, seed, chunk):
 
 @given(instances(), st.data(), CHUNKS)
 @settings(max_examples=60, deadline=None)
-def test_set_forms_match_scalar(inst, data, chunk):
+def test_column_functions_match_scalar(inst, data, chunk):
     c = inst.colors.size
     # mod_sum's block must see itself whole; on most random instances it does
     # not, and the set form must fail exactly as ``decide`` does
@@ -159,10 +159,17 @@ def test_set_forms_match_scalar(inst, data, chunk):
     strats = [constant(data.draw(st.integers(0, c - 1))), sum_broadcast(c)]
     if len(block) == c:
         strats.append(mod_sum(block, c))
+    for strat in strats:
+        assert_matches_reference(inst, strat, chunk)
+
+
+@given(instances(), st.data(), CHUNKS)
+@settings(max_examples=60, deadline=None)
+def test_set_forms_for_another_color_count_match_scalar(inst, data, chunk):
     # a strategy written for another color count: its sums wrap at its own c,
     # and its guesses past the instance's colors fail as in the scalar loop
     other = data.draw(st.integers(1, 5))
-    strats += [constant(data.draw(st.integers(-1, c))), sum_broadcast(other)]
+    strats = [constant(data.draw(st.integers(-1, inst.colors.size))), sum_broadcast(other)]
     if len(inst.players) >= other:
         strats.append(mod_sum(inst.players[:other], other))
     for strat in strats:
@@ -239,7 +246,13 @@ def test_missing_table_entry_fails_as_in_scalar(inst, seed, chunk):
     assert_matches_reference(inst, table, chunk)
 
 
-@pytest.mark.parametrize("color", [2, -1, True, 1.0])
+def test_out_of_range_column_function_reports_the_scalar_error():
+    inst = hnsa(3, 2, at_least(1))
+    with pytest.raises(StrategyRangeError, match="strategy returned 2 at asking 0"):
+        sweep(inst, constant(2))
+
+
+@pytest.mark.parametrize("color", [-1, True, 1.0])
 def test_out_of_range_set_form_reports_the_scalar_error(color):
     # True and 1.0 equal the color 1, but the scalar play rejects them
     inst = hnsa(3, 2, at_least(1))
@@ -247,21 +260,29 @@ def test_out_of_range_set_form_reports_the_scalar_error(color):
         sweep(inst, constant(color))
 
 
-@pytest.mark.parametrize("fault", [
-    lambda full: [full, 1],  # overlapping sets
-    lambda full: [full & ~1, 0],  # an assignment in no set
-    lambda full: [full & ~1, 2],  # an overlap hiding a gap: the sizes add up
-    lambda full: [full & ~1, full + 1],  # an assignment outside the chunk in place of one inside
-    lambda full: [full],  # too few sets
-    lambda full: [full, 0, 0],  # too many sets
-], ids=["overlap", "gap", "overlap-and-gap", "outside", "too-few", "too-many"])
-def test_bad_partition_is_reported_when_decide_is_fine(fault):
+def assert_bad_partition_is_reported(fault):
     # the replay cannot reproduce a fault of the set form alone; its own error stands
     inst = hnsa(3, 2, at_least(1))
     strat = RuleStrategy(lambda t, s, h: 0, sets=lambda t, s, h, full, colors: fault(full))
     with pytest.raises(ValueError, match="decide_sets did not split the chunk into 2 disjoint sets"):
         sweep(inst, strat)
     assert run_game(inst, strat, (0, 0, 0)).correct_count == 3
+
+
+def test_wrong_batch_is_reported_when_decide_is_fine():
+    # an assignment in no set: the set form of a guess column one short
+    assert_bad_partition_is_reported(lambda full: [full & ~1, 0])
+
+
+@pytest.mark.parametrize("fault", [
+    lambda full: [full, 1],  # overlapping sets
+    lambda full: [full & ~1, 2],  # an overlap hiding a gap: the sizes add up
+    lambda full: [full & ~1, full + 1],  # an assignment outside the chunk in place of one inside
+    lambda full: [full],  # too few sets
+    lambda full: [full, 0, 0],  # too many sets
+], ids=["overlap", "overlap-and-gap", "outside", "too-few", "too-many"])
+def test_bad_partition_is_reported_when_decide_is_fine(fault):
+    assert_bad_partition_is_reported(fault)
 
 
 # --- chunking and memo -------------------------------------------------------------
