@@ -239,13 +239,14 @@ def check_combination_blockwise() -> str:
             )
             parts.append((sub, seeded_random_strategy(c, rng.randrange(10**6))))
         combined = combine(parts, target)
-        for values in iter_assignment_tuples(target):
+        local = [{values: run_game(sub, strat, values).guesses for values in iter_assignment_tuples(sub)}
+                 for sub, strat in parts]
+        for values, whole in iter_plays(target, combined):
             a = dict(zip(target.players, values))
-            whole = run_game(target, combined, a).guesses
-            for sub, strat in parts:
-                local = run_game(sub, strat, {p: a[p] for p in sub.players}).guesses
+            for (sub, _), plays in zip(parts, local):
+                part = plays[tuple(a[p] for p in sub.players)]
                 for t in sub.askings:
-                    assert whole[t] == local[t], (
+                    assert whole.guesses[t] == part[t], (
                         f"trial {trial}: combined and local plays disagree at {t} on {values}"
                     )
     return "50 random two-block splits agree blockwise on every assignment"

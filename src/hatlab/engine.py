@@ -47,12 +47,17 @@ from .errors import (
     OverlapError,
     StrategyRangeError,
     SweepTooLarge,
+    power_count,
+    power_over,
 )
 from .model import (
     Assignment,
     EvaluationRule,
     Instance,
     RuleKind,
+    _hearing_order,
+    _is_color,
+    _json_object,
     as_assignment,
     find_hearing_cycle,
 )
@@ -214,9 +219,14 @@ class TableStrategy(Strategy):
     @staticmethod
     def from_json(rows: Iterable[Mapping]) -> "TableStrategy":
         entries = {}
-        for row in rows:
-            key = (int(row["t"]), _json_pairs(row["seen"]), _json_pairs(row["heard"]))
-            entries[key] = int(row["guess"])
+        try:
+            for row in rows:
+                key = (int(row["t"]), _json_pairs(row["seen"]), _json_pairs(row["heard"]))
+                entries[key] = int(row["guess"])
+        except (KeyError, TypeError):
+            for row in rows:  # name a faulty row; checked only here, off the fast path
+                _json_object(row, "table row", ("t", "seen", "heard", "guess"))
+            raise
         return TableStrategy(entries)
 
 
@@ -230,32 +240,23 @@ def _json_pairs(raw) -> tuple[tuple[int, int], ...]:
 # --- play order -------------------------------------------------------------
 
 def topological_extension(inst: Instance, seed: int | None = None) -> tuple[int, ...]:
-    """A linear order on askings extending the hearing relation.
+    """A linear order on askings extending the hearing relation, read from
+    ``graphlib`` (:func:`model._hearing_order` raises :class:`CyclicHearing`).
 
     With ``seed=None`` the choice among ready askings is always the least id,
     giving the canonical (lexicographically least) extension; an integer seed
     randomizes the tie-breaks, which is how the suite exercises that play does
     not depend on the extension.
     """
-    pending: dict[int, int] = {}
-    succ: dict[int, list[int]] = {t: [] for t in inst.askings}
-    for earlier, later in inst.hearing:
-        succ[earlier].append(later)
-        pending[later] = pending.get(later, 0) + 1
-    ready = sorted(t for t in inst.askings if not pending.get(t))
-
+    sorter = _hearing_order(inst)
     rng = random.Random(seed) if seed is not None else None
-    order: list[int] = []
+    ready, order = sorted(sorter.get_ready()), []
     while ready:
-        idx = rng.randrange(len(ready)) if rng is not None else 0
-        t = ready.pop(idx)
+        t = ready.pop(rng.randrange(len(ready)) if rng is not None else 0)
         order.append(t)
-        for nxt in sorted(succ[t]):
-            pending[nxt] -= 1
-            if pending[nxt] == 0:
-                bisect.insort(ready, nxt)
-    if len(order) != len(inst.askings):
-        raise CyclicHearing(find_hearing_cycle(inst) or ())
+        sorter.done(t)
+        for nxt in sorter.get_ready():
+            bisect.insort(ready, nxt)
     return tuple(order)
 
 
@@ -356,11 +357,6 @@ def _play(steps, a, decide, size):
     return guesses, asked, wrong
 
 
-def _is_color(g, size: int) -> bool:
-    """Whether a strategy's answer is a color: an int, not a bool, in range."""
-    return isinstance(g, int) and not isinstance(g, bool) and 0 <= g < size
-
-
 # --- whole-space sweeps -----------------------------------------------------
 
 CHUNK_PLAYS = 1 << 16
@@ -394,10 +390,10 @@ def _check_sweep_budget(inst: Instance, max_assignments: int | None) -> int:
     budget = DEFAULT_SWEEP_BUDGET if max_assignments is None else max_assignments
     if budget < 1:
         raise ValueError("budgets must be positive")
-    total = inst.assignment_count()
-    if total > budget:
-        raise SweepTooLarge(total, budget)
-    return total
+    c, m = inst.colors.size, len(inst.players)
+    if power_over(c, m, budget):
+        raise SweepTooLarge(power_count(c, m), budget)
+    return inst.assignment_count()
 
 
 class _Chunk:

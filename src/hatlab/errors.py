@@ -27,8 +27,34 @@ class MissingTableEntry(HatlabError, LookupError):
     """A table strategy has no entry for an observation the play presents."""
 
 
+COUNT_DIGITS = 4300
+"""Budget errors print a count of at most this many decimal digits as an int
+and a larger one as a power (4,300 is Python's default limit on printing an int)."""
+
+
+def power_over(base: int, exponent: int, budget: int) -> bool:
+    """Whether ``base ** exponent`` exceeds ``budget``; the power is multiplied
+    out only when the exponent is below the budget's bit length or ``base < 2``."""
+    return base > 1 and exponent >= budget.bit_length() or base**exponent > budget
+
+
+def power_count(base: int, exponent: int) -> int | str:
+    """``base ** exponent`` as a budget error carries it: the int when it has at
+    most :data:`COUNT_DIGITS` digits, else the exact text ``"base**exponent"``
+    (with the exponent in hex if it is itself too long to print in decimal)."""
+    if base < 2 or exponent * (base.bit_length() - 1) <= 4 * COUNT_DIGITS:  # cheap to multiply out
+        count = base**exponent
+        if count < 10**COUNT_DIGITS:
+            return count
+    return f"{base}**{exponent if exponent < 10**COUNT_DIGITS else hex(exponent)}"
+
+
 class SweepTooLarge(HatlabError):
-    """An assignment sweep would exceed its budget; no partial verdicts."""
+    """An assignment sweep would exceed its budget; no partial verdicts.
+
+    ``required`` is the exact size of the assignment space, as
+    :func:`power_count` gives it: an int, or the text of a power.
+    """
 
     def __init__(self, required, budget):
         self.required = required
@@ -37,7 +63,11 @@ class SweepTooLarge(HatlabError):
 
 
 class BudgetExceeded(HatlabError):
-    """A strategy-space search would exceed its budget; no partial verdicts."""
+    """A strategy-space search would exceed its budget; no partial verdicts.
+
+    ``required`` is the exact count, an int or, for a strategy space or an
+    assignment space, possibly the text of a power (see :func:`power_count`).
+    """
 
     def __init__(self, required, budget, what="table strategies"):
         self.required = required

@@ -23,14 +23,20 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterator, Mapping, Sequence
 
-from .errors import ZeroSize
+from .errors import CyclicHearing, ZeroSize
 
 OMEGA = math.inf
 """Unbounded threshold for ``fewer_incorrect_than``: any finite error count wins."""
 
 CANONICAL_KINDS = ("hnsa", "hnsf", "hbsf")
+
+
+def _is_color(g, size: int) -> bool:
+    """Whether ``g`` is one of ``size`` colors: an int, not a bool, in range."""
+    return isinstance(g, int) and not isinstance(g, bool) and 0 <= g < size
 
 
 @dataclass(frozen=True)
@@ -47,7 +53,7 @@ class ColorSpace:
         return iter(range(self.size))
 
     def __contains__(self, color) -> bool:
-        return isinstance(color, int) and not isinstance(color, bool) and 0 <= color < self.size
+        return _is_color(color, self.size)
 
     def __len__(self) -> int:
         return self.size
@@ -275,38 +281,29 @@ class ValidationReport:
         return not self.errors
 
 
-def find_hearing_cycle(inst: Instance) -> tuple[int, ...] | None:
-    """Return some cycle of askings in the hearing relation, or None.
-
-    Deterministic: askings are tried in instance order and edges in id order.
-    """
-    succ: dict[int, list[int]] = {t: [] for t in inst.askings}
+def _hearing_order(inst: Instance) -> TopologicalSorter:
+    """The hearing relation between askings, prepared. Askings go in in
+    instance order and pairs in id order; that fixes the cycle ``prepare()``
+    finds, raised as :class:`CyclicHearing` without its repeated last asking."""
+    order = TopologicalSorter(dict.fromkeys(inst.askings, ()))
+    askings = set(inst.askings)
     for earlier, later in sorted(inst.hearing):
-        if earlier in succ and later in succ:
-            succ[earlier].append(later)
-    state: dict[int, int] = {}  # 1 = on stack, 2 = done
-    for root in inst.askings:
-        if state.get(root):
-            continue
-        stack = [(root, iter(succ[root]))]
-        path = [root]
-        state[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state.get(nxt) == 1:
-                    return tuple(path[path.index(nxt):])
-                if not state.get(nxt):
-                    state[nxt] = 1
-                    stack.append((nxt, iter(succ[nxt])))
-                    path.append(nxt)
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                stack.pop()
-                path.pop()
+        if earlier in askings and later in askings:
+            order.add(later, earlier)
+    try:
+        order.prepare()
+    except CycleError as exc:
+        raise CyclicHearing(exc.args[1][:-1]) from None
+    return order
+
+
+def find_hearing_cycle(inst: Instance) -> tuple[int, ...] | None:
+    """Return some cycle of askings in the hearing relation, or None: the one
+    ``graphlib`` finds by depth-first search in :func:`_hearing_order`."""
+    try:
+        _hearing_order(inst)
+    except CyclicHearing as exc:
+        return exc.cycle
     return None
 
 
@@ -375,7 +372,7 @@ def as_assignment(inst: Instance, values: Assignment | Sequence[int]) -> dict[in
                 f"assignment has {len(values)} colors, instance has {len(inst.players)} players"
             )
         a = {m: int(v) for m, v in zip(inst.players, values)}
-    bad = {m: v for m, v in a.items() if v not in inst.colors}
+    bad = {m: v for m, v in a.items() if not _is_color(v, inst.colors.size)}
     if bad:
         raise ValueError(f"assignment colors out of range 0..{inst.colors.size - 1}: {bad}")
     return a

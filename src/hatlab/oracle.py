@@ -45,7 +45,7 @@ from .engine import (
     _play_chunks,
     evaluate,
 )
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, power_count, power_over
 from .model import Instance, instance_to_json
 
 
@@ -103,13 +103,23 @@ def _table_size(c: int, step) -> int:
     return c ** (len(seen) + len(heard))
 
 
+def _entry_count(inst: Instance) -> int:
+    """The table entries of all play steps: the space holds ``c`` to this power."""
+    c = inst.colors.size
+    return sum(_table_size(c, step) for step in _compiled(inst))
+
+
 def count_table_strategies(inst: Instance) -> int:
     """Exact size of the table-strategy space (may be astronomically large)."""
-    c = inst.colors.size
-    total = 1
-    for step in _compiled(inst):
-        total *= c ** _table_size(c, step)
-    return total
+    return inst.colors.size ** _entry_count(inst)
+
+
+def _check_space(inst: Instance, cap: int) -> None:
+    """Raise :class:`BudgetExceeded` if the table-strategy space holds more
+    than ``cap`` strategies, without multiplying out a count past it."""
+    c, entries = inst.colors.size, _entry_count(inst)
+    if power_over(c, entries, cap):
+        raise BudgetExceeded(power_count(c, entries), cap)
 
 
 def enumerate_table_strategies(inst: Instance, max_strategies: int | None = None):
@@ -122,9 +132,7 @@ def enumerate_table_strategies(inst: Instance, max_strategies: int | None = None
     """
     budget = DEFAULT_BUDGET if max_strategies is None else SearchBudget(max_strategies=max_strategies)
     cap = budget.max_strategies
-    total = count_table_strategies(inst)
-    if total > cap:
-        raise BudgetExceeded(total, cap)
+    _check_space(inst, cap)
     c = inst.colors.size
     steps = _compiled(inst)
 
@@ -199,20 +207,18 @@ def _walk(inst: Instance, budget: SearchBudget, prune: bool, floor, first: bool)
     final floor is the optimum and ``tables`` its first attainer (``None`` if
     no leaf beat the starting floor).
     """
-    total = count_table_strategies(inst)
-    if total > budget.max_strategies:
-        raise BudgetExceeded(total, budget.max_strategies)
+    _check_space(inst, budget.max_strategies)
     steps = _compiled(inst)
     c = inst.colors.size
     index = inst.player_index
     n = len(inst.players)
-    n_a = c ** n
-    full = (1 << n_a) - 1
     asked = len(set(inst.labeling))
     if not steps:  # the empty strategy is the only leaf, and nobody is wrong
         return (asked, (), 1, 0) if asked > floor else (floor, None, 1, 0)
-    if n_a > budget.max_assignments:  # the first table tried already passes the cap
-        raise BudgetExceeded(n_a, budget.max_assignments, "play steps")
+    if power_over(c, n, budget.max_assignments):  # the first table tried already passes the cap
+        raise BudgetExceeded(power_count(c, n), budget.max_assignments, "play steps")
+    n_a = c ** n
+    full = (1 << n_a) - 1
     strides = [c ** (n - 1 - p) for p in range(n)]
     hats = _hat_sets(c, n)  # hats[p][g]: the assignments where player p wears g
     depth_of = {t: d for d, (t, _, _, _) in enumerate(steps)}

@@ -19,7 +19,7 @@ from .errors import (
     NotHBSF,
     TooManyBlocks,
 )
-from .model import ColorSpace, Instance, as_colors, at_least, custom_instance, hnsa
+from .model import ColorSpace, Instance, _is_color, _json_object, as_colors, at_least, custom_instance, hnsa
 
 
 def constant(color: int) -> Strategy:
@@ -27,7 +27,7 @@ def constant(color: int) -> Strategy:
 
     def sets(t, seen, heard, full, colors):
         # an invalid color covers nothing, so the sweep replays the scalar error
-        return [full if g == color and engine._is_color(color, colors) else 0 for g in range(colors)]
+        return [full if g == color and _is_color(color, colors) else 0 for g in range(colors)]
 
     return RuleStrategy(lambda t, seen, heard: color, label=f"constant:{color}", sets=sets)
 
@@ -212,8 +212,8 @@ def seeded_random_strategy(colors: ColorSpace | int, seed: int) -> Strategy:
 
 def strategy_from_descriptor(desc: Mapping, inst: Instance) -> Strategy:
     """Build a strategy from a ``{"name": ..., "params": {...}}`` descriptor."""
-    name = desc.get("name")
-    params = dict(desc.get("params") or {})
+    name = _json_object(desc, "strategy", ("name",))["name"]
+    params = dict(_json_object(desc.get("params") or {}, "strategy params", ()))
     c = inst.colors.size
     m = len(inst.players)
     if name == "constant":
@@ -231,5 +231,5 @@ def strategy_from_descriptor(desc: Mapping, inst: Instance) -> Strategy:
     if name == "random":
         return seeded_random_strategy(inst.colors, int(params.get("seed", 0)))
     if name == "table":
-        return TableStrategy.from_json(params["entries"])
+        return TableStrategy.from_json(_json_object(params, "table strategy params", ("entries",))["entries"])
     raise ValueError(f"unknown strategy {name!r}")

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -171,6 +172,33 @@ class TestSearch:
                      "--rule", "at_least:2")
         assert res.exit_code == 3
 
+    # counts past 4,300 digits, which Python will not print as an int
+    @pytest.mark.parametrize("args,message", [
+        (["search", "--kind", "hnsa", "-m", "12", "-c", "2", "--rule", "at_least:1"],
+         "search needs 2**24576 table strategies, budget is 10000000"),
+        (["search", "--kind", "hnsa", "-m", "8", "-c", "3", "--rule", "at_least:1"],
+         "search needs 3**17496 table strategies, budget is 10000000"),
+        (["search", "--kind", "hbsf", "-m", "8", "-c", "3", "--rule", "at_least:1"],
+         "search needs 3**17496 table strategies, budget is 10000000"),
+        (["search", "--kind", "hnsf", "-m", "14", "-c", "2", "--rule", "at_least:1"],
+         "search needs 2**16383 table strategies, budget is 10000000"),
+        (["sweep", "--instance", json.dumps({"players": 15000, "colors": 2,
+                                             "rule": {"kind": "at_least", "threshold": 1}}),
+          "--strategy", "constant:0"],
+         "sweep needs 2**15000 assignment plays, budget is 100000000"),
+    ], ids=["hnsa-12x2", "hnsa-8x3", "hbsf-8x3", "hnsf-14x2", "sweep-15000"])
+    def test_huge_count_is_a_budget_error(self, runner, args, message):
+        res = invoke(runner, *args)
+        assert res.exit_code == 3
+        assert res.output.splitlines() == [f"budget error: {message}"]
+
+    def test_huge_space_fails_fast(self, runner):
+        start = time.perf_counter()
+        res = invoke(runner, "search", "--kind", "hnsa", "-m", "30", "-c", "2", "--rule", "at_least:1")
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 3
+        assert res.output == "budget error: search needs 2**16106127360 table strategies, budget is 10000000\n"
+
     @pytest.mark.parametrize("flags,env", [
         (["search", "--max-strategies", "0"], None),
         (["search", "--max-assignments", "0"], None),
@@ -225,6 +253,9 @@ class TestLine:
         assert res.exit_code == 2
 
 
+_SWEEP = ["sweep", "--kind", "hnsa", "-m", "2", "-c", "2", "--rule", "at_least:1", "--strategy"]
+
+
 class TestInstanceDescriptors:
     def test_round_trip_through_files(self, runner, tmp_path):
         desc = {
@@ -269,6 +300,14 @@ class TestInstanceDescriptors:
          "lazy assignment descriptor must be a JSON object, got list"),
         (["line", "--strategy", "see_all_selector", "-c", "2", "--lazy", '{"blocks": 1}'],
          "lazy assignment descriptor is missing 'base'"),
+        (_SWEEP + ['{"name": "table"}'], "table strategy params descriptor is missing 'entries'"),
+        (_SWEEP + ['{"name": "table", "params": {"entries": [1]}}'],
+         "table row descriptor must be a JSON object, got int"),
+        (_SWEEP + ['{"name": "table", "params": {"entries": [{"t": 0, "seen": [[1, 0]], "heard": [], "guess": 0}, '
+                   '{"t": 1}]}}'],
+         "table row descriptor is missing 'seen', 'heard', 'guess'"),
+        (_SWEEP + ['{"name": "constant", "params": [1]}'], "strategy params descriptor must be a JSON object, got list"),
+        (_SWEEP + ['{"params": {"value": 0}}'], "strategy descriptor is missing 'name'"),
     ])
     def test_malformed_descriptor_is_a_config_error(self, runner, args, message):
         res = invoke(runner, *args)

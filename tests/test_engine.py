@@ -73,6 +73,19 @@ class TestTopologicalExtension:
             topological_extension(inst)
         assert sorted(exc.value.cycle) == [0, 1]
 
+    # the orders hatlab has always given for these seeds
+    @pytest.mark.parametrize("askings,hearing,canonical,seeded", [
+        ((0, 1, 2, 3, 4, 5), [(0, 3), (1, 3), (2, 4), (3, 5)], (0, 1, 2, 3, 4, 5),
+         [(1, 2, 0, 4, 3, 5), (0, 1, 3, 2, 5, 4), (0, 1, 2, 4, 3, 5), (0, 1, 3, 5, 2, 4), (0, 2, 1, 4, 3, 5)]),
+        ((4, -1, 8, 2, 6), [(8, -1), (2, 6), (4, 6)], (2, 4, 6, 8, -1),
+         [(4, 8, -1, 2, 6), (2, 4, 8, -1, 6), (2, 4, 6, 8, -1), (2, 4, 8, 6, -1), (2, 8, -1, 4, 6)]),
+    ], ids=["forest", "unsorted-askings"])
+    def test_orders_are_pinned(self, askings, hearing, canonical, seeded):
+        inst = custom_instance(len(askings), 2, sight=(), rule=at_least(0), hearing=hearing,
+                               askings=askings, labeling=range(len(askings)))
+        assert topological_extension(inst) == canonical
+        assert [topological_extension(inst, seed=s) for s in range(5)] == seeded
+
     @given(st.data())
     @settings(max_examples=50, deadline=None)
     def test_extension_respects_every_edge(self, data):

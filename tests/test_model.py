@@ -1,14 +1,16 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hatlab import (
     OMEGA,
     ColorSpace,
+    CyclicHearing,
     EvaluationRule,
     ZeroSize,
     as_assignment,
     at_least,
     build_canonical_instance,
+    constant,
     custom_instance,
     fewer_incorrect_than,
     hbsf,
@@ -16,8 +18,11 @@ from hatlab import (
     hnsf,
     instance_from_json,
     instance_to_json,
+    run_game,
+    topological_extension,
     validate_instance,
 )
+from hatlab.model import ValidationReport, find_hearing_cycle
 
 
 class TestCanonicalConstructors:
@@ -127,6 +132,64 @@ class TestValidation:
             except CyclicHearing:
                 ran = False
             assert ok == ran
+
+
+def _hearing_instance(askings, hearing):
+    return custom_instance(len(askings), 2, sight=(), rule=at_least(0), hearing=hearing,
+                           askings=askings, labeling=range(len(askings)))
+
+
+@st.composite
+def hearing_instances(draw):
+    """1-7 askings with arbitrary ids, and hearing pairs that may be
+    self-loops or name unknown askings."""
+    n = draw(st.integers(1, 7))
+    askings = draw(st.lists(st.integers(-3, 9), min_size=n, max_size=n, unique=True))
+    ids = st.sampled_from(askings) | st.integers(-5, 12)
+    return _hearing_instance(askings, draw(st.lists(st.tuples(ids, ids), max_size=14)))
+
+
+class TestHearingCycles:
+    # each instance has several cycles, so the search order decides which
+    # witness is named; these are the witnesses hatlab has always named, and
+    # a graphlib that searches in another order fails here
+    @pytest.mark.parametrize("askings,hearing,cycle", [
+        ((0, 1, 2, 3, 4, 5), [(0, 5), (5, 3), (3, 5), (1, 2), (2, 1), (4, 4), (5, 1)], (1, 2)),
+        ((7, 3, 9, -2, 5), [(9, 3), (3, 9), (7, -2), (-2, 5), (5, 7), (3, 5), (9, 7)], (7, -2, 5)),
+        ((2, 0, 1, 3), [(3, 3), (0, 1), (1, 0), (2, 3)], (3,)),
+        (tuple(range(7)), [(i, j) for i in range(7) for j in range(i + 1, 7)] + [(6, 2), (4, 1), (3, 0)],
+         (0, 1, 2, 3)),
+    ], ids=["nested", "unsorted-askings", "self-loop", "dense"])
+    def test_witness_is_pinned(self, askings, hearing, cycle):
+        inst = _hearing_instance(askings, hearing)
+        message = f"hearing relation has a cycle: {list(cycle)}"
+        assert find_hearing_cycle(inst) == cycle
+        assert validate_instance(inst) == ValidationReport((message,), (), cycle)
+        for play in (lambda: topological_extension(inst), lambda: topological_extension(inst, seed=3),
+                     lambda: run_game(inst, constant(0), [0] * len(askings), order=sorted(askings))):
+            with pytest.raises(CyclicHearing) as exc:
+                play()
+            assert type(exc.value) is CyclicHearing
+            assert exc.value.cycle == cycle and str(exc.value) == message
+
+    @given(hearing_instances(), st.integers(0, 999))
+    @settings(max_examples=300, deadline=None)
+    def test_cycle_exactly_when_no_order(self, inst, seed):
+        askings = set(inst.askings)
+        known = {(a, b) for a, b in inst.hearing if a in askings and b in askings}
+        cycle = find_hearing_cycle(inst)
+        try:
+            orders = [topological_extension(inst), topological_extension(inst, seed=seed)]
+        except CyclicHearing as exc:
+            assert cycle is not None and exc.cycle == cycle
+            assert len(set(cycle)) == len(cycle)
+            assert all(pair in known for pair in zip(cycle, cycle[1:] + cycle[:1]))
+        else:
+            assert cycle is None
+            for order in orders:
+                assert sorted(order) == sorted(askings)
+                pos = {t: i for i, t in enumerate(order)}
+                assert all(pos[a] < pos[b] for a, b in known)
 
 
 class TestRules:

@@ -1,4 +1,5 @@
 import random
+import sys
 from functools import cache
 from itertools import product
 
@@ -8,6 +9,7 @@ from hatlab import (
     OMEGA,
     BudgetExceeded,
     SearchBudget,
+    SweepTooLarge,
     at_least,
     best_guaranteed_correct,
     block_mod_sum,
@@ -27,6 +29,7 @@ from hatlab import (
     sweep,
 )
 from hatlab.engine import _compiled, iter_assignment_tuples
+from hatlab.errors import power_count, power_over
 from hatlab import oracle
 from hatlab.oracle import DEFAULT_BUDGET, _table_size, _walk
 
@@ -226,6 +229,55 @@ class TestEnumeration:
         with pytest.raises(BudgetExceeded) as exc:
             enumerate_table_strategies(inst)
         assert exc.value.required == 19683**3
+
+    def test_huge_spaces_raise_budget_errors(self):
+        # 2**24576 has 7,399 digits, too many for Python to print as an int
+        inst = hnsa(12, 2, at_least(1))
+        for search in (best_guaranteed_correct, exists_winning_exhaustive, enumerate_table_strategies):
+            with pytest.raises(BudgetExceeded) as exc:
+                search(inst)
+            assert exc.value.required == "2**24576"
+            assert str(exc.value) == "search needs 2**24576 table strategies, budget is 10000000"
+        with pytest.raises(SweepTooLarge) as exc:
+            sweep(custom_instance(15000, 2, (), at_least(1)), constant(0))
+        assert exc.value.required == "2**15000"
+        # one asking that sees 14,299 hats: the exponent 2**14299 is itself too long to print
+        inst = custom_instance(14300, 2, [(x, 0) for x in range(1, 14300)], at_least(1), askings=(0,), labeling=(0,))
+        with pytest.raises(BudgetExceeded) as exc:
+            best_guaranteed_correct(inst)
+        assert exc.value.required == "2**" + hex(2**14299)
+
+    def test_play_step_budget_is_checked_before_the_space_is_built(self):
+        # one table of two strategies, but 2**40 assignments: a bitset over
+        # them would take 128 GiB
+        inst = custom_instance(40, 2, (), at_least(1), askings=(0,), labeling=(0,))
+        with pytest.raises(BudgetExceeded, match="^search needs 1099511627776 play steps, budget is 100000000$"):
+            best_guaranteed_correct(inst)
+
+    @pytest.mark.parametrize("base,exponent,count", [
+        (2, 10, 1024),
+        (1, 10**5000, 1),
+        (10, 4299, 10**4299),  # 4,300 digits: printed
+        (10, 4300, "10**4300"),  # 4,301 digits: a power
+        (3, 17496, "3**17496"),
+        (2, 10**4300, "2**" + hex(10**4300)),  # an exponent too long to print in decimal
+    ], ids=["small", "one", "4300-digits", "4301-digits", "hbsf-8x3", "hex-exponent"])
+    def test_power_count(self, base, exponent, count):
+        assert power_count(base, exponent) == count
+
+    def test_power_over(self):
+        assert not power_over(2, 23, 10**7) and power_over(2, 24, 10**7)
+        assert power_over(2, 10**100, 1) and not power_over(1, 10**100, 1)
+        assert power_over(10**7 + 1, 1, 10**7) and not power_over(10**7, 1, 10**7)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int printing limit")
+    def test_power_text_ignores_the_int_printing_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert power_count(2, 24576) == "2**24576"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_budgets_must_be_positive(self):
         inst = hnsa(2, 2, at_least(1))
