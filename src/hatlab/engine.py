@@ -12,22 +12,23 @@ rule for every assignment; :func:`is_winning` and :func:`sweep` decide this
 by exhausting the assignment space, never from a partial scan.
 
 All whole-space work (:func:`sweep`, :func:`is_winning`, :func:`iter_plays`
-and the oracle's census) runs on one set kernel, :func:`_play_chunks`. It
-cuts the lexicographic assignment space into chunks of at most
-:data:`CHUNK_PLAYS` assignments that share their leading colors and run
-through every value of the trailing ones. Inside a chunk a set of
-assignments is one int, bit ``i`` for the ``i``-th; each player's hat is a
-partition of the chunk into one set per color, and so is each asking's guess.
-The kernel walks the canonical play order once per chunk; at each asking it
-asks :meth:`Strategy.decide_sets` for the guess partition, given the visible
-hat partitions and the heard guess partitions, and checks that it is one
-set per color, disjoint and covering the chunk. It keeps one wrong set per
-asked player (a player is wrong when any of its guesses is) and the sets
-``S[k]`` of assignments with at least ``k`` players wrong. Chunks run in
-lexicographic order, so the lowest bit of the first failing ``S[k]`` of the
-first failing chunk is the least counterexample. A chunk that raises is
-replayed one assignment at a time through :func:`_play`, so errors, and the
-plays that come before them, are those of the scalar loop.
+and the oracle's census) runs on one set kernel, :func:`_play_chunks`. It cuts
+the lexicographic assignment space into chunks of at most :data:`CHUNK_PLAYS`
+assignments that share their leading colors and run through every value of the
+trailing ones. Inside a chunk a set of assignments is one int, bit ``i`` for
+the ``i``-th; each player's hat is a partition of the chunk into one set per
+color, and so is each asking's guess. The kernel walks the canonical play
+order once per chunk; at each asking it asks :meth:`Strategy.decide_sets` for
+the guess partition, given the visible hat partitions and the heard guess
+partitions, and checks that it is one set per color, disjoint and covering the
+chunk. A *steady* asking sees no leading hat and hears only steady askings, so
+it is asked and checked once per sweep and its partition reused. The kernel
+keeps one wrong set per asked player (a player is wrong when any of its
+guesses is) and the sets ``S[k]`` of assignments with at least ``k`` players
+wrong. Chunks run in lexicographic order, so the lowest bit of the first
+failing ``S[k]`` of the first failing chunk is the least counterexample. A
+chunk that raises is replayed one assignment at a time through :func:`_play`,
+so errors, and the plays that come before them, are those of the scalar loop.
 """
 
 from __future__ import annotations
@@ -76,17 +77,16 @@ class Strategy:
     guesses ``heard`` (asking -> color, exactly the guesses replayed to it),
     and returns a color. Implementations must be pure: the same triple always
     yields the same color, and nothing outside the triple may influence it.
-    Purity is load-bearing: a sweep may call ``decide`` once per distinct
-    observation rather than once per play, and reuse the answer.
+    Purity is load-bearing: a sweep calls ``decide`` once per distinct
+    observation per chunk, and once per sweep at a steady asking.
 
-    ``decide_sets`` is the set form the sweeps use. A set of a chunk's
-    assignments is an int (bit ``i`` for the ``i``-th, ``full`` for all), and
-    a partition is a list of ``colors`` sets, set ``g`` where a hat or guess
-    is ``g``. ``seen`` and ``heard`` map to hat and guess partitions; ``memo``
-    lives for one sweep. It returns the guess partition, equal to ``decide``
-    on every assignment. The default adapts ``decide``, calling it once per
-    distinct observation and keeping the answers in ``memo``; a subclass that
-    overrides ``decide`` keeps that default or overrides both.
+    ``decide_sets(t, seen, heard, full, colors)`` is the set form the sweeps
+    use. A set of a chunk's assignments is an int (bit ``i`` for the ``i``-th,
+    ``full`` for all), and a partition is a list of ``colors`` sets, set ``g``
+    where a hat or guess is ``g``; ``seen`` and ``heard`` map to hat and guess
+    partitions. It returns the guess partition, equal to ``decide`` on every
+    assignment. The default adapts ``decide``, once per distinct observation of
+    the chunk; a subclass overriding ``decide`` keeps it or overrides both.
     """
 
     label = "strategy"
@@ -94,17 +94,8 @@ class Strategy:
     def decide(self, t: int, seen: Mapping[int, int], heard: Mapping[int, int]) -> int:
         raise NotImplementedError
 
-    def decide_sets(self, t: int, seen: Mapping, heard: Mapping, full: int, colors: int, memo: dict) -> list[int]:
-        known = memo.setdefault(t, {})
-        if len(known) > CHUNK_PLAYS:  # keeps the memo within a few chunks' size
-            known.clear()
-
-        def guess_of(seen_pairs, heard_pairs):
-            if (seen_pairs, heard_pairs) not in known:
-                known[seen_pairs, heard_pairs] = self.decide(t, dict(seen_pairs), dict(heard_pairs))
-            return known[seen_pairs, heard_pairs]
-
-        return _cell_partition(seen, heard, full, colors, guess_of)
+    def decide_sets(self, t: int, seen: Mapping, heard: Mapping, full: int, colors: int) -> list[int]:
+        return _cell_partition(seen, heard, full, colors, lambda s, h: self.decide(t, dict(s), dict(h)))
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.label}>"
@@ -156,7 +147,7 @@ class RuleStrategy(Strategy):
 
     ``sets``, when given, is the same rule in set form:
     ``sets(t, seen, heard, full, colors)`` returns the guess partition (see
-    :meth:`Strategy.decide_sets`). Without it sweeps memoize ``fn``.
+    :meth:`Strategy.decide_sets`). Without it sweeps call ``fn`` per observation.
     """
 
     def __init__(self, fn: Callable[[int, Mapping, Mapping], int], label: str = "rule",
@@ -168,9 +159,9 @@ class RuleStrategy(Strategy):
     def decide(self, t, seen, heard):
         return self.fn(t, seen, heard)
 
-    def decide_sets(self, t, seen, heard, full, colors, memo):
+    def decide_sets(self, t, seen, heard, full, colors):
         if self.sets is None:
-            return super().decide_sets(t, seen, heard, full, colors, memo)
+            return super().decide_sets(t, seen, heard, full, colors)
         return self.sets(t, seen, heard, full, colors)
 
 
@@ -190,7 +181,7 @@ class TableStrategy(Strategy):
         self.entries = dict(entries)
         self.label = label
 
-    def decide_sets(self, t, seen, heard, full, colors, memo):
+    def decide_sets(self, t, seen, heard, full, colors):
         # canonical key order, so each cell reads the same entry as ``decide``
         return _cell_partition(dict(sorted(seen.items())), dict(sorted(heard.items())), full, colors,
                                lambda seen_pairs, heard_pairs: self.entries[t, seen_pairs, heard_pairs])
@@ -223,11 +214,22 @@ class TableStrategy(Strategy):
             for row in rows:
                 key = (int(row["t"]), _json_pairs(row["seen"]), _json_pairs(row["heard"]))
                 entries[key] = int(row["guess"])
-        except (KeyError, TypeError):
-            for row in rows:  # name a faulty row; checked only here, off the fast path
+        except (KeyError, TypeError, ValueError):  # name the fault; checked only here, off the fast path
+            if not isinstance(rows, (list, tuple)):
+                raise ValueError(f"table strategy 'entries' must be a JSON list, got {type(rows).__name__}") from None
+            for row in rows:
                 _json_object(row, "table row", ("t", "seen", "heard", "guess"))
+                for key in ("seen", "heard"):
+                    if not _is_pairs(row[key]):
+                        raise ValueError(f"table row {key!r} must be a list of [id, color] pairs, "
+                                         f"got {row[key]!r}") from None
             raise
         return TableStrategy(entries)
+
+
+def _is_pairs(raw) -> bool:
+    """Whether ``raw`` has the shape of a list of ``[id, color]`` pairs."""
+    return isinstance(raw, (list, tuple)) and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in raw)
 
 
 def _json_pairs(raw) -> tuple[tuple[int, int], ...]:
@@ -360,7 +362,7 @@ def _play(steps, a, decide, size):
 # --- whole-space sweeps -----------------------------------------------------
 
 CHUNK_PLAYS = 1 << 16
-"""Most assignments one kernel chunk holds; this bounds the kernel's memory."""
+"""Most assignments one kernel chunk holds; this bounds the size of the kernel's sets."""
 
 
 def iter_assignment_tuples(inst: Instance) -> Iterator[tuple[int, ...]]:
@@ -434,7 +436,11 @@ def _play_chunks(inst: Instance, strat: Strategy) -> Iterator[_Chunk]:
         width += 1
     full = (1 << size**width) - 1
     trailing = _hat_sets(size, width)
-    memo: dict = {}
+    steady: dict = {}  # askings that see no leading hat and hear only steady askings: their partitions
+    lead = set(players[:len(players) - width])
+    for t, _, vis, hrd in steps if lead else ():  # with no leading hat there is one chunk, and nothing to reuse
+        if lead.isdisjoint(vis) and all(x in steady for x in hrd):
+            steady[t] = None
     for prefix in product(range(size), repeat=len(players) - width):
         leading = [[full if g == color else 0 for g in range(size)] for color in prefix]
         hats = dict(zip(players, leading + trailing))
@@ -442,9 +448,13 @@ def _play_chunks(inst: Instance, strat: Strategy) -> Iterator[_Chunk]:
         wrong, S = dict.fromkeys(asked, 0), [full]
         try:
             for t, m, vis, hrd in steps:
-                part = strat.decide_sets(t, {x: hats[x] for x in vis}, {x: guesses[x] for x in hrd}, full, size, memo)
-                if not _is_partition(part, size, full):
-                    raise ValueError(f"decide_sets did not split the chunk into {size} disjoint sets at asking {t}")
+                part = steady.get(t)
+                if part is None:
+                    part = strat.decide_sets(t, {x: hats[x] for x in vis}, {x: guesses[x] for x in hrd}, full, size)
+                    if not _is_partition(part, size, full):
+                        raise ValueError(f"decide_sets did not split the chunk into {size} disjoint sets at asking {t}")
+                    if t in steady:
+                        steady[t] = part
                 guesses[t] = part
                 new = ~wrong[m] & (full ^ reduce(or_, map(and_, part, hats[m])))  # where m is newly wrong
                 if new:  # S[k] gains the assignments with k - 1 wrong before
@@ -573,9 +583,9 @@ class CombinedStrategy(Strategy):
         strat, sub_seen, sub_heard = self._part(t, seen, heard)
         return strat.decide(t, sub_seen, sub_heard)
 
-    def decide_sets(self, t, seen, heard, full, colors, memo):
+    def decide_sets(self, t, seen, heard, full, colors):
         strat, sub_seen, sub_heard = self._part(t, seen, heard)
-        return strat.decide_sets(t, sub_seen, sub_heard, full, colors, memo)
+        return strat.decide_sets(t, sub_seen, sub_heard, full, colors)
 
 
 def combine(parts: Sequence[tuple[Instance, Strategy]], target: Instance) -> CombinedStrategy:

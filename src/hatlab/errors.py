@@ -27,9 +27,11 @@ class MissingTableEntry(HatlabError, LookupError):
     """A table strategy has no entry for an observation the play presents."""
 
 
-COUNT_DIGITS = 4300
+COUNT_DIGITS = 640
 """Budget errors print a count of at most this many decimal digits as an int
-and a larger one as a power (4,300 is Python's default limit on printing an int)."""
+and a larger one as a power. 640 is the lowest limit on printing an int that
+Python accepts (``sys.int_info.str_digits_check_threshold``), so every count
+printed as an int prints under any limit."""
 
 
 def power_over(base: int, exponent: int, budget: int) -> bool:

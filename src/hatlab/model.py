@@ -20,6 +20,7 @@ the play with the instance's evaluation rule.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -311,9 +312,9 @@ def validate_instance(inst: Instance) -> ValidationReport:
     """Check well-formedness; reports errors instead of raising.
 
     An instance is valid exactly when every strategy can be played to
-    completion on it: the hearing relation is acyclic, the labeling covers
-    every asking with a real player, and all relations stay inside the
-    declared players and askings.
+    completion on it: the hearing relation is acyclic, the asking ids are
+    distinct, the labeling covers every asking with a real player, and all
+    relations stay inside the declared players and askings.
     """
     errors: list[str] = []
     warnings: list[str] = []
@@ -324,6 +325,8 @@ def validate_instance(inst: Instance) -> ValidationReport:
         errors.append(
             f"labeling covers {len(inst.labeling)} askings, instance has {len(inst.askings)}"
         )
+    for t in sorted(t for t, k in Counter(inst.askings).items() if k > 1):
+        errors.append(f"asking {t} appears more than once")
     for t, m in zip(inst.askings, inst.labeling):
         if m not in players:
             errors.append(f"asking {t} is labeled with unknown player {m}")
@@ -342,7 +345,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
     if cycle is not None:
         errors.append(f"hearing relation has a cycle: {list(cycle)}")
 
-    self_seers = sorted(m for (seen, seer) in inst.sight if seen == seer and seer in players)
+    self_seers = sorted(seer for (seen, seer) in inst.sight if seen == seer and seer in players)
     for m in self_seers:
         warnings.append(f"player {m} sees its own hat, which trivializes its guess")
 

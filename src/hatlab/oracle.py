@@ -114,6 +114,11 @@ def count_table_strategies(inst: Instance) -> int:
     return inst.colors.size ** _entry_count(inst)
 
 
+def _asked(inst: Instance) -> int:
+    """How many players the play steps ask, counted as the sweep kernel counts them."""
+    return len({player for _, player, _, _ in _compiled(inst)})
+
+
 def _check_space(inst: Instance, cap: int) -> None:
     """Raise :class:`BudgetExceeded` if the table-strategy space holds more
     than ``cap`` strategies, without multiplying out a count past it."""
@@ -164,7 +169,7 @@ def _lex_ors(rows):
 
     The trailing entries are combined eagerly into one list of at most
     ``_TAIL`` ints; the leading ones are walked lazily, so a huge table space
-    costs memory only for what the walk reaches before its budget stops it.
+    costs space only for what the walk reaches before its budget stops it.
     """
     tail, j = [0], len(rows)
     while j and len(tail) * len(rows[j - 1]) <= _TAIL:
@@ -212,7 +217,7 @@ def _walk(inst: Instance, budget: SearchBudget, prune: bool, floor, first: bool)
     c = inst.colors.size
     index = inst.player_index
     n = len(inst.players)
-    asked = len(set(inst.labeling))
+    asked = _asked(inst)
     if not steps:  # the empty strategy is the only leaf, and nobody is wrong
         return (asked, (), 1, 0) if asked > floor else (floor, None, 1, 0)
     if power_over(c, n, budget.max_assignments):  # the first table tried already passes the cap
@@ -343,7 +348,7 @@ def best_guaranteed_correct(
     players, so the guaranteed-correct optimum settles both rule kinds.
     """
     best, tables, examined, pruned = _walk(inst, budget or DEFAULT_BUDGET, prune, -1, False)
-    asked = len(set(inst.labeling))
+    asked = _asked(inst)
     return SearchVerdict(
         exists_winning=bool(evaluate(inst.rule, best, asked - best)),
         # ``if tables``: an instance with no askings reports no witness here
@@ -368,7 +373,7 @@ def exists_winning_exhaustive(
     order (reported as the witness); a negative verdict means the entire space
     was covered.
     """
-    asked = len(set(inst.labeling))
+    asked = _asked(inst)
     need = next((k for k in range(asked + 1) if evaluate(inst.rule, k, asked - k)), asked + 1)
     _, tables, examined, pruned = _walk(inst, budget or DEFAULT_BUDGET, prune, need - 1, True)
     return SearchVerdict(

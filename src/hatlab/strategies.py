@@ -223,7 +223,8 @@ def strategy_from_descriptor(desc: Mapping, inst: Instance) -> Strategy:
         return mod_sum([int(x) for x in block], inst.colors)
     if name == "block_mod_sum":
         n = int(params.get("n", m // c))
-        return block_mod_sum(m, c, n)
+        # combined against the instance played, so a misfit fails in ``combine``
+        return engine.combine(block_mod_sum(m, c, n).parts, inst)
     if name == "base_selector":
         return base_selector(int(params.get("base", 0)))
     if name == "sum_broadcast":

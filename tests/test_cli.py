@@ -172,7 +172,7 @@ class TestSearch:
                      "--rule", "at_least:2")
         assert res.exit_code == 3
 
-    # counts past 4,300 digits, which Python will not print as an int
+    # counts past 640 digits, which Python may refuse to print as an int
     @pytest.mark.parametrize("args,message", [
         (["search", "--kind", "hnsa", "-m", "12", "-c", "2", "--rule", "at_least:1"],
          "search needs 2**24576 table strategies, budget is 10000000"),
@@ -191,6 +191,23 @@ class TestSearch:
         res = invoke(runner, *args)
         assert res.exit_code == 3
         assert res.output.splitlines() == [f"budget error: {message}"]
+
+    def test_budget_error_prints_under_the_lowest_int_printing_limit(self):
+        # a count of 1,233 digits, printed as a power: an int that long would
+        # not print under a limit of 640 digits
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+                   PYTHONINTMAXSTRDIGITS="640")
+        proc = subprocess.run([sys.executable, "-m", "hatlab.cli", "search", "--kind", "hnsf", "-m", "12",
+                               "-c", "2", "--rule", "at_least:1"], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 3
+        assert (proc.stdout, proc.stderr) == ("", "budget error: search needs 2**4095 table strategies, "
+                                                  "budget is 10000000\n")
 
     def test_huge_space_fails_fast(self, runner):
         start = time.perf_counter()
@@ -308,6 +325,12 @@ class TestInstanceDescriptors:
          "table row descriptor is missing 'seen', 'heard', 'guess'"),
         (_SWEEP + ['{"name": "constant", "params": [1]}'], "strategy params descriptor must be a JSON object, got list"),
         (_SWEEP + ['{"params": {"value": 0}}'], "strategy descriptor is missing 'name'"),
+        (_SWEEP + ['{"name": "table", "params": {"entries": 5}}'],
+         "table strategy 'entries' must be a JSON list, got int"),
+        (_SWEEP + ['{"name": "table", "params": {"entries": [{"t": 0, "seen": 5, "heard": [], "guess": 0}]}}'],
+         "table row 'seen' must be a list of [id, color] pairs, got 5"),
+        (_SWEEP + ['{"name": "table", "params": {"entries": [{"t": 0, "seen": [[1]], "heard": [], "guess": 0}]}}'],
+         "table row 'seen' must be a list of [id, color] pairs, got [[1]]"),
     ])
     def test_malformed_descriptor_is_a_config_error(self, runner, args, message):
         res = invoke(runner, *args)
@@ -338,7 +361,13 @@ class TestConfigErrorsNameTheirInput:
         (["run", "--kind", "hnsa", "-m", "3", "-c", "2", "--rule", "at_least:1",
           "--strategy", "constant:0", "--assignment", "0,x,0"],
          None, "--assignment '0,x,0': expects comma-separated integer colors"),
-    ], ids=["exception-short", "exception-text", "env-budget", "env-budget-list", "assignment"])
+        # block_mod_sum is built for hnsa; on another instance ``combine`` names the misfit
+        (["sweep", "--kind", "hnsf", "-m", "4", "-c", "2", "--rule", "at_least:1", "--strategy", "block_mod_sum:n=2"],
+         None, "a part's sight relation is not contained in the target's"),
+        (["sweep", "--kind", "hbsf", "-m", "4", "-c", "2", "--rule", "at_least:1", "--strategy", "block_mod_sum:n=2"],
+         None, "parts must cover the target askings exactly; missing=[-1] extra=[3]"),
+    ], ids=["exception-short", "exception-text", "env-budget", "env-budget-list", "assignment",
+            "block-mod-sum-hnsf", "block-mod-sum-hbsf"])
     def test_error_names_the_input(self, runner, args, env, message):
         res = invoke(runner, *args, env=env)
         assert res.exit_code == 2

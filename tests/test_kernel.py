@@ -25,6 +25,7 @@ from hatlab import (
     fewer_incorrect_than,
     hbsf,
     hnsa,
+    hnsf,
     is_winning,
     iter_plays,
     mod_sum,
@@ -207,7 +208,7 @@ def test_constructive_strategies_match_scalar(inst, strat, chunk):
 
 def sometimes(strat, bad, seed):
     """``strat``, except that ``bad(t)`` happens on a seeded quarter of the
-    observations; the memo fallback then has to meet it mid-chunk."""
+    observations; the ``decide`` adapter then has to meet it mid-chunk."""
 
     def decide(t, seen, heard):
         if random.Random(f"{seed}|{t}|{sorted(seen.items())}|{sorted(heard.items())}").random() < 0.25:
@@ -262,11 +263,14 @@ def test_out_of_range_set_form_reports_the_scalar_error(color):
 
 def assert_bad_partition_is_reported(fault):
     # the replay cannot reproduce a fault of the set form alone; its own error stands
-    inst = hnsa(3, 2, at_least(1))
     strat = RuleStrategy(lambda t, s, h: 0, sets=lambda t, s, h, full, colors: fault(full))
-    with pytest.raises(ValueError, match="decide_sets did not split the chunk into 2 disjoint sets"):
-        sweep(inst, strat)
-    assert run_game(inst, strat, (0, 0, 0)).correct_count == 3
+    # one chunk; then two chunks of 4 in which every asking is steady, so
+    # its partition is checked in the first chunk before any reuse
+    for inst, chunk in [(hnsa(3, 2, at_least(1)), engine.CHUNK_PLAYS), (hnsf(3, 2, at_least(1)), 4)]:
+        with mock.patch.object(engine, "CHUNK_PLAYS", chunk):
+            with pytest.raises(ValueError, match="decide_sets did not split the chunk into 2 disjoint sets at asking 0$"):
+                sweep(inst, strat)
+        assert run_game(inst, strat, (0, 0, 0)).correct_count == 3
 
 
 def test_wrong_batch_is_reported_when_decide_is_fine():
@@ -285,7 +289,7 @@ def test_bad_partition_is_reported_when_decide_is_fine(fault):
     assert_bad_partition_is_reported(fault)
 
 
-# --- chunking and memo -------------------------------------------------------------
+# --- chunking and steady askings ---------------------------------------------------
 
 def test_memo_calls_decide_once_per_observation():
     calls = []
@@ -295,11 +299,13 @@ def test_memo_calls_decide_once_per_observation():
         return sum(seen.values()) % 2
 
     inst = hbsf(4, 2, fewer_incorrect_than(4))
-    with mock.patch.object(engine, "CHUNK_PLAYS", 8):  # two chunks
+    with mock.patch.object(engine, "CHUNK_PLAYS", 8):  # two chunks; only the front's hat leads
         report = sweep(inst, RuleStrategy(decide))
     swept = list(calls)
     assert report == reference_sweep(inst, RuleStrategy(decide))
-    # each asking observes 3 values: 8 observations each, against 16 plays each
+    # each asking observes 3 values: 8 observations each, against 16 plays
+    # each; no asking sees the front's hat, so each is steady and decided in
+    # the first chunk only
     assert len(swept) == len(set(swept)) == 4 * 8
     # keys arrive in the order the scalar play builds them
     assert all(list(seen) == sorted(seen) and list(heard) == sorted(heard) for _, seen, heard in swept)
@@ -320,15 +326,37 @@ def test_is_winning_stops_at_the_first_failing_chunk():
     assert len(calls) == 12
 
 
-def test_memo_stays_bounded():
-    memos = []
-    strat = RuleStrategy(lambda t, s, h: 0)
+@pytest.mark.parametrize("inst, chunk, want", [
+    # 8 chunks lead with players 0-2: askings 0 and 1 see a leading hat,
+    # askings 2-4 see only trailing ones
+    (hnsf(5, 2, at_least(1)), 4, {0: 8, 1: 8, 2: 1, 3: 1, 4: 1}),
+    # 2 chunks lead with the front alone: nobody sees its hat, and everyone
+    # hears only the steady askings before it
+    (hbsf(5, 2, fewer_incorrect_than(2)), 16, {-1: 1, 0: 1, 1: 1, 2: 1, 3: 1}),
+], ids=["hnsf-5x2", "hbsf-5x2"])
+def test_steady_askings_are_decided_once_per_sweep(inst, chunk, want):
+    calls = []
+    strat = seeded_random_strategy(inst.colors, 7)
     sets = strat.decide_sets
-    strat.decide_sets = lambda t, s, h, full, colors, memo: memos.append(memo) or sets(t, s, h, full, colors, memo)
-    with mock.patch.object(engine, "CHUNK_PLAYS", 4):
-        assert sweep(hnsa(5, 2, at_least(0)), strat).winning
-    # every asking meets 16 observations over the sweep, at most 4 per chunk
-    assert max(len(known) for known in memos[0].values()) <= 4 + 4
+    strat.decide_sets = lambda t, *args: calls.append(t) or sets(t, *args)
+    with mock.patch.object(engine, "CHUNK_PLAYS", chunk):
+        report = sweep(inst, strat)
+    assert {t: calls.count(t) for t in inst.askings} == want
+    assert report == reference_sweep(inst, strat)
+
+
+@pytest.mark.parametrize("inst, strat, census, report", [
+    (hnsf(11, 3, at_least(1)), constant(0), 11 * 3**10, (0, 11, False, (1,) * 11)),
+    (hnsa(11, 3, at_least(3)), block_mod_sum(11, 3, 3), 11 * 3**10, (3, 8, True, None)),
+    (hbsf(11, 3, fewer_incorrect_than(2)), sum_broadcast(3), 10 * 3**11 + 3**10, (10, 1, True, None)),
+], ids=["hnsf-11x3-constant", "hnsa-11x3-blocks", "hbsf-11x3-broadcast"])
+def test_sweeps_across_real_chunks_match_theory(inst, strat, census, report):
+    # 3**11 assignments fill three chunks of 3**10; steady partitions come
+    # from the first chunk. constant(0) is right exactly where the hat is 0;
+    # each block has exactly one right guess; only the front can be wrong.
+    assert inst.assignment_count() > engine.CHUNK_PLAYS
+    assert sweep(inst, strat) == engine.SweepReport(3**11, *report)
+    assert correct_count_census(inst, strat) == census
 
 
 def test_error_after_the_counterexample_is_not_reached():

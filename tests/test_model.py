@@ -97,10 +97,23 @@ class TestValidation:
         assert report.valid
         assert any("sees its own hat" in w for w in report.warnings)
 
+    def test_self_sight_warning_names_each_seer(self):
+        warning = "player {} sees its own hat, which trivializes its guess"
+        inst = custom_instance(3, 2, sight=[(0, 0), (1, 1)], rule=at_least(1))
+        assert validate_instance(inst).warnings == (warning.format(0), warning.format(1))
+        inst = custom_instance(1, 2, sight=[(0, 0)], rule=at_least(0), askings=(), labeling=())
+        assert validate_instance(inst) == ValidationReport((), (warning.format(0),))
+
     def test_labeling_gap_reported(self):
         inst = custom_instance(2, 2, sight=(), rule=at_least(1), askings=(0, 1), labeling=(0,))
         report = validate_instance(inst)
         assert any("labeling covers" in e for e in report.errors)
+
+    def test_repeated_asking_id_is_an_error(self):
+        # the labeling maps asking 0 to player 1 only, so player 0 is never asked
+        inst = custom_instance(2, 2, sight=(), rule=at_least(1), askings=(0, 0, 1, 1, 2), labeling=(0, 1, 0, 1, 0))
+        assert validate_instance(inst) == ValidationReport(
+            ("asking 0 appears more than once", "asking 1 appears more than once"), ())
 
     def test_unknown_player_in_labeling(self):
         inst = custom_instance(2, 2, sight=(), rule=at_least(1), labeling=(0, 7))

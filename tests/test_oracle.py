@@ -27,6 +27,7 @@ from hatlab import (
     is_winning,
     run_game,
     sweep,
+    validate_instance,
 )
 from hatlab.engine import _compiled, iter_assignment_tuples
 from hatlab.errors import power_count, power_over
@@ -257,11 +258,11 @@ class TestEnumeration:
     @pytest.mark.parametrize("base,exponent,count", [
         (2, 10, 1024),
         (1, 10**5000, 1),
-        (10, 4299, 10**4299),  # 4,300 digits: printed
-        (10, 4300, "10**4300"),  # 4,301 digits: a power
+        (10, 639, 10**639),  # 640 digits: printed
+        (10, 640, "10**640"),  # 641 digits: a power
         (3, 17496, "3**17496"),
         (2, 10**4300, "2**" + hex(10**4300)),  # an exponent too long to print in decimal
-    ], ids=["small", "one", "4300-digits", "4301-digits", "hbsf-8x3", "hex-exponent"])
+    ], ids=["small", "one", "640-digits", "641-digits", "hbsf-8x3", "hex-exponent"])
     def test_power_count(self, base, exponent, count):
         assert power_count(base, exponent) == count
 
@@ -351,6 +352,19 @@ class TestExistsWinning:
             if is_winning(inst, strat)[0]:
                 assert strat == found
                 break
+
+    @pytest.mark.parametrize("rule", [at_least(0), at_least(1), fewer_incorrect_than(1), fewer_incorrect_than(2)])
+    def test_verdict_agrees_with_a_sweep_of_its_witness_when_an_asking_repeats(self, rule):
+        # invalid, as asking 0 repeats, and only player 1 is asked; the
+        # searches count the asked players as the sweep does
+        inst = custom_instance(2, 2, (), rule, askings=(0, 0), labeling=(0, 1))
+        assert not validate_instance(inst).valid
+        best = best_guaranteed_correct(inst)
+        report = sweep(inst, best.witness)
+        assert (report.min_correct, report.winning) == (best.best_guaranteed, best.exists_winning)
+        found = exists_winning_exhaustive(inst)
+        assert found.exists_winning == best.exists_winning
+        assert found.witness is None or sweep(inst, found.witness).winning
 
     @CASES
     def test_pruned_and_unpruned_agree(self, space, rule):
