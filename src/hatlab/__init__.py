@@ -2,8 +2,8 @@
 
 The package splits along the natural seams of the problem:
 
-* :mod:`hatlab.model` -- instances (players, colors, sight, hearing, rules),
-  validation, canonical families, JSON descriptors;
+* :mod:`hatlab.model` -- instances (players, colors, sight, hearing, rules)
+  and their play steps, validation, canonical families, JSON descriptors;
 * :mod:`hatlab.engine` -- the unique play of a strategy against an
   assignment, outcome evaluation, assignment sweeps, strategy combination;
 * :mod:`hatlab.strategies` -- the constructive strategies and the
@@ -49,6 +49,7 @@ from .model import (
     hnsf,
     instance_from_json,
     instance_to_json,
+    topological_extension,
     validate_instance,
 )
 from .engine import (
@@ -65,7 +66,6 @@ from .engine import (
     iter_plays,
     run_game,
     sweep,
-    topological_extension,
 )
 from .strategies import (
     BlockPartition,

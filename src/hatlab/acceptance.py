@@ -12,8 +12,8 @@ import time
 from dataclasses import dataclass
 
 from . import line as lazyline
-from .engine import iter_plays, run_game, sweep, topological_extension
-from .model import at_least, fewer_incorrect_than, hbsf, hnsa, hnsf
+from .engine import iter_plays, run_game, sweep
+from .model import at_least, fewer_incorrect_than, hbsf, hnsa, hnsf, topological_extension
 from .oracle import (
     best_guaranteed_correct,
     correct_count_census,

@@ -16,12 +16,7 @@ import sys
 import click
 
 from .acceptance import run_criteria
-from .engine import (
-    iter_plays,
-    run_game,
-    sweep,
-    topological_extension,
-)
+from .engine import iter_plays, run_game, sweep
 from .errors import BudgetExceeded, HatlabError, SweepTooLarge
 from .line import (
     LazyAssignment,
@@ -34,11 +29,13 @@ from .model import (
     EvaluationRule,
     Instance,
     OMEGA,
+    _json_field,
     at_least,
     build_canonical_instance,
     fewer_incorrect_than,
     instance_from_json,
     instance_to_json,
+    topological_extension,
     validate_instance,
 )
 from .oracle import (
@@ -47,10 +44,6 @@ from .oracle import (
     exists_winning_exhaustive,
 )
 from .strategies import strategy_from_descriptor
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _ints(text: str, what: str, expects: str, count: int | None = None) -> tuple[int, ...]:
@@ -81,7 +74,7 @@ def _guarded(fn):
         except (SweepTooLarge, BudgetExceeded) as exc:
             click.echo(f"budget error: {exc}", err=True)
             sys.exit(3)
-        except (HatlabError, ValueError, KeyError, TypeError, OverflowError, OSError) as exc:
+        except (HatlabError, ValueError, OverflowError, OSError) as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(2)
 
@@ -154,23 +147,19 @@ def parse_strategy_spec(text: str) -> dict:
             if key is None:
                 raise ValueError(f"strategy {name!r} takes no bare parameter")
             params[key] = rest
-    for key in ("value", "base", "n", "seed"):
+    if "block" in params:
+        params["block"] = params["block"].split("-")
+    for key, form in (("value", "int"), ("base", "int"), ("n", "int"), ("seed", "int"), ("block", "ints")):
         if key in params:
-            params[key] = int(params[key])
-    if "block" in params and isinstance(params["block"], str):
-        params["block"] = [int(x) for x in params["block"].split("-")]
-    if "entries" in params and isinstance(params["entries"], str):
+            params[key] = _json_field(params, "strategy params", key, form=form)
+    if "entries" in params:
         params["entries"] = _load_json_arg(params["entries"])
     return {"name": name, "params": params}
 
 
-def _build_strategy(spec: str, inst: Instance):
-    return strategy_from_descriptor(parse_strategy_spec(spec), inst)
-
-
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        click.echo(_dumps(report))
+        click.echo(json.dumps(report, sort_keys=True, separators=(",", ":")))
     else:
         for key in sorted(report):
             click.echo(f"{key}: {report[key]}")
@@ -206,7 +195,7 @@ def main():
 def cmd_run(instance, kind, players, colors, rule, strategy, assignment, seed, fmt):
     """Play one game and print the result; exit 0 iff the rule is satisfied."""
     inst = _build_instance(instance, kind, players, colors, rule)
-    strat = _build_strategy(strategy, inst)
+    strat = strategy_from_descriptor(parse_strategy_spec(strategy), inst)
     values = _ints(assignment, "--assignment", "comma-separated integer colors")
     order = topological_extension(inst, seed) if seed is not None else None
     result = run_game(inst, strat, values, order=order)
@@ -231,7 +220,7 @@ def cmd_run(instance, kind, players, colors, rule, strategy, assignment, seed, f
 def cmd_sweep(instance, kind, players, colors, rule, strategy, max_assignments, fmt):
     """Play every assignment; exit 0 iff the strategy wins all of them."""
     inst = _build_instance(instance, kind, players, colors, rule)
-    strat = _build_strategy(strategy, inst)
+    strat = strategy_from_descriptor(parse_strategy_spec(strategy), inst)
     budget = max_assignments if max_assignments is not None else _env_budget()
     if fmt == "csv":
         click.echo("assignment,correct,incorrect,verdict")

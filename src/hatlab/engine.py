@@ -3,47 +3,46 @@
 Given an instance, a strategy, and an assignment there is exactly one way the
 game can go: each asking's guess is forced by the hats the asked player sees
 and the guesses it has heard. :func:`run_game` computes that unique play by
-walking any linear extension of the hearing relation; which extension is used
-does not matter (the test suite asserts this rather than assuming it).
+walking the instance's play steps (``Instance.steps``) in the canonical or any
+other linear extension of the hearing relation; which extension is used does
+not matter (the test suite asserts this rather than assuming it).
 :func:`run_game` and its loop :func:`_play` are the scalar reference.
 
 A strategy is *winning* when the play it induces satisfies the instance's
 rule for every assignment; :func:`is_winning` and :func:`sweep` decide this
 by exhausting the assignment space, never from a partial scan.
 
-All whole-space work (:func:`sweep`, :func:`is_winning`, :func:`iter_plays`
-and the oracle's census) runs on one set kernel, :func:`_play_chunks`. It cuts
-the lexicographic assignment space into chunks of at most :data:`CHUNK_PLAYS`
+All whole-space work (:func:`sweep`, :func:`is_winning`, :func:`iter_plays` and
+the oracle's census) runs on one set kernel, :func:`_play_chunks`. It cuts the
+lexicographic assignment space into chunks of at most :data:`CHUNK_PLAYS`
 assignments that share their leading colors and run through every value of the
 trailing ones. Inside a chunk a set of assignments is one int, bit ``i`` for
 the ``i``-th; each player's hat is a partition of the chunk into one set per
-color, and so is each asking's guess. The kernel walks the canonical play
-order once per chunk; at each asking it asks :meth:`Strategy.decide_sets` for
-the guess partition, given the visible hat partitions and the heard guess
-partitions, and checks that it is one set per color, disjoint and covering the
-chunk. A *steady* asking sees no leading hat and hears only steady askings, so
-it is asked and checked once per sweep and its partition reused. The kernel
-keeps one wrong set per asked player (a player is wrong when any of its
-guesses is) and the sets ``S[k]`` of assignments with at least ``k`` players
-wrong. Chunks run in lexicographic order, so the lowest bit of the first
-failing ``S[k]`` of the first failing chunk is the least counterexample. A
-chunk that raises is replayed one assignment at a time through :func:`_play`,
-so errors, and the plays that come before them, are those of the scalar loop.
+color, and so is each asking's guess. The kernel checks the sweep budget, then
+walks ``Instance.steps`` once per chunk; at each asking it asks
+:meth:`Strategy.decide_sets` for the guess partition, given the visible hat
+partitions and the heard guess partitions, and checks that it is one set per
+color, disjoint and covering the chunk. A *steady* asking sees no leading hat
+and hears only steady askings, so it is asked and checked once per sweep and
+its partition reused. The kernel keeps one wrong set per asked player (a player
+is wrong when any of its guesses is) and the sets ``S[k]`` of assignments with
+at least ``k`` players wrong. Chunks run in lexicographic order, so the lowest
+bit of the first failing ``S[k]`` of the first failing chunk is the least
+counterexample. A chunk that raises is replayed one assignment at a time
+through :func:`_play`, so errors, and the plays that come before them, are
+those of the scalar loop.
 """
 
 from __future__ import annotations
 
-import bisect
-import random
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import compress, product, repeat
 from operator import and_, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CoverageError,
-    CyclicHearing,
     MissingTableEntry,
     OverlapError,
     StrategyRangeError,
@@ -58,9 +57,10 @@ from .model import (
     RuleKind,
     _hearing_order,
     _is_color,
+    _json_field,
     _json_object,
+    _steps,
     as_assignment,
-    find_hearing_cycle,
 )
 
 DEFAULT_SWEEP_BUDGET = 10**8
@@ -214,22 +214,15 @@ class TableStrategy(Strategy):
             for row in rows:
                 key = (int(row["t"]), _json_pairs(row["seen"]), _json_pairs(row["heard"]))
                 entries[key] = int(row["guess"])
-        except (KeyError, TypeError, ValueError):  # name the fault; checked only here, off the fast path
+        except (KeyError, TypeError, ValueError, OverflowError):  # name the fault; checked only here, off the fast path
             if not isinstance(rows, (list, tuple)):
                 raise ValueError(f"table strategy 'entries' must be a JSON list, got {type(rows).__name__}") from None
             for row in rows:
                 _json_object(row, "table row", ("t", "seen", "heard", "guess"))
-                for key in ("seen", "heard"):
-                    if not _is_pairs(row[key]):
-                        raise ValueError(f"table row {key!r} must be a list of [id, color] pairs, "
-                                         f"got {row[key]!r}") from None
+                for key, form in (("seen", "observation"), ("heard", "observation"), ("t", "int"), ("guess", "int")):
+                    _json_field(row, "table row", key, form=form)
             raise
         return TableStrategy(entries)
-
-
-def _is_pairs(raw) -> bool:
-    """Whether ``raw`` has the shape of a list of ``[id, color]`` pairs."""
-    return isinstance(raw, (list, tuple)) and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in raw)
 
 
 def _json_pairs(raw) -> tuple[tuple[int, int], ...]:
@@ -237,43 +230,6 @@ def _json_pairs(raw) -> tuple[tuple[int, int], ...]:
     pairs = [(int(a), int(b)) for a, b in raw]
     pairs.sort()
     return tuple(pairs)
-
-
-# --- play order -------------------------------------------------------------
-
-def topological_extension(inst: Instance, seed: int | None = None) -> tuple[int, ...]:
-    """A linear order on askings extending the hearing relation, read from
-    ``graphlib`` (:func:`model._hearing_order` raises :class:`CyclicHearing`).
-
-    With ``seed=None`` the choice among ready askings is always the least id,
-    giving the canonical (lexicographically least) extension; an integer seed
-    randomizes the tie-breaks, which is how the suite exercises that play does
-    not depend on the extension.
-    """
-    sorter = _hearing_order(inst)
-    rng = random.Random(seed) if seed is not None else None
-    ready, order = sorted(sorter.get_ready()), []
-    while ready:
-        t = ready.pop(rng.randrange(len(ready)) if rng is not None else 0)
-        order.append(t)
-        sorter.done(t)
-        for nxt in sorter.get_ready():
-            bisect.insort(ready, nxt)
-    return tuple(order)
-
-
-def _steps(inst: Instance, order: Sequence[int]) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]:
-    """The play steps ``(t, player, seen, heard)``, one per asking in ``order``."""
-    return tuple(
-        (t, inst.label_of(t), inst.seen_by(inst.label_of(t)), inst.heard_at(t))
-        for t in order
-    )
-
-
-@lru_cache(maxsize=256)
-def _compiled(inst: Instance) -> tuple:
-    """The play steps in the canonical order, reused across plays of ``inst``."""
-    return _steps(inst, topological_extension(inst))
 
 
 # --- play and scoring -------------------------------------------------------
@@ -316,9 +272,9 @@ def run_game(
     seed; the resulting play is the same for every valid order.
     """
     a = as_assignment(inst, assignment)
-    steps = _compiled(inst) if order is None else _ordered_steps(inst, order)
-    guesses, asked, wrong = _play(steps, a, strat.decide, inst.colors.size)
-    correct = frozenset(asked - wrong)
+    steps = inst.steps if order is None else _ordered_steps(inst, order)
+    guesses, wrong = _play(steps, a, strat.decide, inst.colors.size)
+    correct = frozenset(inst.asked).difference(wrong)
     incorrect = frozenset(wrong)
     verdict = evaluate(inst.rule, len(correct), len(incorrect))
     return GameResult(guesses, correct, incorrect, verdict)
@@ -330,9 +286,7 @@ def _ordered_steps(inst: Instance, order: Sequence[int]) -> tuple:
     order = tuple(order)
     if sorted(order) != sorted(inst.askings):
         raise ValueError("order must be a permutation of the instance's askings")
-    cycle = find_hearing_cycle(inst)
-    if cycle is not None:
-        raise CyclicHearing(cycle)
+    _hearing_order(inst)  # raises CyclicHearing
     pos = {t: i for i, t in enumerate(order)}
     for earlier, later in inst.hearing:
         if later in pos and pos.get(earlier, len(order)) > pos[later]:
@@ -345,7 +299,6 @@ def _play(steps, a, decide, size):
     strategy applied to exactly what that asking may observe."""
     guesses: dict[int, int] = {}
     wrong: set[int] = set()
-    asked: set[int] = set()
     for t, m, vis, hrd in steps:
         g = decide(t, {x: a[x] for x in vis}, {x: guesses[x] for x in hrd})
         if not _is_color(g, size):
@@ -353,10 +306,9 @@ def _play(steps, a, decide, size):
                 f"strategy returned {g!r} at asking {t}; colors are 0..{size - 1}"
             )
         guesses[t] = g
-        asked.add(m)
         if g != a[m]:
             wrong.add(m)
-    return guesses, asked, wrong
+    return guesses, wrong
 
 
 # --- whole-space sweeps -----------------------------------------------------
@@ -388,14 +340,13 @@ class SweepReport:
         }
 
 
-def _check_sweep_budget(inst: Instance, max_assignments: int | None) -> int:
+def _check_sweep_budget(inst: Instance, max_assignments: int | None) -> None:
     budget = DEFAULT_SWEEP_BUDGET if max_assignments is None else max_assignments
     if budget < 1:
         raise ValueError("budgets must be positive")
     c, m = inst.colors.size, len(inst.players)
     if power_over(c, m, budget):
         raise SweepTooLarge(power_count(c, m), budget)
-    return inst.assignment_count()
 
 
 class _Chunk:
@@ -403,16 +354,16 @@ class _Chunk:
 
     The chunk's assignments share the leading colors ``prefix`` and run
     lexicographically through every value of the ``width`` trailing ones;
-    bit ``i`` of a set stands for the ``i``-th. ``guesses`` holds one guess
-    partition per asking, in play order; ``wrong`` the wrong set of each
-    player in ``asked``; ``S[k]`` the assignments with at least ``k`` players
-    wrong, for ``k`` up to the most wrong anywhere.
+    bit ``i`` of a set stands for the ``i``-th. ``guesses`` maps each asking,
+    in play order, to its guess partition; ``wrong`` each asked player, in
+    first-asked order, to its wrong set; ``S[k]`` holds the assignments with
+    at least ``k`` players wrong, for ``k`` up to the most wrong anywhere.
     """
 
-    __slots__ = ("prefix", "width", "colors", "asked", "guesses", "wrong", "S")
+    __slots__ = ("prefix", "width", "colors", "guesses", "wrong", "S")
 
-    def __init__(self, prefix, width, colors, asked, guesses, wrong, S):
-        self.prefix, self.width, self.colors, self.asked = prefix, width, colors, asked
+    def __init__(self, prefix, width, colors, guesses, wrong, S):
+        self.prefix, self.width, self.colors = prefix, width, colors
         self.guesses, self.wrong, self.S = guesses, wrong, S
 
     def assignment(self, i: int) -> tuple[int, ...]:
@@ -420,17 +371,17 @@ class _Chunk:
 
     def least_failure(self, rule: EvaluationRule) -> tuple[int, ...] | None:
         """The first assignment of the chunk whose play breaks ``rule``."""
-        asked = len(self.asked)
-        losing = next((s for k, s in enumerate(self.S) if not evaluate(rule, asked - k, k)), 0)
+        losing = next((s for k, s in enumerate(self.S) if not evaluate(rule, len(self.wrong) - k, k)), 0)
         return self.assignment((losing & -losing).bit_length() - 1) if losing else None
 
 
-def _play_chunks(inst: Instance, strat: Strategy) -> Iterator[_Chunk]:
-    """Play every assignment, in lexicographic order, a chunk at a time."""
-    steps = _compiled(inst)
+def _play_chunks(inst: Instance, strat: Strategy, max_assignments: int | None) -> Iterator[_Chunk]:
+    """Play every assignment, in lexicographic order, a chunk at a time, once
+    the space is checked against the budget."""
+    _check_sweep_budget(inst, max_assignments)
+    steps, asked = inst.steps, inst.asked
     players = inst.players
     size = inst.colors.size
-    asked = tuple(dict.fromkeys(m for _, m, _, _ in steps))
     width = 0
     while width < len(players) and size ** (width + 1) <= CHUNK_PLAYS:
         width += 1
@@ -464,12 +415,12 @@ def _play_chunks(inst: Instance, strat: Strategy) -> Iterator[_Chunk]:
         except Exception as exc:  # replayed below, so the scalar play raises it first
             error = exc
         else:
-            yield _Chunk(prefix, width, size, asked, list(guesses.values()), [wrong[m] for m in asked], S)
+            yield _Chunk(prefix, width, size, guesses, wrong, S)
             continue
         for values in (prefix + tail for tail in product(range(size), repeat=width)):
-            guesses, _, wrong = _play(steps, dict(zip(players, values)), strat.decide, size)
-            points = [[int(g == color) for color in range(size)] for g in guesses.values()]
-            yield _Chunk(values, 0, size, asked, points, [int(m in wrong) for m in asked], [1] * (len(wrong) + 1))
+            guesses, wrong = _play(steps, dict(zip(players, values)), strat.decide, size)
+            points = {t: [int(g == color) for color in range(size)] for t, g in guesses.items()}
+            yield _Chunk(values, 0, size, points, {m: int(m in wrong) for m in asked}, [1] * (len(wrong) + 1))
         raise error
 
 
@@ -502,17 +453,15 @@ def sweep(
     The counterexample, when the strategy is not winning, is the
     lexicographically least failing assignment.
     """
-    total = _check_sweep_budget(inst, max_assignments)
-    asked = max_incorrect = 0
+    max_incorrect = 0
     counterexample = None
-    for chunk in _play_chunks(inst, strat):
-        asked = len(chunk.asked)
+    for chunk in _play_chunks(inst, strat, max_assignments):
         max_incorrect = max(max_incorrect, len(chunk.S) - 1)
         if counterexample is None:
             counterexample = chunk.least_failure(inst.rule)
     return SweepReport(
-        assignments=total,
-        min_correct=asked - max_incorrect,
+        assignments=inst.assignment_count(),
+        min_correct=len(inst.asked) - max_incorrect,
         max_incorrect=max_incorrect,
         winning=counterexample is None,
         counterexample=counterexample,
@@ -525,22 +474,19 @@ def iter_plays(
     max_assignments: int | None = None,
 ) -> Iterator[tuple[tuple[int, ...], GameResult]]:
     """Play every assignment in lexicographic order, yielding full results."""
-    _check_sweep_budget(inst, max_assignments)
-    order = [t for t, _, _, _ in _compiled(inst)]
-    rule = inst.rule
-    for chunk in _play_chunks(inst, strat):
+    for chunk in _play_chunks(inst, strat, max_assignments):
         n = chunk.colors**chunk.width
-        rows = zip(*(_column(part, n) for part in chunk.guesses)) if order else repeat((), n)
-        flags = zip(*(_column([0, w], n) for w in chunk.wrong)) if chunk.asked else repeat((), n)
+        rows = zip(*(_column(part, n) for part in chunk.guesses.values())) if chunk.guesses else repeat((), n)
+        flags = zip(*(_column([0, w], n) for w in chunk.wrong.values())) if chunk.wrong else repeat((), n)
         outcomes: dict[tuple[int, ...], tuple[frozenset[int], frozenset[int], bool]] = {}
         tails = product(range(chunk.colors), repeat=chunk.width)
         for values, row, wrong in zip((chunk.prefix + tail for tail in tails), rows, flags):
             outcome = outcomes.get(wrong)
             if outcome is None:
-                incorrect = frozenset(compress(chunk.asked, wrong))
-                correct = frozenset(chunk.asked) - incorrect
-                outcome = outcomes[wrong] = (correct, incorrect, evaluate(rule, len(correct), len(incorrect)))
-            yield values, GameResult(dict(zip(order, row)), *outcome)
+                incorrect = frozenset(compress(chunk.wrong, wrong))
+                correct = frozenset(chunk.wrong) - incorrect
+                outcome = outcomes[wrong] = (correct, incorrect, evaluate(inst.rule, len(correct), len(incorrect)))
+            yield values, GameResult(dict(zip(chunk.guesses, row)), *outcome)
 
 
 def is_winning(
@@ -549,8 +495,7 @@ def is_winning(
     max_assignments: int | None = None,
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Decide winningness, stopping at the first (lex-least) counterexample."""
-    _check_sweep_budget(inst, max_assignments)
-    for chunk in _play_chunks(inst, strat):
+    for chunk in _play_chunks(inst, strat, max_assignments):
         counterexample = chunk.least_failure(inst.rule)
         if counterexample is not None:
             return False, counterexample

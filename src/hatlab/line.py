@@ -32,11 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Mapping
 
 from .errors import ShapeMismatch
-from .model import ColorSpace, _json_object, as_colors
+from .model import ColorSpace, _json_field, _json_object, as_colors
 
 
 @dataclass(frozen=True, order=True)
@@ -142,12 +142,14 @@ class LazyAssignment:
 
 def lazy_assignment_from_json(data: Mapping) -> tuple[LineShape, LazyAssignment]:
     """Parse the lazy descriptor; the front is present exactly when non-null."""
-    _json_object(data, "lazy assignment", ("base",))
+    field = partial(_json_field, _json_object(data, "lazy assignment", ("base",)), "lazy assignment")
     front = data.get("front")
-    shape = LineShape(int(data.get("blocks", 1)), front_present=front is not None)
-    entries = (_json_object(e, "exception", ("k", "n", "color")) for e in data.get("exceptions", ()))
-    exceptions = [(OrdinalPosition(int(e["k"]), int(e["n"])), int(e["color"])) for e in entries]
-    a = LazyAssignment.of(int(data["base"]), exceptions, None if front is None else int(front))
+    shape = LineShape(field("blocks", 1), front_present=front is not None)
+    exceptions = []
+    for e in field("exceptions", (), "list"):
+        entry = partial(_json_field, _json_object(e, "exception", ("k", "n", "color")), "exception")
+        exceptions.append((OrdinalPosition(entry("k"), entry("n")), entry("color")))
+    a = LazyAssignment.of(field("base"), exceptions, None if front is None else field("front"))
     for pos, _ in a.exceptions:
         if pos not in shape:
             raise ShapeMismatch(f"exception at {pos!r} lies outside the {shape.limit_blocks}-block line")

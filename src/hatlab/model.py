@@ -12,6 +12,10 @@ provided:
   hears every earlier guess; the line starts with a distinguished front
   player at index ``-1``.
 
+An instance fixes its play before any strategy is chosen: computed once per
+instance, :attr:`Instance.steps` are the play steps in the canonical order
+(:func:`topological_extension`) and :attr:`Instance.asked` the players asked.
+
 The adversary picks a full color assignment (any map from players to colors);
 the engine module derives the unique play of a strategy against it and scores
 the play with the instance's evaluation rule.
@@ -19,13 +23,15 @@ the play with the instance's evaluation rule.
 
 from __future__ import annotations
 
+import bisect
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from graphlib import CycleError, TopologicalSorter
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CyclicHearing, ZeroSize
 
@@ -99,9 +105,7 @@ class EvaluationRule:
     def from_json(data: Mapping) -> "EvaluationRule":
         _json_object(data, "rule", ("kind", "threshold"))
         kind = RuleKind(data["kind"])
-        raw = data["threshold"]
-        threshold = OMEGA if raw == "omega" else int(raw)
-        return EvaluationRule(kind, threshold)
+        return EvaluationRule(kind, _json_field(data, "rule", "threshold", form="threshold"))
 
 
 def at_least(threshold: int) -> EvaluationRule:
@@ -185,6 +189,16 @@ class Instance:
     @cached_property
     def player_index(self) -> dict[int, int]:
         return {m: i for i, m in enumerate(self.players)}
+
+    @cached_property
+    def steps(self) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]:
+        """The play steps ``(t, player, seen, heard)`` in the canonical play order."""
+        return _steps(self, topological_extension(self))
+
+    @cached_property
+    def asked(self) -> tuple[int, ...]:
+        """The players the play steps ask, in first-asked order."""
+        return tuple(dict.fromkeys(m for _, m, _, _ in self.steps))
 
     def assignment_count(self) -> int:
         return self.colors.size ** len(self.players)
@@ -296,6 +310,32 @@ def _hearing_order(inst: Instance) -> TopologicalSorter:
     except CycleError as exc:
         raise CyclicHearing(exc.args[1][:-1]) from None
     return order
+
+
+def topological_extension(inst: Instance, seed: int | None = None) -> tuple[int, ...]:
+    """A linear order on askings extending the hearing relation, read from
+    ``graphlib`` (:func:`_hearing_order` raises :class:`CyclicHearing`).
+
+    With ``seed=None`` the choice among ready askings is always the least id,
+    giving the canonical (lexicographically least) extension; an integer seed
+    randomizes the tie-breaks, which is how the suite exercises that play does
+    not depend on the extension.
+    """
+    sorter = _hearing_order(inst)
+    rng = random.Random(seed) if seed is not None else None
+    ready, order = sorted(sorter.get_ready()), []
+    while ready:
+        t = ready.pop(rng.randrange(len(ready)) if rng is not None else 0)
+        order.append(t)
+        sorter.done(t)
+        for nxt in sorter.get_ready():
+            bisect.insort(ready, nxt)
+    return tuple(order)
+
+
+def _steps(inst: Instance, order: Iterable[int]) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]:
+    """The play steps ``(t, player, seen, heard)``, one per asking in ``order``."""
+    return tuple((t, m, inst.seen_by(m), inst.heard_at(t)) for t in order for m in [inst.label_of(t)])
 
 
 def find_hearing_cycle(inst: Instance) -> tuple[int, ...] | None:
@@ -413,18 +453,50 @@ def _json_object(data, what: str, required: Sequence[str]) -> Mapping:
     return data
 
 
+def _json_list(raw) -> list:
+    if not isinstance(raw, (list, tuple)):
+        raise TypeError("not a list")
+    return list(raw)
+
+
+def _int_pairs(raw) -> list[tuple[int, int]]:
+    return [(int(a), int(b)) for a, b in map(_json_list, _json_list(raw))]
+
+
+_FIELD_FORMS = {  # form: (reader, what it accepts); an integer is whatever ``int()`` accepts
+    "int": (int, "an integer"),
+    "threshold": (lambda raw: OMEGA if raw == "omega" else int(raw), "an integer or 'omega'"),
+    "list": (_json_list, "a JSON list"),
+    "ints": (lambda raw: [int(x) for x in _json_list(raw)], "a list of integers"),
+    "pairs": (_int_pairs, "a list of [id, id] pairs"),
+    "observation": (_int_pairs, "a list of [id, color] pairs"),
+}
+
+
+def _json_field(data: Mapping, what: str, key: str, default=None, form: str = "int"):
+    """The ``key`` field of a ``what`` descriptor read in ``form``, or ``default``
+    when it is absent; any other value is a ``ValueError`` naming all three."""
+    if key not in data:
+        return default
+    read, expects = _FIELD_FORMS[form]
+    try:
+        return read(data[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} {key!r} must be {expects}, got {data[key]!r}") from None
+
+
 def instance_from_json(data: Mapping) -> Instance:
     """Parse an instance descriptor (inverse of :func:`instance_to_json`)."""
-    _json_object(data, "instance", ("players", "colors", "rule"))
+    field = partial(_json_field, _json_object(data, "instance", ("players", "colors", "rule")), "instance")
     kind = str(data.get("kind", "custom")).lower()
     rule = EvaluationRule.from_json(data["rule"])
-    m = int(data["players"])
-    c = int(data["colors"])
+    m = field("players")
+    c = field("colors")
     if kind in CANONICAL_KINDS:
         return build_canonical_instance(kind, m, c, rule)
     if kind != "custom":
         raise ValueError(f"unknown instance kind {kind!r}")
-    labeling = data.get("labeling")
+    labeling = None if data.get("labeling") is None else field("labeling", form="ints")
     askings = None if labeling is None else range(len(labeling))
-    return custom_instance(m, c, data.get("sight", ()), rule, hearing=data.get("hearing", ()),
+    return custom_instance(m, c, field("sight", (), "pairs"), rule, hearing=field("hearing", (), "pairs"),
                            askings=askings, labeling=labeling)

@@ -3,15 +3,15 @@
 For desk-scale instances every table strategy can be enumerated, so claims of
 the form "no strategy guarantees k correct guesses" become checkable facts
 rather than arguments. Both searches are one branch-and-bound walk over the
-strategy space as a tree (one level per play step, one branch per table for
-that asking): find the first strategy, in enumeration order, whose guaranteed
-correct count is above a *floor*. The best-guaranteed search starts the floor
-at -1 and raises it to each leaf that beats it, walking on to the end; the
-existence search fixes the floor just below what the rule needs and stops at
-the first leaf above it. A branch is pruned once some assignment already has
-so many players wrong that no completion can get more than the floor right.
-Pruning never changes a verdict, only the work done; the suite checks this by
-comparing against the unpruned walk.
+strategy space as a tree (one level per play step of ``Instance.steps``, one
+branch per table for that asking): find the first strategy, in enumeration
+order, whose guaranteed correct count is above a *floor*. The best-guaranteed
+search starts the floor at -1 and raises it to each leaf that beats it,
+walking on to the end; the existence search fixes the floor just below what
+the rule needs and stops at the first leaf above it. A branch is pruned once
+some assignment already has so many players wrong that no completion can get
+more than the floor right. Pruning never changes a verdict, only the work
+done; the suite checks this by comparing against the unpruned walk.
 
 The walk works on the assignment space transposed: every set of assignments
 is one Python int used as a bitset, so a table's effect on all assignments is
@@ -39,8 +39,6 @@ from .engine import (
     TableStrategy,
     Strategy,
     _cells,
-    _check_sweep_budget,
-    _compiled,
     _hat_sets,
     _play_chunks,
     evaluate,
@@ -92,7 +90,7 @@ class SearchVerdict:
 
 # --- the strategy space -----------------------------------------------------
 #
-# One decision table per play step of ``engine._compiled``, in its canonical
+# One decision table per play step of ``Instance.steps``, in its canonical
 # play order, so that a prefix of chosen tables already fixes the guesses at
 # all its askings. A step ``(t, player, seen, heard)`` has a table of
 # ``c ** (len(seen) + len(heard))`` entries, lexicographic over the seen
@@ -106,17 +104,12 @@ def _table_size(c: int, step) -> int:
 def _entry_count(inst: Instance) -> int:
     """The table entries of all play steps: the space holds ``c`` to this power."""
     c = inst.colors.size
-    return sum(_table_size(c, step) for step in _compiled(inst))
+    return sum(_table_size(c, step) for step in inst.steps)
 
 
 def count_table_strategies(inst: Instance) -> int:
     """Exact size of the table-strategy space (may be astronomically large)."""
     return inst.colors.size ** _entry_count(inst)
-
-
-def _asked(inst: Instance) -> int:
-    """How many players the play steps ask, counted as the sweep kernel counts them."""
-    return len({player for _, player, _, _ in _compiled(inst)})
 
 
 def _check_space(inst: Instance, cap: int) -> None:
@@ -139,10 +132,9 @@ def enumerate_table_strategies(inst: Instance, max_strategies: int | None = None
     cap = budget.max_strategies
     _check_space(inst, cap)
     c = inst.colors.size
-    steps = _compiled(inst)
 
     def gen():
-        per_step = [product(range(c), repeat=_table_size(c, step)) for step in steps]
+        per_step = [product(range(c), repeat=_table_size(c, step)) for step in inst.steps]
         for combo in product(*per_step):
             yield _materialize(inst, combo)
 
@@ -152,7 +144,7 @@ def enumerate_table_strategies(inst: Instance, max_strategies: int | None = None
 def _materialize(inst: Instance, tables) -> TableStrategy:
     c = inst.colors.size
     entries = {}
-    for (t, _, seen, heard), table in zip(_compiled(inst), tables):
+    for (t, _, seen, heard), table in zip(inst.steps, tables):
         keys = product(product(range(c), repeat=len(seen)), product(range(c), repeat=len(heard)))
         for (av, gv), guess in zip(keys, table):
             entries[(t, tuple(zip(seen, av)), tuple(zip(heard, gv)))] = guess
@@ -213,11 +205,11 @@ def _walk(inst: Instance, budget: SearchBudget, prune: bool, floor, first: bool)
     no leaf beat the starting floor).
     """
     _check_space(inst, budget.max_strategies)
-    steps = _compiled(inst)
+    steps = inst.steps
     c = inst.colors.size
     index = inst.player_index
     n = len(inst.players)
-    asked = _asked(inst)
+    asked = len(inst.asked)
     if not steps:  # the empty strategy is the only leaf, and nobody is wrong
         return (asked, (), 1, 0) if asked > floor else (floor, None, 1, 0)
     if power_over(c, n, budget.max_assignments):  # the first table tried already passes the cap
@@ -348,11 +340,9 @@ def best_guaranteed_correct(
     players, so the guaranteed-correct optimum settles both rule kinds.
     """
     best, tables, examined, pruned = _walk(inst, budget or DEFAULT_BUDGET, prune, -1, False)
-    asked = _asked(inst)
     return SearchVerdict(
-        exists_winning=bool(evaluate(inst.rule, best, asked - best)),
-        # ``if tables``: an instance with no askings reports no witness here
-        witness=_materialize(inst, tables) if tables else None,
+        exists_winning=bool(evaluate(inst.rule, best, len(inst.asked) - best)),
+        witness=_materialize(inst, tables),
         best_guaranteed=best,
         strategies_examined=examined,
         pruned=pruned,
@@ -373,7 +363,7 @@ def exists_winning_exhaustive(
     order (reported as the witness); a negative verdict means the entire space
     was covered.
     """
-    asked = _asked(inst)
+    asked = len(inst.asked)
     need = next((k for k in range(asked + 1) if evaluate(inst.rule, k, asked - k)), asked + 1)
     _, tables, examined, pruned = _walk(inst, budget or DEFAULT_BUDGET, prune, need - 1, True)
     return SearchVerdict(
@@ -400,8 +390,7 @@ def correct_count_census(
     in exactly a 1/colors fraction of them. That invariance is what caps the
     guaranteed-correct count at players/colors, independently of any search.
     """
-    _check_sweep_budget(inst, max_assignments)
     total = 0
-    for chunk in _play_chunks(inst, strat):
-        total += sum(chunk.colors**chunk.width - wrong.bit_count() for wrong in chunk.wrong)
+    for chunk in _play_chunks(inst, strat, max_assignments):
+        total += sum(chunk.colors**chunk.width - wrong.bit_count() for wrong in chunk.wrong.values())
     return total

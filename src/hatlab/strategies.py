@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 from . import engine
@@ -19,7 +20,7 @@ from .errors import (
     NotHBSF,
     TooManyBlocks,
 )
-from .model import ColorSpace, Instance, _is_color, _json_object, as_colors, at_least, custom_instance, hnsa
+from .model import ColorSpace, Instance, _is_color, _json_field, _json_object, as_colors, at_least, custom_instance, hnsa
 
 
 def constant(color: int) -> Strategy:
@@ -216,21 +217,20 @@ def strategy_from_descriptor(desc: Mapping, inst: Instance) -> Strategy:
     params = dict(_json_object(desc.get("params") or {}, "strategy params", ()))
     c = inst.colors.size
     m = len(inst.players)
+    param = partial(_json_field, params, "strategy params")
     if name == "constant":
-        return constant(int(params.get("value", 0)))
+        return constant(param("value", 0))
     if name == "mod_sum":
-        block = params.get("block", inst.players[:c])
-        return mod_sum([int(x) for x in block], inst.colors)
+        return mod_sum(param("block", inst.players[:c], "ints"), inst.colors)
     if name == "block_mod_sum":
-        n = int(params.get("n", m // c))
         # combined against the instance played, so a misfit fails in ``combine``
-        return engine.combine(block_mod_sum(m, c, n).parts, inst)
+        return engine.combine(block_mod_sum(m, c, param("n", m // c)).parts, inst)
     if name == "base_selector":
-        return base_selector(int(params.get("base", 0)))
+        return base_selector(param("base", 0))
     if name == "sum_broadcast":
         return sum_broadcast(inst.colors)
     if name == "random":
-        return seeded_random_strategy(inst.colors, int(params.get("seed", 0)))
+        return seeded_random_strategy(inst.colors, param("seed", 0))
     if name == "table":
         return TableStrategy.from_json(_json_object(params, "table strategy params", ("entries",))["entries"])
     raise ValueError(f"unknown strategy {name!r}")

@@ -172,6 +172,23 @@ class TestSearch:
                      "--rule", "at_least:2")
         assert res.exit_code == 3
 
+    # with no askings the empty table is the only strategy; both modes name it when it wins,
+    # and best mode names it as the optimum's attainer even when the rule is out of reach
+    @pytest.mark.parametrize("threshold,mode,best,exists,witness", [
+        (0, "best", 0, True, []),
+        (0, "exists", None, True, []),
+        (1, "best", 0, False, []),
+        (1, "exists", None, False, None),
+    ])
+    def test_instance_without_askings(self, runner, threshold, mode, best, exists, witness):
+        desc = {"kind": "custom", "players": 2, "colors": 2, "labeling": [],
+                "rule": {"kind": "at_least", "threshold": threshold}}
+        res = invoke(runner, "search", "--instance", json.dumps(desc), "--mode", mode)
+        assert res.exit_code == 0
+        report = json.loads(res.output)
+        assert (report["best_guaranteed"], report["exists_winning"], report["witness_table"]) == (best, exists, witness)
+        assert (report["strategies_examined"], report["pruned"]) == (1, 0)
+
     # counts past 640 digits, which Python may refuse to print as an int
     @pytest.mark.parametrize("args,message", [
         (["search", "--kind", "hnsa", "-m", "12", "-c", "2", "--rule", "at_least:1"],
@@ -331,6 +348,35 @@ class TestInstanceDescriptors:
          "table row 'seen' must be a list of [id, color] pairs, got 5"),
         (_SWEEP + ['{"name": "table", "params": {"entries": [{"t": 0, "seen": [[1]], "heard": [], "guess": 0}]}}'],
          "table row 'seen' must be a list of [id, color] pairs, got [[1]]"),
+        # a field of the wrong type names the descriptor, the field and the value
+        (["line", "--strategy", "see_all_selector", "-c", "2", "--lazy", '{"base": null}'],
+         "lazy assignment 'base' must be an integer, got None"),
+        (["line", "--strategy", "see_all_selector", "-c", "2", "--lazy", '{"base": 0, "blocks": [2]}'],
+         "lazy assignment 'blocks' must be an integer, got [2]"),
+        (["line", "--strategy", "see_all_selector", "-c", "2", "--lazy", '{"base": 0, "exceptions": 5}'],
+         "lazy assignment 'exceptions' must be a JSON list, got 5"),
+        (["search", "--instance", '{"kind": "hnsa", "players": null, "colors": 2, "rule": {"kind": "at_least", '
+                                  '"threshold": 1}}'],
+         "instance 'players' must be an integer, got None"),
+        (["search", "--instance", '{"kind": "hnsa", "players": 2, "colors": 2, "rule": {"kind": "at_least", '
+                                  '"threshold": null}}'],
+         "rule 'threshold' must be an integer or 'omega', got None"),
+        (["search", "--instance", '{"players": 2, "colors": 2, "sight": 5, "rule": {"kind": "at_least", '
+                                  '"threshold": 1}}'],
+         "instance 'sight' must be a list of [id, id] pairs, got 5"),
+        (["search", "--instance", '{"players": 2, "colors": 2, "labeling": 5, "rule": {"kind": "at_least", '
+                                  '"threshold": 1}}'],
+         "instance 'labeling' must be a list of integers, got 5"),
+        (_SWEEP + ['{"name": "constant", "params": {"value": null}}'],
+         "strategy params 'value' must be an integer, got None"),
+        (_SWEEP + ['{"name": "mod_sum", "params": {"block": 5}}'],
+         "strategy params 'block' must be a list of integers, got 5"),
+        (_SWEEP + ['{"name": "table", "params": {"entries": [{"t": 0, "seen": [[1, null]], "heard": [], "guess": 0}]}}'],
+         "table row 'seen' must be a list of [id, color] pairs, got [[1, None]]"),
+        (_SWEEP + ['{"name": "table", "params": {"entries": [{"t": 0, "seen": [[1, 0]], "heard": [], "guess": null}]}}'],
+         "table row 'guess' must be an integer, got None"),
+        (_SWEEP + ["constant:abc"], "strategy params 'value' must be an integer, got 'abc'"),
+        (_SWEEP + ["random:seed=1.5"], "strategy params 'seed' must be an integer, got '1.5'"),
     ])
     def test_malformed_descriptor_is_a_config_error(self, runner, args, message):
         res = invoke(runner, *args)
@@ -467,6 +513,24 @@ class TestVerify:
         res = invoke(runner, "verify", "--only", "no-such-criterion")
         assert res.exit_code == 2
 
+    def test_failing_criterion_exits_one(self, runner, monkeypatch):
+        from types import SimpleNamespace
+
+        from hatlab import acceptance
+
+        def fails():
+            raise AssertionError("the claim does not hold")
+
+        monkeypatch.setattr(acceptance, "CRITERIA", (("holds", lambda: "fine", None), ("fails", fails, None)))
+        monkeypatch.setattr(acceptance, "time", SimpleNamespace(perf_counter=iter([0.0, 0.5, 1.0, 1.25]).__next__))
+        res = invoke(runner, "verify")
+        assert res.exit_code == 1
+        assert res.output.splitlines() == [
+            "PASS  holds    0.50s  fine",
+            "FAIL  fails    0.25s  the claim does not hold",
+            "1/2 criteria passed",
+        ]
+
 
 class TestCommands:
     def test_help_lists_exactly_the_commands(self, runner):
@@ -478,6 +542,46 @@ class TestCommands:
 
     def test_bench_is_gone(self, runner):
         assert invoke(runner, "bench").exit_code == 2
+
+
+class TestTextFormat:
+    """``--format text`` prints one ``key: value`` line per report key, in key order."""
+
+    @pytest.mark.parametrize("args,code,lines", [
+        (["run", "--kind", "hbsf", "-m", "4", "-c", "2", "--strategy", "sum_broadcast",
+          "--assignment", "0,1,1,0", "--rule", "fewer_incorrect:2"], 0,
+         ["assignment: [0, 1, 1, 0]", "correct: [-1, 0, 1, 2]", "guesses: [0, 1, 1, 0]", "incorrect: []",
+          "instance: {'kind': 'hbsf', 'players': 4, 'colors': 2, 'rule': {'kind': 'fewer_incorrect', "
+          "'threshold': 2}}", "verdict: 1"]),
+        (["sweep", "--kind", "hnsf", "-m", "3", "-c", "2", "--strategy", "constant:0", "--rule", "at_least:1"], 1,
+         ["assignments: 8", "counterexample: [1, 1, 1]", "max_incorrect: 3", "min_correct: 0", "winning: False"]),
+        (["search", "--kind", "hnsa", "-m", "2", "-c", "2", "--rule", "at_least:1"], 0,
+         ["best_guaranteed: None", "exists_winning: True",
+          "instance: {'kind': 'hnsa', 'players': 2, 'colors': 2, 'rule': {'kind': 'at_least', 'threshold': 1}}",
+          "pruned: 0", "strategies_examined: 7",
+          "witness_table: [{'t': 0, 'seen': [[1, 0]], 'heard': [], 'guess': 0}, "
+          "{'t': 0, 'seen': [[1, 1]], 'heard': [], 'guess': 1}, {'t': 1, 'seen': [[0, 0]], 'heard': [], 'guess': 1}, "
+          "{'t': 1, 'seen': [[0, 1]], 'heard': [], 'guess': 0}]"]),
+        (["line", "--strategy", "see_all_selector", "-c", "2", "--blocks", "1", "--exception", "0,3,1"], 0,
+         ["assignment: {'base': 0, 'exceptions': [{'k': 0, 'n': 3, 'color': 1}], 'front': None, 'blocks': 1}",
+          "base_guess: 0", "cofinite_correct: True", "incorrect: [[0, 3]]", "overrides: []"]),
+    ], ids=["run", "sweep", "search", "line"])
+    def test_text_report(self, runner, args, code, lines):
+        res = invoke(runner, *args, "--format", "text")
+        assert res.exit_code == code
+        assert res.output.splitlines() == lines
+
+
+class TestRuleOption:
+    @pytest.mark.parametrize("rule,message", [
+        ("at_least", "rule 'at_least' needs a threshold, e.g. at_least:1"),
+        ("most:1", "unknown rule 'most'; use at_least or fewer_incorrect"),
+    ])
+    def test_bad_rule_is_a_config_error(self, runner, rule, message):
+        res = invoke(runner, "sweep", "--kind", "hnsa", "-m", "2", "-c", "2", "--rule", rule,
+                     "--strategy", "constant:0")
+        assert res.exit_code == 2
+        assert res.output.splitlines() == [f"config error: {message}"]
 
 
 class TestStrategySpecs:

@@ -16,6 +16,7 @@ from hatlab import (
     block_mod_sum,
     combine,
     constant,
+    correct_count_census,
     custom_instance,
     evaluate,
     fewer_incorrect_than,
@@ -240,6 +241,16 @@ class TestSweeps:
             sweep(hnsa(4, 3, at_least(1)), constant(0), max_assignments=80)
         with pytest.raises(SweepTooLarge):
             is_winning(hnsa(4, 3, at_least(1)), constant(0), max_assignments=80)
+
+    def test_budget_is_checked_before_anything_is_played(self):
+        # a cyclic instance over budget: the budget error comes first, and no guess is asked for
+        inst = custom_instance(4, 3, (), at_least(1), hearing=[(0, 1), (1, 0)])
+        calls = []
+        strat = RuleStrategy(lambda t, seen, heard: calls.append(t) or 0)
+        for call in (sweep, is_winning, lambda *a, **k: next(iter_plays(*a, **k)), correct_count_census):
+            with pytest.raises(SweepTooLarge, match="^sweep needs 81 assignment plays, budget is 80$"):
+                call(inst, strat, max_assignments=80)
+        assert calls == []
 
     @pytest.mark.parametrize("budget", [0, -5])
     def test_sweep_budget_must_be_positive(self, budget):

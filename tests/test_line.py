@@ -32,6 +32,9 @@ class TestOrdinalPositions:
         with pytest.raises(ValueError):
             OrdinalPosition(-1, 1)
 
+    def test_repr(self):
+        assert [repr(p) for p in (FRONT, pos(0, 3), pos(2, 1))] == ["front", "3", "w*2+1"]
+
     def test_shape_membership(self):
         shape = LineShape(2)
         assert pos(1, 99) in shape and pos(2, 0) not in shape
@@ -46,6 +49,18 @@ class TestLazyAssignment:
         assert a.value_at(pos(0, 3)) == 1
         assert a.value_at(pos(0, 5)) == 0
         assert a.deviations() == {pos(0, 5)}
+
+    def test_no_front_to_read(self):
+        with pytest.raises(ShapeMismatch, match="^this assignment has no front player$"):
+            LazyAssignment.of(0).value_at(FRONT)
+        rec = run_lazy("see_all_selector", LineShape(1), 0, LazyAssignment.of(0), 2)
+        with pytest.raises(ShapeMismatch, match="^this line has no front player$"):
+            rec.guess_at(FRONT)
+
+    def test_pointwise_sum_adds_the_fronts(self):
+        x = LazyAssignment.of(1, {pos(0, 1): 0}, front=1)
+        y = LazyAssignment.of(1, front=2)
+        assert pointwise_sum(x, y, 3) == LazyAssignment.of(2, {pos(0, 1): 1}, front=0)
 
     def test_front_lives_in_its_own_field(self):
         with pytest.raises(ValueError):
@@ -163,6 +178,18 @@ class TestBroadcastRuns:
         a = LazyAssignment.of(1, {pos(1, 0): 0}, front=0)
         for p in (pos(0, 0), pos(1, 0), pos(2, 0), pos(1, 1)):
             assert broadcast_guess_at(a, p, 3) == a.value_at(p)
+
+    def test_colors_out_of_range(self):
+        with pytest.raises(ValueError, match=r"^colors must lie in 0\.\.1$"):
+            run_lazy("see_all_selector", LineShape(1), 2, LazyAssignment.of(0), 2)
+        with pytest.raises(ValueError, match=r"^colors must lie in 0\.\.1$"):
+            run_lazy("see_all_selector", LineShape(1), 0, LazyAssignment.of(3), 2)
+        with pytest.raises(ValueError, match="^front color 5 out of range$"):
+            run_lazy("sum_broadcast", LineShape(1, front_present=True), 0, LazyAssignment.of(0, front=5), 2)
+
+    def test_front_decodes_nothing(self):
+        with pytest.raises(ValueError, match="^the front player answers with the announcement itself$"):
+            broadcast_guess_at(LazyAssignment.of(0, front=1), FRONT, 2)
 
     def test_broadcast_requires_a_front(self):
         with pytest.raises(ShapeMismatch):

@@ -8,6 +8,7 @@ from hatlab import (
     EvaluationRule,
     ZeroSize,
     as_assignment,
+    assignment_tuple,
     at_least,
     build_canonical_instance,
     constant,
@@ -56,6 +57,8 @@ class TestCanonicalConstructors:
             build_canonical_instance("hbsf", 3, 0, at_least(1))
         with pytest.raises(ValueError):
             build_canonical_instance("nope", 2, 2, at_least(1))
+        with pytest.raises(ZeroSize, match="^an instance needs at least one player$"):
+            custom_instance(0, 2, (), at_least(0))
 
     @pytest.mark.parametrize("kind", ["hnsa", "hnsf", "hbsf"])
     @pytest.mark.parametrize("m", [1, 2, 4])
@@ -122,6 +125,11 @@ class TestValidation:
     def test_relations_must_stay_inside_the_instance(self):
         inst = custom_instance(2, 2, sight=[(5, 0)], rule=at_least(1))
         assert not validate_instance(inst).valid
+
+    def test_unknown_hearing_asking_and_unreachable_threshold(self):
+        inst = custom_instance(2, 2, sight=(), rule=at_least(3), hearing=[(0, 5)])
+        assert validate_instance(inst) == ValidationReport(
+            ("hearing pair (0, 5) mentions unknown askings",), ("rule threshold 3 exceeds the player count 2",))
 
     def test_valid_iff_play_terminates(self):
         import random
@@ -205,6 +213,29 @@ class TestHearingCycles:
                 assert all(pos[a] < pos[b] for a, b in known)
 
 
+class TestPlaySteps:
+    def test_steps_and_asked_players(self):
+        inst = hbsf(3, 2, fewer_incorrect_than(2))
+        assert inst.steps == ((-1, -1, (0, 1), ()), (0, 0, (1,), (-1,)), (1, 1, (), (-1, 0)))
+        assert inst.steps is inst.steps
+        assert inst.asked == (-1, 0, 1)
+
+    def test_asked_players_in_first_asked_order(self):
+        # askings 2 and 0 ask player 1, asking 1 asks player 0; asking 2 is heard first
+        inst = custom_instance(3, 2, sight=(), rule=at_least(1), hearing=[(2, 0), (2, 1)],
+                               askings=(0, 1, 2), labeling=(1, 0, 1))
+        assert [t for t, _, _, _ in inst.steps] == [2, 0, 1]
+        assert inst.asked == (1, 0)
+
+    def test_cyclic_instance_raises_on_every_access(self):
+        inst = custom_instance(2, 2, sight=(), rule=at_least(1), hearing=[(0, 1), (1, 0)])
+        for _ in range(2):
+            with pytest.raises(CyclicHearing, match=r"^hearing relation has a cycle: \[0, 1\]$"):
+                inst.steps
+            with pytest.raises(CyclicHearing):
+                inst.asked
+
+
 class TestRules:
     def test_omega_only_for_fewer_incorrect(self):
         fewer_incorrect_than(OMEGA)
@@ -238,6 +269,7 @@ class TestAssignments:
         inst = hbsf(3, 2, fewer_incorrect_than(2))
         assert as_assignment(inst, (1, 0, 1)) == {-1: 1, 0: 0, 1: 1}
         assert as_assignment(inst, {-1: 1, 0: 0, 1: 1}) == {-1: 1, 0: 0, 1: 1}
+        assert assignment_tuple(inst, {1: 1, 0: 0, -1: 1}) == (1, 0, 1)
 
     def test_bad_assignments_rejected(self):
         inst = hnsa(2, 2, at_least(1))
@@ -247,6 +279,8 @@ class TestAssignments:
             as_assignment(inst, (0, 2))
         with pytest.raises(ValueError):
             as_assignment(inst, {0: 0, 1: 0, 9: 0})
+        with pytest.raises(ValueError, match=r"^assignment misses players \[1\]$"):
+            as_assignment(inst, {0: 0})
 
 
 class TestJson:
@@ -271,6 +305,14 @@ class TestJson:
         again = instance_from_json(data)
         assert again == inst
         assert instance_to_json(again) == data
+
+    def test_unknown_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="^unknown instance kind 'foo'$"):
+            instance_from_json({"kind": "foo", "players": 2, "colors": 2, "rule": at_least(1).to_json()})
+
+    def test_integer_fields_accept_what_int_accepts(self):
+        data = {"kind": "hnsa", "players": "2", "colors": 2.0, "rule": {"kind": "at_least", "threshold": True}}
+        assert instance_from_json(data) == hnsa(2, 2, at_least(1))
 
     def test_canonical_descriptor_omits_relations(self):
         data = instance_to_json(hbsf(4, 2, fewer_incorrect_than(2)))

@@ -10,6 +10,7 @@ from hatlab import (
     BudgetExceeded,
     SearchBudget,
     SweepTooLarge,
+    TableStrategy,
     at_least,
     best_guaranteed_correct,
     block_mod_sum,
@@ -29,7 +30,7 @@ from hatlab import (
     sweep,
     validate_instance,
 )
-from hatlab.engine import _compiled, iter_assignment_tuples
+from hatlab.engine import iter_assignment_tuples
 from hatlab.errors import power_count, power_over
 from hatlab import oracle
 from hatlab.oracle import DEFAULT_BUDGET, _table_size, _walk
@@ -106,7 +107,7 @@ def _reference_walk(inst, budget, prune, floor, first):
     total = count_table_strategies(inst)
     if total > budget.max_strategies:
         raise BudgetExceeded(total, budget.max_strategies)
-    steps = _compiled(inst)
+    steps = inst.steps
     c = inst.colors.size
     index = inst.player_index
     assignments = list(iter_assignment_tuples(inst))
@@ -316,6 +317,18 @@ class TestBestGuaranteed:
         verdict = best_guaranteed_correct(inst)
         assert verdict.exists_winning
         assert is_winning(inst, verdict.witness)[0]
+
+    @pytest.mark.parametrize("rule,exists", [(at_least(0), True), (at_least(1), False)])
+    def test_witness_without_askings(self, rule, exists):
+        # the empty table is the only strategy: it attains the optimum 0 whether or not that wins
+        inst = custom_instance(2, 2, (), rule, askings=(), labeling=())
+        for prune in (True, False):
+            verdict = best_guaranteed_correct(inst, prune=prune)
+            assert (verdict.best_guaranteed, verdict.exists_winning, verdict.witness) == (0, exists, TableStrategy({}))
+            assert (verdict.strategies_examined, verdict.pruned) == (1, 0)
+            found = exists_winning_exhaustive(inst, prune=prune)
+            assert (found.exists_winning, found.witness) == (exists, TableStrategy({}) if exists else None)
+        assert verdict.to_json(inst)["witness_table"] == []
 
     @CASES
     def test_pruning_is_sound(self, space, rule):
