@@ -18,21 +18,10 @@ import click
 from .acceptance import run_criteria
 from .engine import iter_plays, run_game, sweep
 from .errors import BudgetExceeded, HatlabError, SweepTooLarge
-from .line import (
-    LazyAssignment,
-    LineShape,
-    OrdinalPosition,
-    lazy_assignment_from_json,
-    run_lazy,
-)
+from .line import lazy_assignment_from_json, run_lazy
 from .model import (
-    EvaluationRule,
     Instance,
-    OMEGA,
     _json_field,
-    at_least,
-    build_canonical_instance,
-    fewer_incorrect_than,
     instance_from_json,
     instance_to_json,
     topological_extension,
@@ -81,18 +70,14 @@ def _guarded(fn):
     return wrapper
 
 
-# --- shared option parsing ----------------------------------------------------
+# --- options as descriptors: the descriptor readers parse every field ---------
 
-def _parse_rule(text: str) -> EvaluationRule:
-    name, _, raw = text.partition(":")
-    if not raw:
+def _parse_rule(text: str) -> dict:
+    """``--rule name:K`` as the rule descriptor ``{"kind": name, "threshold": K}``."""
+    kind, _, threshold = text.partition(":")
+    if not threshold:
         raise ValueError(f"rule {text!r} needs a threshold, e.g. at_least:1")
-    threshold = OMEGA if raw == "omega" else int(raw)
-    if name == "at_least":
-        return at_least(threshold)
-    if name == "fewer_incorrect":
-        return fewer_incorrect_than(threshold)
-    raise ValueError(f"unknown rule {name!r}; use at_least or fewer_incorrect")
+    return {"kind": kind, "threshold": threshold}
 
 
 def _load_json_arg(text: str):
@@ -109,12 +94,12 @@ def _build_instance(instance, kind, players, colors, rule) -> Instance:
     if instance:
         data = _load_json_arg(instance)
         if rule and isinstance(data, dict):  # instance_from_json rejects a non-object
-            data["rule"] = _parse_rule(rule).to_json()
-        inst = instance_from_json(data)
+            data["rule"] = _parse_rule(rule)
+    elif kind and players and colors and rule:
+        data = {"kind": kind, "players": players, "colors": colors, "rule": _parse_rule(rule)}
     else:
-        if not (kind and players and colors and rule):
-            raise ValueError("give --instance, or all of --kind, -m, -c and --rule")
-        inst = build_canonical_instance(kind, players, colors, _parse_rule(rule))
+        raise ValueError("give --instance, or all of --kind, -m, -c and --rule")
+    inst = instance_from_json(data)
     report = validate_instance(inst)
     if not report.valid:
         raise ValueError("; ".join(report.errors))
@@ -287,14 +272,11 @@ def cmd_search(instance, kind, players, colors, rule, mode, expect, prune,
 def cmd_line(kind, colors, lazy, blocks, assignment_base, exceptions, front, base, fmt):
     """Play a line strategy symbolically on an eventually-constant assignment."""
     if lazy:
-        shape, a = lazy_assignment_from_json(_load_json_arg(lazy))
+        data = _load_json_arg(lazy)
     else:
-        parsed = {}
-        for text in exceptions:
-            k, n, color = _ints(text, "--exception", "k,n,color", 3)
-            parsed[OrdinalPosition(k, n)] = color
-        shape = LineShape(blocks, front_present=front is not None)
-        a = LazyAssignment.of(assignment_base, parsed, front)
+        data = {"base": assignment_base, "front": front, "blocks": blocks, "exceptions": [
+            dict(zip(("k", "n", "color"), _ints(text, "--exception", "k,n,color", 3))) for text in exceptions]}
+    shape, a = lazy_assignment_from_json(data)
     record = run_lazy(kind, shape, a.base if base is None else base, a, colors)
     report = record.to_json()
     report["assignment"] = a.to_json(shape.limit_blocks)

@@ -58,6 +58,7 @@ from .model import (
     _hearing_order,
     _is_color,
     _json_field,
+    _json_int,
     _json_object,
     _steps,
     as_assignment,
@@ -212,8 +213,8 @@ class TableStrategy(Strategy):
         entries = {}
         try:
             for row in rows:
-                key = (int(row["t"]), _json_pairs(row["seen"]), _json_pairs(row["heard"]))
-                entries[key] = int(row["guess"])
+                key = (_json_int(row["t"]), _json_pairs(row["seen"]), _json_pairs(row["heard"]))
+                entries[key] = _json_int(row["guess"])
         except (KeyError, TypeError, ValueError, OverflowError):  # name the fault; checked only here, off the fast path
             if not isinstance(rows, (list, tuple)):
                 raise ValueError(f"table strategy 'entries' must be a JSON list, got {type(rows).__name__}") from None
@@ -227,7 +228,7 @@ class TableStrategy(Strategy):
 
 def _json_pairs(raw) -> tuple[tuple[int, int], ...]:
     """``[id, color]`` pairs from JSON, sorted as :func:`freeze_observation` sorts them."""
-    pairs = [(int(a), int(b)) for a, b in raw]
+    pairs = [(_json_int(a), _json_int(b)) for a, b in raw]
     pairs.sort()
     return tuple(pairs)
 

@@ -90,8 +90,9 @@ class LazyAssignment:
     """An eventually-constant assignment: ``base`` everywhere except at
     finitely many listed positions (and, when present, at the front).
 
-    Exceptions whose color equals the base are dropped on construction, so
-    the listed exceptions are exactly the deviations.
+    A position listed twice is a ``ValueError``. Exceptions whose color
+    equals the base are dropped on construction, so the listed exceptions are
+    exactly the deviations.
     """
 
     base: int
@@ -99,10 +100,13 @@ class LazyAssignment:
     front: int | None = None
 
     def __post_init__(self):
-        cleaned = []
+        cleaned, listed = [], set()
         for pos, color in sorted(self.exceptions):
             if pos.is_front:
                 raise ValueError("the front hat is the 'front' field, not an exception")
+            if pos in listed:
+                raise ValueError(f"exception at {pos!r} is listed more than once")
+            listed.add(pos)
             if color != self.base:
                 cleaned.append((pos, int(color)))
         object.__setattr__(self, "exceptions", tuple(cleaned))

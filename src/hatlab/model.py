@@ -104,7 +104,10 @@ class EvaluationRule:
     @staticmethod
     def from_json(data: Mapping) -> "EvaluationRule":
         _json_object(data, "rule", ("kind", "threshold"))
-        kind = RuleKind(data["kind"])
+        try:
+            kind = RuleKind(data["kind"])
+        except ValueError:
+            raise ValueError(f"unknown rule {data['kind']!r}; use at_least or fewer_incorrect") from None
         return EvaluationRule(kind, _json_field(data, "rule", "threshold", form="threshold"))
 
 
@@ -459,15 +462,24 @@ def _json_list(raw) -> list:
     return list(raw)
 
 
+def _json_int(raw) -> int:
+    """An int (not a bool), an integral float or text that ``int()`` reads, as an int."""
+    if type(raw) is int:  # the common case, first
+        return raw
+    if isinstance(raw, bool) or not isinstance(raw, (int, float, str)) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ValueError(f"not an integer: {raw!r}")
+    return int(raw)
+
+
 def _int_pairs(raw) -> list[tuple[int, int]]:
-    return [(int(a), int(b)) for a, b in map(_json_list, _json_list(raw))]
+    return [(_json_int(a), _json_int(b)) for a, b in map(_json_list, _json_list(raw))]
 
 
-_FIELD_FORMS = {  # form: (reader, what it accepts); an integer is whatever ``int()`` accepts
-    "int": (int, "an integer"),
-    "threshold": (lambda raw: OMEGA if raw == "omega" else int(raw), "an integer or 'omega'"),
+_FIELD_FORMS = {  # form: (reader, what it accepts)
+    "int": (_json_int, "an integer"),
+    "threshold": (lambda raw: OMEGA if raw == "omega" else _json_int(raw), "an integer or 'omega'"),
     "list": (_json_list, "a JSON list"),
-    "ints": (lambda raw: [int(x) for x in _json_list(raw)], "a list of integers"),
+    "ints": (lambda raw: [_json_int(x) for x in _json_list(raw)], "a list of integers"),
     "pairs": (_int_pairs, "a list of [id, id] pairs"),
     "observation": (_int_pairs, "a list of [id, color] pairs"),
 }

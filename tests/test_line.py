@@ -83,6 +83,12 @@ class TestLazyAssignment:
             "blocks": 3,
         }
 
+    @pytest.mark.parametrize("colors", [(1, 0), (1, 1), (0, 0)], ids=["differ", "same", "base-colored"])
+    def test_a_position_listed_twice_is_rejected(self, colors):
+        # checked before base-colored entries drop, so extended_sum never counts one twice
+        with pytest.raises(ValueError, match="^exception at 3 is listed more than once$"):
+            LazyAssignment.of(0, [(pos(0, 3), color) for color in colors])
+
     def test_descriptor_rejects_out_of_shape_exceptions(self):
         with pytest.raises(ShapeMismatch):
             lazy_assignment_from_json(

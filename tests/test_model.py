@@ -311,7 +311,7 @@ class TestJson:
             instance_from_json({"kind": "foo", "players": 2, "colors": 2, "rule": at_least(1).to_json()})
 
     def test_integer_fields_accept_what_int_accepts(self):
-        data = {"kind": "hnsa", "players": "2", "colors": 2.0, "rule": {"kind": "at_least", "threshold": True}}
+        data = {"kind": "hnsa", "players": "2", "colors": 2.0, "rule": {"kind": "at_least", "threshold": "1"}}
         assert instance_from_json(data) == hnsa(2, 2, at_least(1))
 
     def test_canonical_descriptor_omits_relations(self):

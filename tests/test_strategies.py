@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from hatlab import (
@@ -217,6 +219,22 @@ class TestDescriptors:
         again = TableStrategy.from_json(shuffled)
         assert again == table
         assert sweep(inst, again) == sweep(inst, table)
+
+    def test_table_rows_read_integers_as_every_descriptor_does(self):
+        row = {"t": 0, "seen": [[1, 0]], "heard": [], "guess": 1}
+        same = {"t": "0", "seen": [[1.0, "0"]], "heard": [], "guess": 1.0}
+        assert TableStrategy.from_json([same]) == TableStrategy.from_json([row])
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("guess", 1.5, "table row 'guess' must be an integer, got 1.5"),
+        ("guess", True, "table row 'guess' must be an integer, got True"),
+        ("t", False, "table row 't' must be an integer, got False"),
+        ("seen", [[1, 0.5]], "table row 'seen' must be a list of [id, color] pairs, got [[1, 0.5]]"),
+    ])
+    def test_table_rows_reject_what_the_field_reader_rejects(self, key, value, message):
+        row = {"t": 0, "seen": [[1, 0]], "heard": [], "guess": 1, key: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TableStrategy.from_json([row])
 
     @pytest.mark.parametrize("play", [
         lambda inst, table: run_game(inst, table, (0, 1)),
