@@ -12,8 +12,8 @@ import time
 from dataclasses import dataclass
 
 from . import line as lazyline
-from .engine import iter_plays, run_game, sweep
-from .model import at_least, fewer_incorrect_than, hbsf, hnsa, hnsf, topological_extension
+from .engine import _play, iter_plays, run_game, sweep
+from .model import _steps, as_assignment, at_least, fewer_incorrect_than, hbsf, hnsa, hnsf, topological_extension
 from .oracle import (
     best_guaranteed_correct,
     correct_count_census,
@@ -116,9 +116,12 @@ def check_broadcast_exhaustive() -> str:
     inst = hbsf(2, 2, fewer_incorrect_than(1))
     total = count_table_strategies(inst)
     assert total == 16, f"strategy space is {total}, expected 16"
-    verdict = exists_winning_exhaustive(inst, prune=False)
-    assert verdict.strategies_examined == 16, "exhaustion did not cover all 16 tables"
-    assert not verdict.exists_winning, "a perfect strategy allegedly exists"
+    n = 0
+    for strat in enumerate_table_strategies(inst):
+        assert not sweep(inst, strat).winning, f"table #{n} makes every guess correct"
+        n += 1
+    assert n == 16, f"expected 16 tables, saw {n}"
+    assert not exists_winning_exhaustive(inst).exists_winning, "a perfect strategy allegedly exists"
     return "all 16 tables fail to make every guess correct"
 
 
@@ -184,7 +187,7 @@ def check_play_order_invariance() -> str:
         orders = [topological_extension(inst, seed=seed), topological_extension(inst, seed=seed + 1)]
         for _ in range(3):
             a = tuple(rng.randrange(c) for _ in players)
-            plays = [run_game(inst, strat, a, order=o).guesses for o in orders]
+            plays = [_play(_steps(inst, o), as_assignment(inst, a), strat.decide, c)[0] for o in orders]
             default = run_game(inst, strat, a).guesses
             assert plays[0] == plays[1] == default, (
                 f"trial {trial}: orders {orders} disagree on assignment {a}"

@@ -21,10 +21,8 @@ from .errors import BudgetExceeded, HatlabError, SweepTooLarge
 from .line import lazy_assignment_from_json, run_lazy
 from .model import (
     Instance,
-    _json_field,
     instance_from_json,
     instance_to_json,
-    topological_extension,
     validate_instance,
 )
 from .oracle import (
@@ -117,7 +115,8 @@ _PRINCIPAL_PARAM = {
 
 
 def parse_strategy_spec(text: str) -> dict:
-    """Compact ``name:k=v,...`` (or bare ``name:value``) or a JSON descriptor."""
+    """Compact ``name:k=v,...`` (or bare ``name:value``) or a JSON descriptor.
+    Compact values stay text for :func:`strategy_from_descriptor` to read."""
     if text.strip().startswith("{"):
         return json.loads(text)
     name, _, rest = text.partition(":")
@@ -134,9 +133,6 @@ def parse_strategy_spec(text: str) -> dict:
             params[key] = rest
     if "block" in params:
         params["block"] = params["block"].split("-")
-    for key, form in (("value", "int"), ("base", "int"), ("n", "int"), ("seed", "int"), ("block", "ints")):
-        if key in params:
-            params[key] = _json_field(params, "strategy params", key, form=form)
     if "entries" in params:
         params["entries"] = _load_json_arg(params["entries"])
     return {"name": name, "params": params}
@@ -174,16 +170,14 @@ def main():
 @instance_options
 @click.option("--strategy", required=True, help="Strategy spec, e.g. block_mod_sum:n=2.")
 @click.option("--assignment", required=True, help="Comma-separated colors in player order.")
-@click.option("--seed", type=int, default=None, help="Seed for the play order (result-invariant).")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
 @_guarded
-def cmd_run(instance, kind, players, colors, rule, strategy, assignment, seed, fmt):
+def cmd_run(instance, kind, players, colors, rule, strategy, assignment, fmt):
     """Play one game and print the result; exit 0 iff the rule is satisfied."""
     inst = _build_instance(instance, kind, players, colors, rule)
     strat = strategy_from_descriptor(parse_strategy_spec(strategy), inst)
     values = _ints(assignment, "--assignment", "comma-separated integer colors")
-    order = topological_extension(inst, seed) if seed is not None else None
-    result = run_game(inst, strat, values, order=order)
+    result = run_game(inst, strat, values)
     report = {
         "instance": instance_to_json(inst),
         "assignment": list(values),
@@ -227,13 +221,11 @@ def cmd_sweep(instance, kind, players, colors, rule, strategy, max_assignments, 
 @click.option("--mode", type=click.Choice(["exists", "best"]), default="exists")
 @click.option("--expect", type=click.Choice(["yes", "no"]), default=None,
               help="Exit 0 iff a winning strategy exists (yes) / doesn't (no).")
-@click.option("--prune/--no-prune", default=True)
 @click.option("--max-strategies", type=int, default=None)
 @click.option("--max-assignments", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
 @_guarded
-def cmd_search(instance, kind, players, colors, rule, mode, expect, prune,
-               max_strategies, max_assignments, fmt):
+def cmd_search(instance, kind, players, colors, rule, mode, expect, max_strategies, max_assignments, fmt):
     """Exhaust the table-strategy space for the instance's rule."""
     inst = _build_instance(instance, kind, players, colors, rule)
     env = _env_budget()
@@ -244,9 +236,9 @@ def cmd_search(instance, kind, players, colors, rule, mode, expect, prune,
         max_assignments=_first_given(max_assignments, env, default.max_assignments),
     )
     if mode == "best":
-        verdict = best_guaranteed_correct(inst, budget=budget, prune=prune)
+        verdict = best_guaranteed_correct(inst, budget=budget)
     else:
-        verdict = exists_winning_exhaustive(inst, budget=budget, prune=prune)
+        verdict = exists_winning_exhaustive(inst, budget=budget)
     _emit(verdict.to_json(inst), fmt)
     if expect is not None:
         sys.exit(0 if verdict.exists_winning == (expect == "yes") else 1)

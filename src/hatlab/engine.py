@@ -3,9 +3,9 @@
 Given an instance, a strategy, and an assignment there is exactly one way the
 game can go: each asking's guess is forced by the hats the asked player sees
 and the guesses it has heard. :func:`run_game` computes that unique play by
-walking the instance's play steps (``Instance.steps``) in the canonical or any
-other linear extension of the hearing relation; which extension is used does
-not matter (the test suite asserts this rather than assuming it).
+walking the instance's play steps (``Instance.steps``) in the canonical linear
+extension of the hearing relation; any other extension gives the same play
+(the test suite asserts this rather than assuming it).
 :func:`run_game` and its loop :func:`_play` are the scalar reference.
 
 A strategy is *winning* when the play it induces satisfies the instance's
@@ -55,12 +55,10 @@ from .model import (
     EvaluationRule,
     Instance,
     RuleKind,
-    _hearing_order,
     _is_color,
     _json_field,
     _json_int,
     _json_object,
-    _steps,
     as_assignment,
 )
 
@@ -227,10 +225,16 @@ class TableStrategy(Strategy):
 
 
 def _json_pairs(raw) -> tuple[tuple[int, int], ...]:
-    """``[id, color]`` pairs from JSON, sorted as :func:`freeze_observation` sorts them."""
-    pairs = [(_json_int(a), _json_int(b)) for a, b in raw]
+    """``[id, color]`` pairs from JSON, sorted as :func:`freeze_observation` sorts them.
+    A pair is a list or tuple of two: text such as ``"11"`` is not ``[1, 1]``."""
+    pairs = [(_json_int(p[0]), _json_int(p[1])) if isinstance(p, (list, tuple)) and len(p) == 2 else _not_a_pair(p)
+             for p in raw]
     pairs.sort()
     return tuple(pairs)
+
+
+def _not_a_pair(raw):
+    raise TypeError(f"not an [id, color] pair: {raw!r}")
 
 
 # --- play and scoring -------------------------------------------------------
@@ -258,41 +262,20 @@ def evaluate(rule: EvaluationRule, correct_count: int, incorrect_count: int) -> 
     return incorrect_count < rule.threshold
 
 
-def run_game(
-    inst: Instance,
-    strat: Strategy,
-    assignment: Assignment | Sequence[int],
-    order: Sequence[int] | None = None,
-) -> GameResult:
+def run_game(inst: Instance, strat: Strategy, assignment: Assignment | Sequence[int]) -> GameResult:
     """Play out the unique game of ``strat`` against ``assignment``.
 
     The strategy at each asking is handed exactly the hats its player may see
     and the guesses replayed to it -- nothing else (players remember nothing
-    across askings). ``order`` may supply an alternative linear extension of
-    the hearing relation, e.g. from :func:`topological_extension` with a
-    seed; the resulting play is the same for every valid order.
+    across askings). The askings play in ``Instance.steps`` order; the play is
+    the same in every linear extension of the hearing relation.
     """
     a = as_assignment(inst, assignment)
-    steps = inst.steps if order is None else _ordered_steps(inst, order)
-    guesses, wrong = _play(steps, a, strat.decide, inst.colors.size)
+    guesses, wrong = _play(inst.steps, a, strat.decide, inst.colors.size)
     correct = frozenset(inst.asked).difference(wrong)
     incorrect = frozenset(wrong)
     verdict = evaluate(inst.rule, len(correct), len(incorrect))
     return GameResult(guesses, correct, incorrect, verdict)
-
-
-def _ordered_steps(inst: Instance, order: Sequence[int]) -> tuple:
-    """The play steps in ``order``, which must be a linear extension of the
-    hearing relation; checked before anything is played."""
-    order = tuple(order)
-    if sorted(order) != sorted(inst.askings):
-        raise ValueError("order must be a permutation of the instance's askings")
-    _hearing_order(inst)  # raises CyclicHearing
-    pos = {t: i for i, t in enumerate(order)}
-    for earlier, later in inst.hearing:
-        if later in pos and pos.get(earlier, len(order)) > pos[later]:
-            raise ValueError("order does not extend the hearing relation")
-    return _steps(inst, order)
 
 
 def _play(steps, a, decide, size):

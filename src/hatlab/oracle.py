@@ -10,8 +10,10 @@ search starts the floor at -1 and raises it to each leaf that beats it,
 walking on to the end; the existence search fixes the floor just below what
 the rule needs and stops at the first leaf above it. A branch is pruned once
 some assignment already has so many players wrong that no completion can get
-more than the floor right. Pruning never changes a verdict, only the work
-done; the suite checks this by comparing against the unpruned walk.
+more than the floor right. The search always prunes: pruning changes only the
+work done (``strategies_examined`` and ``pruned``), never a verdict or a
+witness, and the suite checks this against an unpruned walk that tries every
+table and against a sweep of every table strategy.
 
 The walk works on the assignment space transposed: every set of assignments
 is one Python int used as a bitset, so a table's effect on all assignments is
@@ -172,7 +174,7 @@ def _lex_ors(rows):
     return (h | t for picks in product(*rows[:j]) for h in [reduce(or_, picks)] for t in tail)
 
 
-def _walk(inst: Instance, budget: SearchBudget, prune: bool, floor, first: bool):
+def _walk(inst: Instance, budget: SearchBudget, floor, first: bool):
     """Find the first strategy, in enumeration order, whose guaranteed correct
     count is above ``floor``; return ``(floor, tables, examined, pruned)``.
 
@@ -188,7 +190,9 @@ def _walk(inst: Instance, budget: SearchBudget, prune: bool, floor, first: bool)
     with guess ``g`` newly makes the player wrong on ``entry_i & hat != g``
     minus where the player is wrong already, so a table's new wrong set is the
     OR of one such set per entry. A table is pruned when ``asked - top' <=
-    floor`` after it: nothing under it can beat the floor.
+    floor`` after it: nothing under it can beat the floor. Pruning is always
+    on; the tests keep the walk that tries every table, unpruned, as the
+    reference its verdicts and witnesses must equal.
 
     The last level is settled without visiting its leaves. A leaf adds one
     player, so its score is ``asked - top`` unless some entry's guess makes the
@@ -293,7 +297,7 @@ def _walk(inst: Instance, budget: SearchBudget, prune: bool, floor, first: bool)
             if spent > cap:
                 raise BudgetExceeded(spent, cap, "play steps")
             hit = S[top] & new
-            if prune and asked - floor <= top + (1 if hit else 0):
+            if asked - floor <= top + (1 if hit else 0):
                 pruned += 1
                 continue
             if shared:
@@ -326,11 +330,7 @@ def _walk(inst: Instance, budget: SearchBudget, prune: bool, floor, first: bool)
     return floor, witness, examined, pruned
 
 
-def best_guaranteed_correct(
-    inst: Instance,
-    budget: SearchBudget | None = None,
-    prune: bool = True,
-) -> SearchVerdict:
+def best_guaranteed_correct(inst: Instance, budget: SearchBudget | None = None) -> SearchVerdict:
     """Largest k such that some strategy gets >= k correct on every assignment.
 
     Walks the whole table-strategy space from floor -1; the witness is the
@@ -339,7 +339,7 @@ def best_guaranteed_correct(
     on any instance, correct and incorrect counts sum to the number of asked
     players, so the guaranteed-correct optimum settles both rule kinds.
     """
-    best, tables, examined, pruned = _walk(inst, budget or DEFAULT_BUDGET, prune, -1, False)
+    best, tables, examined, pruned = _walk(inst, budget or DEFAULT_BUDGET, -1, False)
     return SearchVerdict(
         exists_winning=bool(evaluate(inst.rule, best, len(inst.asked) - best)),
         witness=_materialize(inst, tables),
@@ -349,11 +349,7 @@ def best_guaranteed_correct(
     )
 
 
-def exists_winning_exhaustive(
-    inst: Instance,
-    budget: SearchBudget | None = None,
-    prune: bool = True,
-) -> SearchVerdict:
+def exists_winning_exhaustive(inst: Instance, budget: SearchBudget | None = None) -> SearchVerdict:
     """Is any table strategy winning for the instance's rule?
 
     A strategy wins when its guaranteed correct count reaches ``need``: the
@@ -365,7 +361,7 @@ def exists_winning_exhaustive(
     """
     asked = len(inst.asked)
     need = next((k for k in range(asked + 1) if evaluate(inst.rule, k, asked - k)), asked + 1)
-    _, tables, examined, pruned = _walk(inst, budget or DEFAULT_BUDGET, prune, need - 1, True)
+    _, tables, examined, pruned = _walk(inst, budget or DEFAULT_BUDGET, need - 1, True)
     return SearchVerdict(
         exists_winning=tables is not None,
         witness=None if tables is None else _materialize(inst, tables),

@@ -61,18 +61,11 @@ class TestRun:
         args = (
             "run", "--kind", "hnsa", "-m", "4", "-c", "2",
             "--strategy", "block_mod_sum:n=2", "--assignment", "0,1,1,0",
-            "--rule", "at_least:2", "--seed", "5",
+            "--rule", "at_least:2",
         )
-        assert invoke(runner, *args).output == invoke(runner, *args).output
-
-    def test_seed_does_not_change_the_result(self, runner):
-        base = (
-            "run", "--kind", "hbsf", "-m", "4", "-c", "2",
-            "--strategy", "sum_broadcast", "--assignment", "0,1,1,0",
-            "--rule", "fewer_incorrect:2",
-        )
-        outputs = {invoke(runner, *base, "--seed", str(s)).output for s in range(4)}
-        assert len(outputs) == 1
+        first, second = invoke(runner, *args), invoke(runner, *args)
+        assert first.exit_code == second.exit_code == 0
+        assert first.output == second.output
 
     def test_config_error_exits_two(self, runner):
         res = invoke(runner, "run", "--kind", "hnsa", "-m", "2", "-c", "2",
@@ -395,6 +388,14 @@ class TestInstanceDescriptors:
         # a descriptor rule and --rule share one reader, and so one message
         (["search", "--instance", '{"players": 2, "colors": 2, "rule": {"kind": "most", "threshold": 1}}'],
          "unknown rule 'most'; use at_least or fewer_incorrect"),
+        # a pair is a list: text or an object of two items is not read as [id, color]
+        (_SWEEP + ['{"name": "table", "params": {"entries": [{"t": 0, "seen": ["11"], "heard": [], "guess": 0}]}}'],
+         "table row 'seen' must be a list of [id, color] pairs, got ['11']"),
+        (_SWEEP + ['{"name": "table", "params": {"entries": [{"t": 0, "seen": [[1, 0]], "heard": [{"0": 1, "1": 0}], '
+                   '"guess": 0}]}}'],
+         "table row 'heard' must be a list of [id, color] pairs, got [{'0': 1, '1': 0}]"),
+        # the strategy is named before any parameter it would read
+        (_SWEEP + ["telepathy:value=x"], "unknown strategy 'telepathy'"),
     ])
     def test_malformed_descriptor_is_a_config_error(self, runner, args, message):
         res = invoke(runner, *args)
@@ -645,6 +646,17 @@ class TestCommands:
     def test_bench_is_gone(self, runner):
         assert invoke(runner, "bench").exit_code == 2
 
+    @pytest.mark.parametrize("command,option", [
+        (["run", "--kind", "hnsa", "-m", "2", "-c", "2", "--rule", "at_least:1", "--strategy", "constant:0",
+          "--assignment", "0,0"], ["--seed", "5"]),
+        (["search", "--kind", "hnsa", "-m", "2", "-c", "2", "--rule", "at_least:1"], ["--prune"]),
+        (["search", "--kind", "hnsa", "-m", "2", "-c", "2", "--rule", "at_least:1"], ["--no-prune"]),
+    ], ids=["seed", "prune", "no-prune"])
+    def test_options_that_cannot_change_an_answer_are_gone(self, runner, command, option):
+        res = runner.invoke(main, command + option)
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert "No such option" in res.stderr and option[0] in res.stderr
+
 
 class TestTextFormat:
     """``--format text`` prints one ``key: value`` line per report key, in key order."""
@@ -689,14 +701,26 @@ class TestRuleOption:
 
 class TestStrategySpecs:
     def test_compact_forms(self):
+        # values stay text; strategy_from_descriptor reads them
         assert parse_strategy_spec("sum_broadcast") == {"name": "sum_broadcast", "params": {}}
-        assert parse_strategy_spec("constant:1") == {"name": "constant", "params": {"value": 1}}
+        assert parse_strategy_spec("constant:1") == {"name": "constant", "params": {"value": "1"}}
         assert parse_strategy_spec("block_mod_sum:n=2") == {
-            "name": "block_mod_sum", "params": {"n": 2}
+            "name": "block_mod_sum", "params": {"n": "2"}
         }
         assert parse_strategy_spec("mod_sum:block=0-2-4") == {
-            "name": "mod_sum", "params": {"block": [0, 2, 4]}
+            "name": "mod_sum", "params": {"block": ["0", "2", "4"]}
         }
+
+    @pytest.mark.parametrize("compact,descriptor", [
+        ("constant:value=1,seed=x", {"name": "constant", "params": {"value": 1, "seed": "x"}}),
+        ("mod_sum:block=0-x", {"name": "mod_sum", "params": {"block": ["0", "x"]}}),
+        ("block_mod_sum:n=1", {"name": "block_mod_sum", "params": {"n": 1}}),
+    ])
+    def test_compact_and_descriptor_forms_print_the_same_bytes(self, runner, compact, descriptor):
+        base = ["run", "--kind", "hnsa", "-m", "3", "-c", "2", "--rule", "at_least:1", "--assignment", "0,1,1"]
+        flag = invoke(runner, *base, "--strategy", compact)
+        json_form = invoke(runner, *base, "--strategy", json.dumps(descriptor))
+        assert (flag.exit_code, flag.stdout, flag.stderr) == (json_form.exit_code, json_form.stdout, json_form.stderr)
 
     def test_json_form(self):
         spec = '{"name": "base_selector", "params": {"base": 1}}'

@@ -187,7 +187,7 @@ class TestHearingCycles:
         assert find_hearing_cycle(inst) == cycle
         assert validate_instance(inst) == ValidationReport((message,), (), cycle)
         for play in (lambda: topological_extension(inst), lambda: topological_extension(inst, seed=3),
-                     lambda: run_game(inst, constant(0), [0] * len(askings), order=sorted(askings))):
+                     lambda: run_game(inst, constant(0), [0] * len(askings))):
             with pytest.raises(CyclicHearing) as exc:
                 play()
             assert type(exc.value) is CyclicHearing

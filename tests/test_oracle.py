@@ -33,7 +33,7 @@ from hatlab import (
 from hatlab.engine import iter_assignment_tuples
 from hatlab.errors import power_count, power_over
 from hatlab import oracle
-from hatlab.oracle import DEFAULT_BUDGET, _table_size, _walk
+from hatlab.oracle import DEFAULT_BUDGET, _materialize, _table_size, _walk
 
 
 # --- reference: every table strategy, swept -----------------------------------
@@ -168,14 +168,24 @@ def _reference_walk(inst, budget, prune, floor, first):
 WALK_BUDGETS = [SearchBudget(max_assignments=cap) for cap in (5, 50, 777, 20_000)] + [DEFAULT_BUDGET]
 
 
+def _pruned_reference(inst, budget, floor, first):
+    return _reference_walk(inst, budget, True, floor, first)
+
+
+def _need(inst):
+    """The least guaranteed correct count the instance's rule accepts, or
+    one past the asked players when it accepts none."""
+    asked = len(set(inst.labeling))
+    return next((k for k in range(asked + 1) if evaluate(inst.rule, k, asked - k)), asked + 1)
+
+
 def _walk_outcomes(walk, inst, searches):
     """``(floor, witness, examined, pruned)`` or the budget error's text, for
-    each ``(floor, first)`` search, prune on and off, and every budget of
-    ``WALK_BUDGETS``."""
+    each ``(floor, first)`` search and every budget of ``WALK_BUDGETS``."""
     out = []
-    for prune, budget, (floor, first) in product((True, False), WALK_BUDGETS, searches):
+    for budget, (floor, first) in product(WALK_BUDGETS, searches):
         try:
-            out.append(walk(inst, budget, prune, floor, first))
+            out.append(walk(inst, budget, floor, first))
         except BudgetExceeded as exc:
             out.append(str(exc))
     return out
@@ -185,10 +195,8 @@ class TestWalkMatchesReference:
     @CASES
     def test_spaces(self, space, rule):
         inst = SPACES[space](RULES[rule])
-        asked = len(set(inst.labeling))
-        need = next((k for k in range(asked + 1) if evaluate(inst.rule, k, asked - k)), asked + 1)
-        searches = [(-1, False), (need - 1, True)]  # best, and exists for the rule
-        assert _walk_outcomes(_walk, inst, searches) == _walk_outcomes(_reference_walk, inst, searches)
+        searches = [(-1, False), (_need(inst) - 1, True)]  # best, and exists for the rule
+        assert _walk_outcomes(_walk, inst, searches) == _walk_outcomes(_pruned_reference, inst, searches)
 
     @pytest.mark.parametrize("tail", [1, 4])
     def test_tables_built_lazily(self, monkeypatch, tail):
@@ -198,7 +206,7 @@ class TestWalkMatchesReference:
         for space in ("hnsa-3x2", "hnsf-2x3", "hbsf-3x2", "custom-0", "custom-4"):
             inst = SPACES[space](at_least(1))
             searches = [(-1, False), (0, True)]
-            assert _walk_outcomes(_walk, inst, searches) == _walk_outcomes(_reference_walk, inst, searches)
+            assert _walk_outcomes(_walk, inst, searches) == _walk_outcomes(_pruned_reference, inst, searches)
 
     @pytest.mark.parametrize("seed", range(6, 46))
     def test_more_custom_instances(self, seed):
@@ -206,7 +214,11 @@ class TestWalkMatchesReference:
         asked = len(set(inst.labeling))
         # the walk reads the rule only through its floor: best, then exists at every floor
         searches = [(-1, False)] + [(floor, True) for floor in range(-1, asked + 1)]
-        assert _walk_outcomes(_walk, inst, searches) == _walk_outcomes(_reference_walk, inst, searches)
+        assert _walk_outcomes(_walk, inst, searches) == _walk_outcomes(_pruned_reference, inst, searches)
+        # pruning changes no verdict or witness: the walk that tries every table finds the same
+        for floor, first in searches:
+            unpruned = _reference_walk(inst, DEFAULT_BUDGET, False, floor, first)
+            assert _walk(inst, DEFAULT_BUDGET, floor, first)[:2] == unpruned[:2]
 
 
 class TestEnumeration:
@@ -322,28 +334,24 @@ class TestBestGuaranteed:
     def test_witness_without_askings(self, rule, exists):
         # the empty table is the only strategy: it attains the optimum 0 whether or not that wins
         inst = custom_instance(2, 2, (), rule, askings=(), labeling=())
-        for prune in (True, False):
-            verdict = best_guaranteed_correct(inst, prune=prune)
-            assert (verdict.best_guaranteed, verdict.exists_winning, verdict.witness) == (0, exists, TableStrategy({}))
-            assert (verdict.strategies_examined, verdict.pruned) == (1, 0)
-            found = exists_winning_exhaustive(inst, prune=prune)
-            assert (found.exists_winning, found.witness) == (exists, TableStrategy({}) if exists else None)
+        verdict = best_guaranteed_correct(inst)
+        assert (verdict.best_guaranteed, verdict.exists_winning, verdict.witness) == (0, exists, TableStrategy({}))
+        assert (verdict.strategies_examined, verdict.pruned) == (1, 0)
+        found = exists_winning_exhaustive(inst)
+        assert (found.exists_winning, found.witness) == (exists, TableStrategy({}) if exists else None)
         assert verdict.to_json(inst)["witness_table"] == []
 
     @CASES
     def test_pruning_is_sound(self, space, rule):
         inst = SPACES[space](RULES[rule])
-        pruned = best_guaranteed_correct(inst, prune=True)
-        full = best_guaranteed_correct(inst, prune=False)
-        assert (pruned.best_guaranteed, pruned.exists_winning, pruned.witness) == (
-            full.best_guaranteed, full.exists_winning, full.witness)
-        assert full.pruned == 0
-        assert full.strategies_examined == count_table_strategies(inst)
+        verdict = best_guaranteed_correct(inst)
+        best, tables, examined, pruned = _reference_walk(inst, DEFAULT_BUDGET, False, -1, False)
+        assert (examined, pruned) == (count_table_strategies(inst), 0)
+        assert (verdict.best_guaranteed, verdict.witness) == (best, _materialize(inst, tables))
         reference = swept(space)
-        best = max(low for _, low, _ in reference)
-        assert full.best_guaranteed == best
-        assert full.witness == next(s for s, low, _ in reference if low == best)
-        assert full.exists_winning == any(evaluate(inst.rule, low, high) for _, low, high in reference)
+        assert best == max(low for _, low, _ in reference)
+        assert verdict.witness == next(s for s, low, _ in reference if low == best)
+        assert verdict.exists_winning == any(evaluate(inst.rule, low, high) for _, low, high in reference)
 
 
 class TestExistsWinning:
@@ -382,12 +390,12 @@ class TestExistsWinning:
     @CASES
     def test_pruned_and_unpruned_agree(self, space, rule):
         inst = SPACES[space](RULES[rule])
-        pruned = exists_winning_exhaustive(inst, prune=True)
-        full = exists_winning_exhaustive(inst, prune=False)
-        assert (pruned.exists_winning, pruned.witness) == (full.exists_winning, full.witness)
+        found = exists_winning_exhaustive(inst)
+        tables = _reference_walk(inst, DEFAULT_BUDGET, False, _need(inst) - 1, True)[1]
+        assert found.witness == (None if tables is None else _materialize(inst, tables))
         first = next((s for s, low, high in swept(space) if evaluate(inst.rule, low, high)), None)
-        assert full.witness == first
-        assert full.exists_winning == (first is not None)
+        assert found.witness == first
+        assert found.exists_winning == (first is not None)
 
     def test_report_serializes(self):
         inst = hbsf(2, 2, fewer_incorrect_than(2))

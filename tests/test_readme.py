@@ -3,7 +3,8 @@
 Every ``hatlab`` command in the "CLI quick tour" exits with the code the
 README's exit-code rules give: 0 when the property holds, 1 when it fails.
 ``hatlab verify`` is left out; ``tests/test_acceptance.py`` runs every
-criterion. The "Library use" block runs as it stands.
+criterion. The "Library use" block runs as it stands, and the README names
+every long option of every command.
 """
 
 import json
@@ -64,6 +65,14 @@ def test_tour_command_exits_as_documented(args):
     res = CliRunner().invoke(main, args, catch_exceptions=False)
     assert res.stderr == ""
     assert res.exit_code == (0 if _holds(args, res.stdout) else 1)
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_every_option_is_documented(command):
+    options = [opt for param in main.commands[command].params for opt in param.opts + param.secondary_opts
+               if opt.startswith("--")]
+    assert options
+    assert [opt for opt in options if not re.search(rf"{re.escape(opt)}(?![\w-])", README)] == []
 
 
 def test_library_use_runs():
