@@ -4,6 +4,10 @@ demo the symbolic lines, and run the acceptance suite.
 Reports are JSON by default (canonical form: sorted keys, no whitespace), so
 identical invocations produce byte-identical output. Exit codes: 0 success /
 property holds, 1 property fails, 2 configuration error, 3 budget exceeded.
+
+Each command imports the modules it plays with in its own body, so a call
+loads only what it runs: ``run`` and ``sweep`` never load the oracle, the
+line or the acceptance suite.
 """
 
 from __future__ import annotations
@@ -15,22 +19,13 @@ import sys
 
 import click
 
-from .acceptance import run_criteria
-from .engine import iter_plays, run_game, sweep
 from .errors import BudgetExceeded, HatlabError, SweepTooLarge
-from .line import lazy_assignment_from_json, run_lazy
 from .model import (
     Instance,
     instance_from_json,
     instance_to_json,
     validate_instance,
 )
-from .oracle import (
-    SearchBudget,
-    best_guaranteed_correct,
-    exists_winning_exhaustive,
-)
-from .strategies import strategy_from_descriptor
 
 
 def _ints(text: str, what: str, expects: str, count: int | None = None) -> tuple[int, ...]:
@@ -104,22 +99,15 @@ def _build_instance(instance, kind, players, colors, rule) -> Instance:
     return inst
 
 
-_PRINCIPAL_PARAM = {
-    "constant": "value",
-    "base_selector": "base",
-    "block_mod_sum": "n",
-    "mod_sum": "block",
-    "random": "seed",
-    "table": "entries",
-}
-
-
 def parse_strategy_spec(text: str) -> dict:
     """Compact ``name:k=v,...`` (or bare ``name:value``) or a JSON descriptor.
     Compact values stay text for :func:`strategy_from_descriptor` to read."""
+    from .strategies import strategy_params
+
     if text.strip().startswith("{"):
         return json.loads(text)
     name, _, rest = text.partition(":")
+    takes = strategy_params(name)
     params: dict = {}
     if rest:
         if "=" in rest:
@@ -127,13 +115,13 @@ def parse_strategy_spec(text: str) -> dict:
                 key, _, val = pair.partition("=")
                 params[key] = val
         else:
-            key = _PRINCIPAL_PARAM.get(name)
-            if key is None:
+            if not takes:
                 raise ValueError(f"strategy {name!r} takes no bare parameter")
-            params[key] = rest
-    if "block" in params:
+            params[takes[0]] = rest
+    # a parameter the strategy does not take stays text, for the descriptor reader to name
+    if "block" in params and "block" in takes:
         params["block"] = params["block"].split("-")
-    if "entries" in params:
+    if "entries" in params and "entries" in takes:
         params["entries"] = _load_json_arg(params["entries"])
     return {"name": name, "params": params}
 
@@ -174,6 +162,9 @@ def main():
 @_guarded
 def cmd_run(instance, kind, players, colors, rule, strategy, assignment, fmt):
     """Play one game and print the result; exit 0 iff the rule is satisfied."""
+    from .engine import run_game
+    from .strategies import strategy_from_descriptor
+
     inst = _build_instance(instance, kind, players, colors, rule)
     strat = strategy_from_descriptor(parse_strategy_spec(strategy), inst)
     values = _ints(assignment, "--assignment", "comma-separated integer colors")
@@ -198,6 +189,9 @@ def cmd_run(instance, kind, players, colors, rule, strategy, assignment, fmt):
 @_guarded
 def cmd_sweep(instance, kind, players, colors, rule, strategy, max_assignments, fmt):
     """Play every assignment; exit 0 iff the strategy wins all of them."""
+    from .engine import iter_plays, sweep
+    from .strategies import strategy_from_descriptor
+
     inst = _build_instance(instance, kind, players, colors, rule)
     strat = strategy_from_descriptor(parse_strategy_spec(strategy), inst)
     budget = max_assignments if max_assignments is not None else _env_budget()
@@ -227,6 +221,8 @@ def cmd_sweep(instance, kind, players, colors, rule, strategy, max_assignments, 
 @_guarded
 def cmd_search(instance, kind, players, colors, rule, mode, expect, max_strategies, max_assignments, fmt):
     """Exhaust the table-strategy space for the instance's rule."""
+    from .oracle import SearchBudget, best_guaranteed_correct, exists_winning_exhaustive
+
     inst = _build_instance(instance, kind, players, colors, rule)
     env = _env_budget()
     default = SearchBudget()
@@ -263,6 +259,8 @@ def cmd_search(instance, kind, players, colors, rule, mode, expect, max_strategi
 @_guarded
 def cmd_line(kind, colors, lazy, blocks, assignment_base, exceptions, front, base, fmt):
     """Play a line strategy symbolically on an eventually-constant assignment."""
+    from .line import lazy_assignment_from_json, run_lazy
+
     if lazy:
         data = _load_json_arg(lazy)
     else:
@@ -280,6 +278,8 @@ def cmd_line(kind, colors, lazy, blocks, assignment_base, exceptions, front, bas
 @_guarded
 def cmd_verify(only):
     """Run the acceptance suite; exit 0 iff every criterion passes."""
+    from .acceptance import run_criteria
+
     results = run_criteria(only)
     if not results:
         click.echo(f"no criteria match {only!r}", err=True)

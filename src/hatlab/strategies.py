@@ -211,10 +211,35 @@ def seeded_random_strategy(colors: ColorSpace | int, seed: int) -> Strategy:
     return RuleStrategy(decide, label=f"random:{seed}")
 
 
+STRATEGY_PARAMS = {
+    "constant": ("value",),
+    "mod_sum": ("block",),
+    "block_mod_sum": ("n",),
+    "base_selector": ("base",),
+    "sum_broadcast": (),
+    "random": ("seed",),
+    "table": ("entries",),
+}
+"""Each named strategy's parameters, the one a bare compact value sets first."""
+
+
+def strategy_params(name) -> tuple[str, ...]:
+    """The parameters of the strategy called ``name``, or a ``ValueError`` naming it."""
+    if not isinstance(name, str) or name not in STRATEGY_PARAMS:
+        raise ValueError(f"unknown strategy {name!r}")
+    return STRATEGY_PARAMS[name]
+
+
 def strategy_from_descriptor(desc: Mapping, inst: Instance) -> Strategy:
-    """Build a strategy from a ``{"name": ..., "params": {...}}`` descriptor."""
+    """Build a strategy from a ``{"name": ..., "params": {...}}`` descriptor;
+    a parameter the strategy does not take is a ``ValueError``."""
     name = _json_object(desc, "strategy", ("name",))["name"]
     params = dict(_json_object(desc.get("params") or {}, "strategy params", ()))
+    takes = strategy_params(name)
+    unknown = [key for key in params if key not in takes]
+    if unknown:
+        raise ValueError(f"strategy {name!r} has no parameter {', '.join(map(repr, unknown))}; "
+                         f"it takes {', '.join(map(repr, takes)) or 'none'}")
     c = inst.colors.size
     m = len(inst.players)
     param = partial(_json_field, params, "strategy params")
@@ -231,6 +256,4 @@ def strategy_from_descriptor(desc: Mapping, inst: Instance) -> Strategy:
         return sum_broadcast(inst.colors)
     if name == "random":
         return seeded_random_strategy(inst.colors, param("seed", 0))
-    if name == "table":
-        return TableStrategy.from_json(_json_object(params, "table strategy params", ("entries",))["entries"])
-    raise ValueError(f"unknown strategy {name!r}")
+    return TableStrategy.from_json(_json_object(params, "table strategy params", ("entries",))["entries"])

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -726,26 +730,123 @@ class TestStrategySpecs:
         spec = '{"name": "base_selector", "params": {"base": 1}}'
         assert parse_strategy_spec(spec) == {"name": "base_selector", "params": {"base": 1}}
 
+    @pytest.mark.parametrize("compact,descriptor,message", [
+        ("constant:valu=1", {"name": "constant", "params": {"valu": 1}},
+         "strategy 'constant' has no parameter 'valu'; it takes 'value'"),
+        ("sum_broadcast:n=2", {"name": "sum_broadcast", "params": {"n": 2}},
+         "strategy 'sum_broadcast' has no parameter 'n'; it takes none"),
+        ("telepathy:5", {"name": "telepathy", "params": {"value": 5}}, "unknown strategy 'telepathy'"),
+        ("telepathy", {"name": "telepathy"}, "unknown strategy 'telepathy'"),
+        ("telepathy:entries=no-such-file", {"name": "telepathy", "params": {"entries": []}},
+         "unknown strategy 'telepathy'"),
+        ("constant:entries=no-such-file", {"name": "constant", "params": {"entries": []}},
+         "strategy 'constant' has no parameter 'entries'; it takes 'value'"),
+    ])
+    def test_unknown_parameter_or_name_fails_alike_in_both_forms(self, runner, compact, descriptor, message):
+        base = ["run", "--kind", "hnsa", "-m", "2", "-c", "2", "--rule", "at_least:1", "--assignment", "1,1"]
+        flag = invoke(runner, *base, "--strategy", compact)
+        json_form = invoke(runner, *base, "--strategy", json.dumps(descriptor))
+        assert (flag.exit_code, flag.stdout, flag.stderr) == (2, "", f"config error: {message}\n")
+        assert (json_form.exit_code, json_form.stdout, json_form.stderr) == (2, "", f"config error: {message}\n")
+
+    def test_bare_value_sets_the_first_listed_parameter(self):
+        from hatlab.strategies import STRATEGY_PARAMS
+
+        for name, takes in STRATEGY_PARAMS.items():
+            if takes:
+                assert list(parse_strategy_spec(f"{name}:7")["params"]) == [takes[0]]
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout's sources; its stdout."""
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=_SRC),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_ALWAYS = {"hatlab", "hatlab.cli", "hatlab.errors", "hatlab.model"}
+_PLAY = _ALWAYS | {"hatlab.engine", "hatlab.strategies"}
+_ALL = _PLAY | {"hatlab.oracle", "hatlab.line", "hatlab.acceptance"}
+_INSTANCE = ["--kind", "hnsa", "-m", "3", "-c", "2", "--rule", "at_least:1"]
+
+# The 82 names ``dir(hatlab)`` listed while the package imported every submodule eagerly.
+_PUBLIC = sorted("""
+    Assignment BlockPartition BlockSizeMismatch BudgetExceeded ColorSpace CombinedStrategy
+    CoverageError CyclicHearing EvaluationRule FRONT GameResult HatlabError Instance LazyAssignment
+    LazyGuessRecord LineShape LineStrategyKind MissingTableEntry NeedsTwoColors NotHBSF OMEGA
+    OrdinalPosition OverlapError RuleKind RuleStrategy SearchBudget SearchVerdict ShapeMismatch
+    Strategy StrategyRangeError SweepReport SweepTooLarge TableStrategy TooManyBlocks
+    ValidationReport ZeroSize as_assignment assignment_tuple at_least base_selector
+    best_guaranteed_correct block_mod_sum broadcast_guess_at build_canonical_instance combine
+    consecutive_blocks constant correct_count_census count_table_strategies custom_instance
+    diagonal_adversary engine enumerate_table_strategies errors evaluate exists_winning_exhaustive
+    extended_sum fewer_incorrect_than hbsf hnsa hnsf instance_from_json instance_to_json is_winning
+    iter_assignment_tuples iter_plays lazy_assignment_from_json line mismatch_census mod_sum model
+    oracle pointwise_sum run_game run_lazy seeded_random_strategy strategies strategy_from_descriptor
+    sum_broadcast sweep topological_extension validate_instance
+""".split())
+
 
 class TestImports:
-    def test_cli_and_a_sweep_stay_free_of_numpy(self):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
+    @pytest.mark.parametrize("args,loaded", [
+        (["run", *_INSTANCE, "--strategy", "constant:0", "--assignment", "0,1,1"], _PLAY),
+        (["sweep", *_INSTANCE, "--strategy", "constant:0"], _PLAY),
+        (["run", *_INSTANCE, "--strategy", "no_such_strategy", "--assignment", "0,0,0"], _PLAY),
+        (["search", *_INSTANCE, "--mode", "best"], _ALWAYS | {"hatlab.engine", "hatlab.oracle"}),
+        (["line", "--strategy", "sum_broadcast", "-c", "2", "--exception", "0,3,1", "--front", "1"],
+         _ALWAYS | {"hatlab.line"}),
+        (["verify", "--only", "broadcast-exhaustive"], _ALL),
+        (["--help"], _ALWAYS),
+    ], ids=["run", "sweep", "config-error", "search", "line", "verify", "help"])
+    def test_each_command_loads_only_what_it_runs(self, args, loaded):
+        out = _python(
+            "import json, sys\n"
+            "from hatlab.cli import main\n"
+            "try:\n"
+            f"    main({args!r})\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'hatlab']))\n"
+        )
+        assert set(json.loads(out.splitlines()[-1])) == loaded
 
-        src = Path(__file__).resolve().parents[1] / "src"
-        code = (
+    def test_package_lists_the_same_public_names_and_loads_nothing(self):
+        names, exported, loaded = json.loads(_python(
+            "import hatlab, json, sys\n"
+            "print(json.dumps([dir(hatlab), hatlab.__all__, [m for m in sys.modules if m.startswith('hatlab.')]]))\n"
+        ))
+        assert names == sorted(exported) == _PUBLIC
+        assert loaded == []
+
+    def test_star_import_binds_every_name_and_submodules_resolve(self):
+        out = _python(
+            "import hatlab\n"
+            "assert hatlab.oracle.__name__ == 'hatlab.oracle'\n"
+            "assert hatlab.line.run_lazy is hatlab.run_lazy\n"
+            "namespace = {}\n"
+            "exec('from hatlab import *', namespace)\n"
+            "print(sorted(set(hatlab.__all__) - set(namespace)))\n"
+        )
+        assert out.strip() == "[]"
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import hatlab
+
+        with pytest.raises(AttributeError, match="^module 'hatlab' has no attribute 'no_such_name'$"):
+            hatlab.no_such_name
+
+    def test_cli_and_a_sweep_stay_free_of_numpy(self):
+        out = _python(
             "import sys, hatlab.cli\n"
             "from hatlab import block_mod_sum, hnsa, at_least, sweep\n"
             "assert sweep(hnsa(6, 3, at_least(2)), block_mod_sum(6, 3, 2)).winning\n"
             "print('numpy' in sys.modules)\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert out.strip() == "False"
 
     def test_click_is_the_only_dependency(self):
         import re

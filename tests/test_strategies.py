@@ -29,6 +29,7 @@ from hatlab import (
     sum_broadcast,
     sweep,
 )
+from hatlab.strategies import STRATEGY_PARAMS
 
 
 class TestModSum:
@@ -249,3 +250,15 @@ class TestDescriptors:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             strategy_from_descriptor({"name": "telepathy"}, hnsa(2, 2, at_least(1)))
+
+    @pytest.mark.parametrize("name", ["telepathy", ["constant"], None])
+    def test_unknown_name_is_named(self, name):
+        with pytest.raises(ValueError, match=f"^unknown strategy {re.escape(repr(name))}$"):
+            strategy_from_descriptor({"name": name}, hnsa(2, 2, at_least(1)))
+
+    @pytest.mark.parametrize("name", sorted(STRATEGY_PARAMS))
+    def test_a_parameter_the_strategy_does_not_take_is_rejected(self, name):
+        takes = ", ".join(map(repr, STRATEGY_PARAMS[name])) or "none"
+        message = f"strategy '{name}' has no parameter 'valu'; it takes {takes}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            strategy_from_descriptor({"name": name, "params": {"valu": 1}}, hnsa(2, 2, at_least(1)))
