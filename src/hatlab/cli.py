@@ -99,25 +99,31 @@ def _build_instance(instance, kind, players, colors, rule) -> Instance:
     return inst
 
 
+def _unique_keys(pairs) -> dict:
+    """``(key, value)`` pairs as a dict; a key given twice is a ``ValueError`` naming it."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"strategy spec repeats the key {key!r}")
+        out[key] = value
+    return out
+
+
 def parse_strategy_spec(text: str) -> dict:
     """Compact ``name:k=v,...`` (or bare ``name:value``) or a JSON descriptor.
-    Compact values stay text for :func:`strategy_from_descriptor` to read."""
+    Compact values stay text for :func:`strategy_from_descriptor` to read.
+    A key given twice is an error in both spellings."""
     from .strategies import strategy_params
 
     if text.strip().startswith("{"):
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     name, _, rest = text.partition(":")
+    params = _unique_keys(pair.partition("=")[::2] for pair in rest.split(",")) if "=" in rest else {}
     takes = strategy_params(name)
-    params: dict = {}
-    if rest:
-        if "=" in rest:
-            for pair in rest.split(","):
-                key, _, val = pair.partition("=")
-                params[key] = val
-        else:
-            if not takes:
-                raise ValueError(f"strategy {name!r} takes no bare parameter")
-            params[takes[0]] = rest
+    if rest and not params:
+        if not takes:
+            raise ValueError(f"strategy {name!r} takes no bare parameter")
+        params[takes[0]] = rest
     # a parameter the strategy does not take stays text, for the descriptor reader to name
     if "block" in params and "block" in takes:
         params["block"] = params["block"].split("-")

@@ -22,15 +22,16 @@ color, and so is each asking's guess. The kernel checks the sweep budget, then
 walks ``Instance.steps`` once per chunk; at each asking it asks
 :meth:`Strategy.decide_sets` for the guess partition, given the visible hat
 partitions and the heard guess partitions, and checks that it is one set per
-color, disjoint and covering the chunk. A *steady* asking sees no leading hat
-and hears only steady askings, so it is asked and checked once per sweep and
-its partition reused. The kernel keeps one wrong set per asked player (a player
-is wrong when any of its guesses is) and the sets ``S[k]`` of assignments with
-at least ``k`` players wrong. Chunks run in lexicographic order, so the lowest
-bit of the first failing ``S[k]`` of the first failing chunk is the least
-counterexample. A chunk that raises is replayed one assignment at a time
-through :func:`_play`, so errors, and the plays that come before them, are
-those of the scalar loop.
+color, disjoint and covering the chunk. An asking whose influence
+(``Instance.influence``) misses every hat the chunk fixes is decided once per
+sweep: it is asked and checked in the first chunk and its partition reused.
+The kernel keeps one wrong set per asked player (a player is wrong when any of
+its guesses is) and the sets ``S[k]`` of assignments with at least ``k``
+players wrong. Chunks run in lexicographic order, so the lowest bit of the
+first failing ``S[k]`` of the first failing chunk is the least counterexample.
+A chunk that raises is replayed one assignment at a time through
+:func:`_play`, so errors, and the plays that come before them, are those of
+the scalar loop.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ class Strategy:
     and returns a color. Implementations must be pure: the same triple always
     yields the same color, and nothing outside the triple may influence it.
     Purity is load-bearing: a sweep calls ``decide`` once per distinct
-    observation per chunk, and once per sweep at a steady asking.
+    observation per chunk, and only in the first chunk at an asking whose
+    influence misses every hat the chunk fixes.
 
     ``decide_sets(t, seen, heard, full, colors)`` is the set form the sweeps
     use. A set of a chunk's assignments is an int (bit ``i`` for the ``i``-th,
@@ -371,11 +373,8 @@ def _play_chunks(inst: Instance, strat: Strategy, max_assignments: int | None) -
         width += 1
     full = (1 << size**width) - 1
     trailing = _hat_sets(size, width)
-    steady: dict = {}  # askings that see no leading hat and hear only steady askings: their partitions
-    lead = set(players[:len(players) - width])
-    for t, _, vis, hrd in steps if lead else ():  # with no leading hat there is one chunk, and nothing to reuse
-        if lead.isdisjoint(vis) and all(x in steady for x in hrd):
-            steady[t] = None
+    lead = players[:len(players) - width]  # with no leading hat there is one chunk, and nothing to reuse
+    steady = dict.fromkeys(t for t, hats in inst.influence.items() if hats.isdisjoint(lead)) if lead else {}
     for prefix in product(range(size), repeat=len(players) - width):
         leading = [[full if g == color else 0 for g in range(size)] for color in prefix]
         hats = dict(zip(players, leading + trailing))

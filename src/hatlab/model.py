@@ -14,7 +14,8 @@ provided:
 
 An instance fixes its play before any strategy is chosen: computed once per
 instance, :attr:`Instance.steps` are the play steps in the canonical order
-(:func:`topological_extension`) and :attr:`Instance.asked` the players asked.
+(:func:`topological_extension`), :attr:`Instance.asked` the players asked and
+:attr:`Instance.influence` the hats each guess can depend on.
 
 The adversary picks a full color assignment (any map from players to colors);
 the engine module derives the unique play of a strategy against it and scores
@@ -202,6 +203,15 @@ class Instance:
     def asked(self) -> tuple[int, ...]:
         """The players the play steps ask, in first-asked order."""
         return tuple(dict.fromkeys(m for _, m, _, _ in self.steps))
+
+    @cached_property
+    def influence(self) -> dict[int, frozenset[int]]:
+        """The players whose hats each asking's guess can depend on: those its
+        player sees, and the influence of each asking it hears."""
+        out: dict[int, frozenset[int]] = {}
+        for t, _, vis, hrd in self.steps:
+            out[t] = frozenset(vis).union(*(out.get(x, ()) for x in hrd))  # an unknown asking adds none
+        return out
 
     def assignment_count(self) -> int:
         return self.colors.size ** len(self.players)
@@ -497,12 +507,20 @@ def _json_field(data: Mapping, what: str, key: str, default=None, form: str = "i
         raise ValueError(f"{what} {key!r} must be {expects}, got {data[key]!r}") from None
 
 
+MAX_PLAYERS = 1000
+"""Most players a descriptor may declare; checked before any relation is built."""
+
+
 def instance_from_json(data: Mapping) -> Instance:
-    """Parse an instance descriptor (inverse of :func:`instance_to_json`)."""
+    """Parse an instance descriptor (inverse of :func:`instance_to_json`).
+    A player count past :data:`MAX_PLAYERS` is a ``ValueError``; the
+    constructors themselves take any size."""
     field = partial(_json_field, _json_object(data, "instance", ("players", "colors", "rule")), "instance")
     kind = str(data.get("kind", "custom")).lower()
     rule = EvaluationRule.from_json(data["rule"])
     m = field("players")
+    if m > MAX_PLAYERS:
+        raise ValueError(f"instance 'players' must be at most {MAX_PLAYERS}, got {m}")
     c = field("colors")
     if kind in CANONICAL_KINDS:
         return build_canonical_instance(kind, m, c, rule)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import engine
 from .engine import RuleStrategy, Strategy, TableStrategy
@@ -20,7 +20,8 @@ from .errors import (
     NotHBSF,
     TooManyBlocks,
 )
-from .model import ColorSpace, Instance, _is_color, _json_field, _json_object, as_colors, at_least, custom_instance, hnsa
+from .model import (ColorSpace, EvaluationRule, Instance, _is_color, _json_field, _json_object, as_colors, at_least,
+                    custom_instance, hnsa)
 
 
 def constant(color: int) -> Strategy:
@@ -107,10 +108,15 @@ def block_mod_sum(m: int, c: int, n: int) -> Strategy:
     players guess 0) and combines the per-block strategies, guaranteeing at
     least ``n`` correct guesses on every assignment.
     """
+    return _block_mod_sum(m, c, n, partial(hnsa, m, c))
+
+
+def _block_mod_sum(m: int, c: int, n: int, target_of: Callable[[EvaluationRule], Instance]) -> Strategy:
+    """:func:`block_mod_sum`'s parts combined against ``target_of(at_least(n))``."""
     if n > m // c:
         raise TooManyBlocks(f"{n} blocks of size {c} do not fit into {m} players")
     partition = consecutive_blocks(range(m), c, n)
-    target = hnsa(m, c, at_least(n))
+    target = target_of(at_least(n))
     parts: list[tuple[Instance, Strategy]] = []
     for block in partition.blocks:
         sub = custom_instance(
@@ -248,8 +254,8 @@ def strategy_from_descriptor(desc: Mapping, inst: Instance) -> Strategy:
     if name == "mod_sum":
         return mod_sum(param("block", inst.players[:c], "ints"), inst.colors)
     if name == "block_mod_sum":
-        # combined against the instance played, so a misfit fails in ``combine``
-        return engine.combine(block_mod_sum(m, c, param("n", m // c)).parts, inst)
+        # combined against the instance played alone, so a misfit fails in ``combine``
+        return _block_mod_sum(m, c, param("n", m // c), lambda rule: inst)
     if name == "base_selector":
         return base_selector(param("base", 0))
     if name == "sum_broadcast":

@@ -196,11 +196,12 @@ class TestSearch:
          "search needs 3**17496 table strategies, budget is 10000000"),
         (["search", "--kind", "hnsf", "-m", "14", "-c", "2", "--rule", "at_least:1"],
          "search needs 2**16383 table strategies, budget is 10000000"),
-        (["sweep", "--instance", json.dumps({"players": 15000, "colors": 2,
+        # 699 digits at the 1000-player limit, so the count prints as a power
+        (["sweep", "--instance", json.dumps({"players": 1000, "colors": 5,
                                              "rule": {"kind": "at_least", "threshold": 1}}),
           "--strategy", "constant:0"],
-         "sweep needs 2**15000 assignment plays, budget is 100000000"),
-    ], ids=["hnsa-12x2", "hnsa-8x3", "hbsf-8x3", "hnsf-14x2", "sweep-15000"])
+         "sweep needs 5**1000 assignment plays, budget is 100000000"),
+    ], ids=["hnsa-12x2", "hnsa-8x3", "hbsf-8x3", "hnsf-14x2", "sweep-1000x5"])
     def test_huge_count_is_a_budget_error(self, runner, args, message):
         res = invoke(runner, *args)
         assert res.exit_code == 3
@@ -499,6 +500,28 @@ class TestOptionsAreDescriptors:
             res = invoke(runner, *command, *form)
             assert (res.exit_code, res.stdout, res.stderr) == (expected.exit_code, expected.stdout, expected.stderr)
 
+    @pytest.mark.parametrize("command", [["run", "--strategy", "constant:0", "--assignment", "0"],
+                                         ["sweep", "--strategy", "constant:0"], ["search"]])
+    # just past the limit: building hnsa or hbsf 1001x3 takes over a second, so
+    # the time bound shows that nothing was built, without risking the memory a
+    # regression at -m 100000 would take
+    @pytest.mark.parametrize("kind,m", [("hnsa", 1001), ("hbsf", 1001), ("custom", 10**6)])
+    def test_a_player_count_past_the_limit_fails_before_any_build(self, runner, command, kind, m):
+        start = time.perf_counter()
+        flags, desc, replaced = _instance_forms(kind, m, 3, "at_least:1")
+        for form in ([flags, desc, replaced] if kind != "custom" else [desc, replaced]):
+            res = invoke(runner, *command, *form)
+            assert (res.exit_code, res.stdout, res.stderr) == (
+                2, "", f"config error: instance 'players' must be at most 1000, got {m}\n")
+        assert time.perf_counter() - start < 1.0
+
+    def test_the_player_limit_admits_its_own_value(self):
+        from hatlab.model import MAX_PLAYERS, instance_from_json
+
+        assert MAX_PLAYERS == 1000
+        rule = {"kind": "at_least", "threshold": 1}
+        assert len(instance_from_json({"kind": "custom", "players": 1000, "colors": 2, "rule": rule}).players) == 1000
+
     @pytest.mark.parametrize("players", [2.0, "2"])
     def test_integral_float_and_integer_text_read_as_integers(self, runner, players):
         flags, desc, _ = _instance_forms("hnsa", 2, 2, "at_least:1", players=players)
@@ -528,10 +551,10 @@ class TestOptionsAreDescriptors:
 
 # --- fuzz: any text on the input options and in HATLAB_BUDGET ----------------------
 
-# Numbers stay small: a huge player count makes the instance build allocate
-# without bound (recorded in CHANGES.md), and a large one lets a sweep run for
-# minutes under the default budget. Infinities, NaN and fractions still reach
-# every integer field.
+# Numbers reach 10**9: a player count past the limit fails before any build.
+# Color counts stay small: one player with up to 10**8 colors passes the sweep
+# budget, and the sweep then runs for hours (recorded in CHANGES.md).
+# Infinities, NaN and fractions still reach every integer field.
 _FLOAT = st.floats(-4, 4) | st.sampled_from([float("inf"), float("-inf"), float("nan")])
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 5) | _FLOAT | st.text(max_size=4),
@@ -546,20 +569,21 @@ def _descriptor(**fields):
             | st.fixed_dictionaries({}, optional={k: v | _JSON for k, v in fields.items()}))
 
 
-_SMALL = st.integers(-1, 3) | _FLOAT
-_PAIRS = st.lists(st.lists(_SMALL, max_size=3), max_size=4)
+_COLORS = st.integers(-1, 3) | _FLOAT
+_NUMBER = _COLORS | st.integers(-1, 10**9)
+_PAIRS = st.lists(st.lists(_NUMBER, max_size=3), max_size=4)
 _RULE = _descriptor(kind=st.sampled_from(["at_least", "fewer_incorrect"]),
-                    threshold=_SMALL | st.just("omega"))
-_INSTANCE = _descriptor(kind=st.sampled_from(["hnsa", "hnsf", "hbsf", "custom"]), players=_SMALL,
-                        colors=_SMALL, rule=_RULE, sight=_PAIRS, hearing=_PAIRS,
-                        labeling=st.lists(_SMALL, max_size=4))
+                    threshold=_NUMBER | st.just("omega"))
+_INSTANCE = _descriptor(kind=st.sampled_from(["hnsa", "hnsf", "hbsf", "custom"]), players=_NUMBER,
+                        colors=_COLORS, rule=_RULE, sight=_PAIRS, hearing=_PAIRS,
+                        labeling=st.lists(_NUMBER, max_size=4))
 _NAMES = st.sampled_from(["constant", "mod_sum", "block_mod_sum", "base_selector",
                           "sum_broadcast", "random", "table"])
 _STRATEGY = _descriptor(name=_NAMES, params=_descriptor(
-    value=_SMALL, base=_SMALL, n=_SMALL, seed=_SMALL, block=st.lists(_SMALL, max_size=3),
-    entries=st.lists(_descriptor(t=_SMALL, seen=_PAIRS, heard=_PAIRS, guess=_SMALL), max_size=3)))
-_LAZY = _descriptor(base=_SMALL, front=_SMALL, blocks=_SMALL,
-                    exceptions=st.lists(_descriptor(k=_SMALL, n=_SMALL, color=_SMALL), max_size=3))
+    value=_NUMBER, base=_NUMBER, n=_NUMBER, seed=_NUMBER, block=st.lists(_NUMBER, max_size=3),
+    entries=st.lists(_descriptor(t=_NUMBER, seen=_PAIRS, heard=_PAIRS, guess=_NUMBER), max_size=3)))
+_LAZY = _descriptor(base=_NUMBER, front=_NUMBER, blocks=_NUMBER,
+                    exceptions=st.lists(_descriptor(k=_NUMBER, n=_NUMBER, color=_NUMBER), max_size=3))
 
 
 def _text(descriptor=None):
@@ -570,7 +594,7 @@ def _text(descriptor=None):
     return st.one_of(shapes)
 
 
-_INTS = st.lists(_SMALL.map(str) | st.text(max_size=2), max_size=4).map(",".join)
+_INTS = st.lists(_NUMBER.map(str) | st.text(max_size=2), max_size=4).map(",".join)
 # No environment holds NUL or a lone surrogate; CliRunner fails on them before hatlab runs.
 _ENV = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=8)
 _COMPACT = st.tuples(_NAMES, st.text(max_size=10)).map(":".join)
@@ -591,7 +615,7 @@ _CALLS = st.one_of(
     (st.tuples(st.sampled_from(["at_least", "fewer_incorrect", "most"]), st.text(max_size=6)).map(":".join)
      | st.text(max_size=12)).map(
         lambda rule: (["sweep", *_HNSA[:6], "--rule", rule, "--strategy", "constant:0"], None)),
-    st.tuples(st.lists(_SMALL.map(str), min_size=2, max_size=2).map(",".join), _SMALL, _SMALL,
+    st.tuples(st.lists(_NUMBER.map(str), min_size=2, max_size=2).map(",".join), _NUMBER, _NUMBER,
               st.lists(_INTS, max_size=1)).map(
         lambda a: (["line", "--strategy", "sum_broadcast", "-c", "2", "--front", "1",
                     "--exception", f"{a[0]},{a[1]}", "--exception", f"{a[0]},{a[2]}",
@@ -741,11 +765,19 @@ class TestStrategySpecs:
          "unknown strategy 'telepathy'"),
         ("constant:entries=no-such-file", {"name": "constant", "params": {"entries": []}},
          "strategy 'constant' has no parameter 'entries'; it takes 'value'"),
+        # a key given twice, as JSON text since a dict cannot hold it twice
+        ("random:seed=1,seed=2", '{"name": "random", "params": {"seed": 1, "seed": 2}}',
+         "strategy spec repeats the key 'seed'"),
+        ("constant:value=1,value=2", '{"name": "constant", "params": {"value": 1, "value": 2}}',
+         "strategy spec repeats the key 'value'"),
+        ("telepathy:x=1,x=1", '{"name": "telepathy", "params": {"x": 1, "x": 1}}',
+         "strategy spec repeats the key 'x'"),
     ])
     def test_unknown_parameter_or_name_fails_alike_in_both_forms(self, runner, compact, descriptor, message):
         base = ["run", "--kind", "hnsa", "-m", "2", "-c", "2", "--rule", "at_least:1", "--assignment", "1,1"]
         flag = invoke(runner, *base, "--strategy", compact)
-        json_form = invoke(runner, *base, "--strategy", json.dumps(descriptor))
+        text = descriptor if isinstance(descriptor, str) else json.dumps(descriptor)
+        json_form = invoke(runner, *base, "--strategy", text)
         assert (flag.exit_code, flag.stdout, flag.stderr) == (2, "", f"config error: {message}\n")
         assert (json_form.exit_code, json_form.stdout, json_form.stderr) == (2, "", f"config error: {message}\n")
 

@@ -35,6 +35,7 @@ from hatlab import (
     sweep,
 )
 from hatlab import engine
+from test_oracle import SPACES
 
 CHUNKS = st.sampled_from([1, 2, 3, 5, 16, engine.CHUNK_PLAYS])
 
@@ -343,6 +344,65 @@ def test_steady_askings_are_decided_once_per_sweep(inst, chunk, want):
         report = sweep(inst, strat)
     assert {t: calls.count(t) for t in inst.askings} == want
     assert report == reference_sweep(inst, strat)
+
+
+def reference_steady(inst, lead):
+    """The kernel's steady askings by their first definition: an asking is
+    steady when it sees no leading hat and hears only steady askings."""
+    steady = set()
+    for t, _, vis, hrd in inst.steps:
+        if lead.isdisjoint(vis) and all(x in steady for x in hrd):
+            steady.add(t)
+    return steady
+
+
+def seeded_hearing_instance(seed):
+    """A random custom instance with at least one hearing pair."""
+    rng = random.Random(seed)
+    n, c = rng.randint(1, 5), rng.randint(2, 3)
+    sight = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 8))]
+    askings = rng.randint(2, n + 2)
+    order = rng.sample(range(askings), askings)
+    hearing = [(order[i], order[j]) for i in range(askings) for j in range(i + 1, askings) if rng.random() < 0.4]
+    labeling = [rng.randrange(n) for _ in range(askings)]
+    return custom_instance(n, c, sight, at_least(1), hearing=hearing or [(order[0], order[1])],
+                           askings=range(askings), labeling=labeling)
+
+
+STEADY_CASES = {
+    **{space: build(at_least(1)) for space, build in SPACES.items()},
+    **{f"hearing-{seed}": seeded_hearing_instance(seed) for seed in range(40)},
+}
+
+
+@pytest.mark.parametrize("inst", STEADY_CASES.values(), ids=STEADY_CASES.keys())
+def test_steady_askings_are_those_whose_influence_misses_the_lead(inst):
+    # for every lead length: the set from ``influence`` is the first
+    # definition's, and the kernel decides exactly those askings once
+    n, c = len(inst.players), inst.colors.size
+    for k in range(n + 1):
+        lead = set(inst.players[:k])
+        steady = reference_steady(inst, lead)
+        assert {t for t, hats in inst.influence.items() if hats.isdisjoint(lead)} == steady
+        calls = []
+        strat = seeded_random_strategy(inst.colors, k)
+        sets = strat.decide_sets
+        strat.decide_sets = lambda t, *args: calls.append(t) or sets(t, *args)
+        with mock.patch.object(engine, "CHUNK_PLAYS", c ** (n - k)):
+            sweep(inst, strat)
+        assert {t: calls.count(t) for t in inst.askings} == {t: 1 if t in steady else c**k for t in inst.askings}
+
+
+@given(instances(), st.integers(0, 10**6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_hats_outside_the_influence_never_change_the_guess(inst, seed, data):
+    strat = seeded_random_strategy(inst.colors, seed)
+    colors = st.lists(st.integers(0, inst.colors.size - 1), min_size=len(inst.players), max_size=len(inst.players))
+    a, other = (dict(zip(inst.players, data.draw(colors))) for _ in range(2))
+    guesses = run_game(inst, strat, a).guesses
+    for t, hats in inst.influence.items():
+        b = {m: a[m] if m in hats else other[m] for m in inst.players}
+        assert run_game(inst, strat, b).guesses[t] == guesses[t]
 
 
 @pytest.mark.parametrize("inst, strat, census, report", [

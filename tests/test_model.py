@@ -227,6 +227,28 @@ class TestPlaySteps:
         assert [t for t, _, _, _ in inst.steps] == [2, 0, 1]
         assert inst.asked == (1, 0)
 
+    def test_influence_of_the_three_classes(self):
+        # hnsa guesses depend on every other hat, hnsf on the hats behind;
+        # in hbsf every guess depends on all hats but the front's, which
+        # the front announces and nobody sees
+        inst = hbsf(4, 2, at_least(1))
+        assert inst.influence == {-1: {0, 1, 2}, 0: {0, 1, 2}, 1: {0, 1, 2}, 2: {0, 1, 2}}
+        assert inst.influence is inst.influence
+        assert hnsf(3, 2, at_least(1)).influence == {0: {1, 2}, 1: {2}, 2: frozenset()}
+        assert hnsa(3, 2, at_least(1)).influence == {0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
+
+    def test_influence_follows_hearing_through_every_asking(self):
+        # asking 2 (player 0, sees 1) hears 1, which hears 0 (player 2, sees 2)
+        inst = custom_instance(3, 2, sight=[(1, 0), (2, 2)], rule=at_least(1), hearing=[(0, 1), (1, 2)],
+                               askings=(0, 1, 2), labeling=(2, 1, 0))
+        assert inst.influence == {0: {2}, 1: {2}, 2: {1, 2}}
+
+    def test_cyclic_instance_raises_on_influence(self):
+        inst = custom_instance(2, 2, sight=(), rule=at_least(1), hearing=[(0, 1), (1, 0)])
+        for _ in range(2):
+            with pytest.raises(CyclicHearing, match=r"^hearing relation has a cycle: \[0, 1\]$"):
+                inst.influence
+
     def test_cyclic_instance_raises_on_every_access(self):
         inst = custom_instance(2, 2, sight=(), rule=at_least(1), hearing=[(0, 1), (1, 0)])
         for _ in range(2):

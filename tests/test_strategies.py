@@ -193,6 +193,27 @@ class TestDescriptors:
         strat = strategy_from_descriptor({"name": "block_mod_sum", "params": {}}, inst)
         assert is_winning(inst, strat)[0]
 
+    def test_block_mod_sum_combines_against_the_instance_alone(self):
+        # no throwaway hnsa target: the descriptor's parts meet only ``inst``
+        from unittest import mock
+
+        from hatlab import ZeroSize, custom_instance, strategies
+
+        inst = hnsa(5, 2, at_least(2))
+        with mock.patch.object(strategies, "hnsa", side_effect=AssertionError("built an hnsa target")):
+            strat = strategy_from_descriptor({"name": "block_mod_sum", "params": {"n": 2}}, inst)
+            with pytest.raises(AssertionError, match="built an hnsa target"):
+                block_mod_sum(5, 2, 2)
+        assert sweep(inst, strat) == sweep(inst, block_mod_sum(5, 2, 2))
+        assert strat.parts[-1][0].players == (4,)
+        # the public function still combines against hnsa(m, c)
+        with pytest.raises(ZeroSize):
+            block_mod_sum(0, 2, 0)
+        # a misfit fails in ``combine``, against the instance played
+        line = custom_instance(4, 2, [(1, 0), (3, 2)], at_least(1))
+        with pytest.raises(ValueError, match="^a part's sight relation is not contained in the target's$"):
+            strategy_from_descriptor({"name": "block_mod_sum", "params": {"n": 2}}, line)
+
     def test_table_descriptor_round_trip(self):
         from hatlab import exists_winning_exhaustive
 
