@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, product, repeat
 from operator import and_, or_
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import (
     CoverageError,
@@ -57,6 +57,7 @@ from .model import (
     Instance,
     RuleKind,
     _is_color,
+    _int_pairs,
     _json_field,
     _json_int,
     _json_object,
@@ -209,34 +210,19 @@ class TableStrategy(Strategy):
         ]
 
     @staticmethod
-    def from_json(rows: Iterable[Mapping]) -> "TableStrategy":
+    def from_json(rows: Sequence[Mapping]) -> "TableStrategy":
+        if not isinstance(rows, (list, tuple)):
+            raise ValueError(f"table strategy 'entries' must be a JSON list, got {type(rows).__name__}")
         entries = {}
-        try:
-            for row in rows:
-                key = (_json_int(row["t"]), _json_pairs(row["seen"]), _json_pairs(row["heard"]))
-                entries[key] = _json_int(row["guess"])
-        except (KeyError, TypeError, ValueError, OverflowError):  # name the fault; checked only here, off the fast path
-            if not isinstance(rows, (list, tuple)):
-                raise ValueError(f"table strategy 'entries' must be a JSON list, got {type(rows).__name__}") from None
-            for row in rows:
+        for row in rows:
+            try:
+                entries[_json_int(row["t"]), _int_pairs(row["seen"]), _int_pairs(row["heard"])] = _json_int(row["guess"])
+            except (KeyError, TypeError, ValueError, OverflowError):  # name the row's fault, off the fast path
                 _json_object(row, "table row", ("t", "seen", "heard", "guess"))
                 for key, form in (("seen", "observation"), ("heard", "observation"), ("t", "int"), ("guess", "int")):
                     _json_field(row, "table row", key, form=form)
-            raise
+                raise
         return TableStrategy(entries)
-
-
-def _json_pairs(raw) -> tuple[tuple[int, int], ...]:
-    """``[id, color]`` pairs from JSON, sorted as :func:`freeze_observation` sorts them.
-    A pair is a list or tuple of two: text such as ``"11"`` is not ``[1, 1]``."""
-    pairs = [(_json_int(p[0]), _json_int(p[1])) if isinstance(p, (list, tuple)) and len(p) == 2 else _not_a_pair(p)
-             for p in raw]
-    pairs.sort()
-    return tuple(pairs)
-
-
-def _not_a_pair(raw):
-    raise TypeError(f"not an [id, color] pair: {raw!r}")
 
 
 # --- play and scoring -------------------------------------------------------

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
 from graphlib import CycleError, TopologicalSorter
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CyclicHearing, ZeroSize
@@ -481,8 +482,18 @@ def _json_int(raw) -> int:
     return int(raw)
 
 
-def _int_pairs(raw) -> list[tuple[int, int]]:
-    return [(_json_int(a), _json_int(b)) for a, b in map(_json_list, _json_list(raw))]
+def _int_pairs(raw) -> tuple[tuple[int, int], ...]:
+    """Pairs of integers from JSON, sorted (the key order of ``freeze_observation``).
+    The list and each pair are lists or tuples: text such as ``"11"`` is not ``[1, 1]``."""
+    if not isinstance(raw, (list, tuple)):
+        raise TypeError("not a list")
+    if not raw:  # the common case in a table that hears nothing
+        return ()
+    if not all(map(isinstance, raw, repeat((list, tuple)))):
+        raise TypeError("not a list of pairs")
+    pairs = [(_json_int(a), _json_int(b)) for a, b in raw]  # a pair of another length fails to unpack
+    pairs.sort()
+    return tuple(pairs)
 
 
 _FIELD_FORMS = {  # form: (reader, what it accepts)
@@ -510,11 +521,15 @@ def _json_field(data: Mapping, what: str, key: str, default=None, form: str = "i
 MAX_PLAYERS = 1000
 """Most players a descriptor may declare; checked before any relation is built."""
 
+MAX_COLORS = 1000
+"""Most colors a descriptor may declare; past it, every sweep chunk is quadratic in the colors."""
+
 
 def instance_from_json(data: Mapping) -> Instance:
     """Parse an instance descriptor (inverse of :func:`instance_to_json`).
-    A player count past :data:`MAX_PLAYERS` is a ``ValueError``; the
-    constructors themselves take any size."""
+    A player count past :data:`MAX_PLAYERS`, or a color count past
+    :data:`MAX_COLORS`, is a ``ValueError``; the constructors themselves take
+    any size."""
     field = partial(_json_field, _json_object(data, "instance", ("players", "colors", "rule")), "instance")
     kind = str(data.get("kind", "custom")).lower()
     rule = EvaluationRule.from_json(data["rule"])
@@ -522,6 +537,8 @@ def instance_from_json(data: Mapping) -> Instance:
     if m > MAX_PLAYERS:
         raise ValueError(f"instance 'players' must be at most {MAX_PLAYERS}, got {m}")
     c = field("colors")
+    if c > MAX_COLORS:
+        raise ValueError(f"instance 'colors' must be at most {MAX_COLORS}, got {c}")
     if kind in CANONICAL_KINDS:
         return build_canonical_instance(kind, m, c, rule)
     if kind != "custom":

@@ -77,6 +77,9 @@ def mod_sum(block: Sequence[int], colors: ColorSpace | int) -> Strategy:
     """
     colors = as_colors(colors)
     block = tuple(sorted(int(m) for m in block))
+    repeated = [m for m, nxt in zip(block, block[1:]) if m == nxt]
+    if repeated:
+        raise BlockSizeMismatch(f"block lists player {repeated[0]} more than once")
     if len(block) != colors.size:
         raise BlockSizeMismatch(
             f"block has {len(block)} players, need exactly {colors.size} (one per color)"

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, seed, settings, strategies as st
 
 from hatlab.cli import main, parse_strategy_spec
+from hatlab.model import MAX_COLORS
 
 
 @pytest.fixture
@@ -401,6 +402,15 @@ class TestInstanceDescriptors:
          "table row 'heard' must be a list of [id, color] pairs, got [{'0': 1, '1': 0}]"),
         # the strategy is named before any parameter it would read
         (_SWEEP + ["telepathy:value=x"], "unknown strategy 'telepathy'"),
+        # empty text and an empty object are neither empty observations nor empty entries
+        (_SWEEP + ['{"name": "table", "params": {"entries": [{"t": 0, "seen": "", "heard": [], "guess": 1}]}}'],
+         "table row 'seen' must be a list of [id, color] pairs, got ''"),
+        (_SWEEP + ['{"name": "table", "params": {"entries": [{"t": 0, "seen": [], "heard": {}, "guess": 1}]}}'],
+         "table row 'heard' must be a list of [id, color] pairs, got {}"),
+        (_SWEEP + ['{"name": "table", "params": {"entries": {}}}'],
+         "table strategy 'entries' must be a JSON list, got dict"),
+        (_SWEEP + ['{"name": "table", "params": {"entries": ""}}'],
+         "table strategy 'entries' must be a JSON list, got str"),
     ])
     def test_malformed_descriptor_is_a_config_error(self, runner, args, message):
         res = invoke(runner, *args)
@@ -522,6 +532,28 @@ class TestOptionsAreDescriptors:
         rule = {"kind": "at_least", "threshold": 1}
         assert len(instance_from_json({"kind": "custom", "players": 1000, "colors": 2, "rule": rule}).players) == 1000
 
+    @pytest.mark.parametrize("command", [["run", "--strategy", "constant:0", "--assignment", "0"],
+                                         ["sweep", "--strategy", "constant:0"], ["search"]])
+    # the time bound shows that no play ran: one player with 70000 colors is only
+    # 70000 plays, yet a sweep of them takes minutes
+    @pytest.mark.parametrize("kind,c", [("hnsa", 1001), ("hnsf", 70000), ("hbsf", 10**9), ("custom", 70000)])
+    def test_a_color_count_past_the_limit_fails_before_any_play(self, runner, command, kind, c):
+        start = time.perf_counter()
+        flags, desc, replaced = _instance_forms(kind, 1, c, "at_least:0")
+        for form in ([flags, desc, replaced] if kind != "custom" else [desc, replaced]):
+            res = invoke(runner, *command, *form)
+            assert (res.exit_code, res.stdout, res.stderr) == (
+                2, "", f"config error: instance 'colors' must be at most 1000, got {c}\n")
+        assert time.perf_counter() - start < 1.0
+
+    def test_the_color_limit_admits_its_own_value(self, runner):
+        assert MAX_COLORS == 1000
+        flags, desc, _ = _instance_forms("hnsa", 1, 1000, "at_least:1")
+        for form in (flags, desc):
+            res = invoke(runner, "run", "--strategy", "constant:999", "--assignment", "999", *form)
+            assert res.exit_code == 0
+            assert json.loads(res.stdout)["instance"]["colors"] == 1000
+
     @pytest.mark.parametrize("players", [2.0, "2"])
     def test_integral_float_and_integer_text_read_as_integers(self, runner, players):
         flags, desc, _ = _instance_forms("hnsa", 2, 2, "at_least:1", players=players)
@@ -551,9 +583,8 @@ class TestOptionsAreDescriptors:
 
 # --- fuzz: any text on the input options and in HATLAB_BUDGET ----------------------
 
-# Numbers reach 10**9: a player count past the limit fails before any build.
-# Color counts stay small: one player with up to 10**8 colors passes the sweep
-# budget, and the sweep then runs for hours (recorded in CHANGES.md).
+# Numbers reach 10**9: a player or color count past its limit fails before any
+# build or play. Color counts inside the limit stay small, so the fuzz stays fast.
 # Infinities, NaN and fractions still reach every integer field.
 _FLOAT = st.floats(-4, 4) | st.sampled_from([float("inf"), float("-inf"), float("nan")])
 _JSON = st.recursive(
@@ -569,7 +600,7 @@ def _descriptor(**fields):
             | st.fixed_dictionaries({}, optional={k: v | _JSON for k, v in fields.items()}))
 
 
-_COLORS = st.integers(-1, 3) | _FLOAT
+_COLORS = st.integers(-1, 3) | _FLOAT | st.integers(MAX_COLORS + 1, 10**9)
 _NUMBER = _COLORS | st.integers(-1, 10**9)
 _PAIRS = st.lists(st.lists(_NUMBER, max_size=3), max_size=4)
 _RULE = _descriptor(kind=st.sampled_from(["at_least", "fewer_incorrect"]),
@@ -632,6 +663,20 @@ class TestFuzz:
         res = CliRunner().invoke(main, args, env=env)
         assert res.exception is None or isinstance(res.exception, SystemExit), (args, env, res.output)
         assert res.exit_code in {0, 1, 2, 3}
+        if _colors_past_the_limit(args):
+            assert res.exit_code == 2, (args, res.output)
+
+
+def _colors_past_the_limit(args) -> bool:
+    """Whether ``args`` give an instance descriptor whose color count is past the limit."""
+    if "--instance" not in args:
+        return False
+    try:
+        desc = json.loads(args[args.index("--instance") + 1])
+    except ValueError:
+        return False
+    colors = desc.get("colors") if isinstance(desc, dict) else None
+    return type(colors) is int and colors > MAX_COLORS
 
 
 class TestVerify:
@@ -749,6 +794,18 @@ class TestStrategySpecs:
         flag = invoke(runner, *base, "--strategy", compact)
         json_form = invoke(runner, *base, "--strategy", json.dumps(descriptor))
         assert (flag.exit_code, flag.stdout, flag.stderr) == (json_form.exit_code, json_form.stdout, json_form.stderr)
+
+    @pytest.mark.parametrize("compact,block,player", [
+        ("mod_sum:block=0-0-1", [0, 0, 1], 0),
+        ("mod_sum:block=2-1-2", [2, 1, 2], 2),
+        ("mod_sum:block=1-1-1", [1, 1, 1], 1),
+    ])
+    def test_a_block_that_repeats_a_player_fails_alike_in_both_forms(self, runner, compact, block, player):
+        base = ["sweep", "--kind", "hnsa", "-m", "3", "-c", "3", "--rule", "at_least:1"]
+        expected = (2, "", f"config error: block lists player {player} more than once\n")
+        for spec in (compact, json.dumps({"name": "mod_sum", "params": {"block": block}})):
+            res = invoke(runner, *base, "--strategy", spec)
+            assert (res.exit_code, res.stdout, res.stderr) == expected
 
     def test_json_form(self):
         spec = '{"name": "base_selector", "params": {"base": 1}}'

@@ -1,6 +1,7 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hatlab import (
     BlockSizeMismatch,
@@ -29,7 +30,16 @@ from hatlab import (
     sum_broadcast,
     sweep,
 )
+from hatlab.model import _json_field
 from hatlab.strategies import STRATEGY_PARAMS
+
+# any JSON value, and lists of pair-shaped lists often enough to reach the integer reads
+_SCALAR = st.none() | st.booleans() | st.integers(-3, 5) | st.floats(-2, 2) | st.text(max_size=3)
+_PAIR_LISTS = st.lists(st.lists(st.integers(-2, 3) | st.sampled_from(["2", "11", 1.0, 1.5, float("inf"), True, None]),
+                                min_size=1, max_size=3), max_size=3)
+_JSON = _PAIR_LISTS | st.recursive(
+    _SCALAR, lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=2), kids, max_size=2),
+    max_leaves=8)
 
 
 class TestModSum:
@@ -52,6 +62,12 @@ class TestModSum:
     def test_block_size_must_match_colors(self):
         with pytest.raises(BlockSizeMismatch):
             mod_sum((0, 1), 3)
+
+    @pytest.mark.parametrize("block,player", [((0, 0, 1), 0), ((2, 1, 2), 2), ((1, 1), 1), ((3, 3, 3, 3), 3)])
+    def test_a_block_that_repeats_a_player_is_named(self, block, player):
+        # three entries for two players would pass a size check that counts entries
+        with pytest.raises(BlockSizeMismatch, match=f"^block lists player {player} more than once$"):
+            mod_sum(block, 3)
 
     @pytest.mark.parametrize("c", [2, 3, 4])
     def test_block_total_names_the_winner(self, c):
@@ -257,6 +273,28 @@ class TestDescriptors:
         row = {"t": 0, "seen": [[1, 0]], "heard": [], "guess": 1, key: value}
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TableStrategy.from_json([row])
+
+    @pytest.mark.parametrize("entries", [{}, "", {"t": 0}, None, 5])
+    def test_entries_that_are_not_a_list_are_named(self, entries):
+        message = f"table strategy 'entries' must be a JSON list, got {type(entries).__name__}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TableStrategy.from_json(entries)
+
+    @pytest.mark.parametrize("key", ["seen", "heard"])
+    @given(value=_JSON)
+    @settings(max_examples=300, deadline=None)
+    def test_table_rows_read_observations_as_the_field_reader_reads_pairs(self, key, value):
+        # one reader: a row's observation fails exactly when an instance's pairs field would
+        row = {"t": 0, "seen": [], "heard": [], "guess": 0, key: value}
+        try:
+            _json_field({"sight": value}, "instance", "sight", form="pairs")
+        except ValueError:
+            message = f"table row {key!r} must be a list of [id, color] pairs, got {value!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                TableStrategy.from_json([row])
+        else:  # sorted integer pairs, duplicates kept
+            pairs = tuple(sorted((int(a), int(b)) for a, b in value))
+            assert TableStrategy.from_json([row]).entries == {(0, *((pairs, ()) if key == "seen" else ((), pairs))): 0}
 
     @pytest.mark.parametrize("play", [
         lambda inst, table: run_game(inst, table, (0, 1)),
