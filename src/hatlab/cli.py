@@ -21,6 +21,7 @@ import click
 
 from .errors import BudgetExceeded, HatlabError, SweepTooLarge
 from .model import (
+    CANONICAL_KINDS,
     Instance,
     instance_from_json,
     instance_to_json,
@@ -84,11 +85,13 @@ def _load_json_arg(text: str):
 
 
 def _build_instance(instance, kind, players, colors, rule) -> Instance:
-    if instance:
+    """The instance of ``--instance``, or of the flags as descriptor text; a
+    flag counts as given whatever its text, so ``-m 0`` reaches the reader."""
+    if instance is not None:
         data = _load_json_arg(instance)
-        if rule and isinstance(data, dict):  # instance_from_json rejects a non-object
+        if rule is not None and isinstance(data, dict):  # instance_from_json rejects a non-object
             data["rule"] = _parse_rule(rule)
-    elif kind and players and colors and rule:
+    elif None not in (kind, players, colors, rule):
         data = {"kind": kind, "players": players, "colors": colors, "rule": _parse_rule(rule)}
     else:
         raise ValueError("give --instance, or all of --kind, -m, -c and --rule")
@@ -142,9 +145,9 @@ def _emit(report: dict, fmt: str) -> None:
 
 _instance_options = [
     click.option("--instance", default=None, help="Instance descriptor (JSON text or file path)."),
-    click.option("--kind", type=click.Choice(["hnsa", "hnsf", "hbsf"]), default=None),
-    click.option("-m", "--players", type=int, default=None, help="Player count (hbsf: incl. front)."),
-    click.option("-c", "--colors", type=int, default=None, help="Color count."),
+    click.option("--kind", default=None, help=f"Instance kind: {', '.join(CANONICAL_KINDS)} or custom."),
+    click.option("-m", "--players", default=None, help="Player count (hbsf: incl. front)."),
+    click.option("-c", "--colors", default=None, help="Color count."),
     click.option("--rule", default=None, help="at_least:K or fewer_incorrect:K (K int or 'omega')."),
 ]
 
@@ -254,11 +257,11 @@ def cmd_search(instance, kind, players, colors, rule, mode, expect, max_strategi
 @click.option("-c", "--colors", type=int, required=True)
 @click.option("--lazy", default=None,
               help='Lazy assignment descriptor (JSON text or file): {"base", "exceptions", "front", "blocks"}.')
-@click.option("--blocks", type=int, default=1, help="Number of limit blocks in the line.")
-@click.option("--assignment-base", type=int, default=0)
+@click.option("--blocks", type=str, default=1, help="Number of limit blocks in the line.")
+@click.option("--assignment-base", type=str, default=0)
 @click.option("--exception", "exceptions", multiple=True,
               help="k,n,color -- hat at position w*k+n (repeatable).")
-@click.option("--front", type=int, default=None, help="Front player's hat color.")
+@click.option("--front", type=str, default=None, help="Front player's hat color.")
 @click.option("--base", type=int, default=None,
               help="Selector strategies: the base color announced (default: assignment base).")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")

@@ -48,8 +48,7 @@ from .errors import (
     OverlapError,
     StrategyRangeError,
     SweepTooLarge,
-    power_count,
-    power_over,
+    check_budget,
 )
 from .model import (
     Assignment,
@@ -222,6 +221,14 @@ class TableStrategy(Strategy):
                 for key, form in (("seen", "observation"), ("heard", "observation"), ("t", "int"), ("guess", "int")):
                     _json_field(row, "table row", key, form=form)
                 raise
+        if len(entries) < len(rows):  # an entry listed twice: name the first repeat, off the fast path
+            first = {}
+            for j, row in enumerate(rows):
+                t, seen, heard = key = _json_int(row["t"]), _int_pairs(row["seen"]), _int_pairs(row["heard"])
+                i = first.setdefault(key, j)
+                if i != j:
+                    raise ValueError(f"table rows {i} and {j} are both the entry t={t} "
+                                     f"seen={[list(p) for p in seen]} heard={[list(p) for p in heard]}")
         return TableStrategy(entries)
 
 
@@ -312,15 +319,6 @@ class SweepReport:
         }
 
 
-def _check_sweep_budget(inst: Instance, max_assignments: int | None) -> None:
-    budget = DEFAULT_SWEEP_BUDGET if max_assignments is None else max_assignments
-    if budget < 1:
-        raise ValueError("budgets must be positive")
-    c, m = inst.colors.size, len(inst.players)
-    if power_over(c, m, budget):
-        raise SweepTooLarge(power_count(c, m), budget)
-
-
 class _Chunk:
     """The plays of consecutive assignments, as sets of them.
 
@@ -350,10 +348,10 @@ class _Chunk:
 def _play_chunks(inst: Instance, strat: Strategy, max_assignments: int | None) -> Iterator[_Chunk]:
     """Play every assignment, in lexicographic order, a chunk at a time, once
     the space is checked against the budget."""
-    _check_sweep_budget(inst, max_assignments)
-    steps, asked = inst.steps, inst.asked
     players = inst.players
     size = inst.colors.size
+    check_budget(size, len(players), DEFAULT_SWEEP_BUDGET if max_assignments is None else max_assignments, SweepTooLarge)
+    steps, asked = inst.steps, inst.asked
     width = 0
     while width < len(players) and size ** (width + 1) <= CHUNK_PLAYS:
         width += 1

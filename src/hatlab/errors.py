@@ -51,6 +51,19 @@ def power_count(base: int, exponent: int) -> int | str:
     return f"{base}**{exponent if exponent < 10**COUNT_DIGITS else hex(exponent)}"
 
 
+def check_budget(base: int, exponent, budget: int, error: type, *what) -> None:
+    """The one budget rule: a ``ValueError`` if ``budget`` is below 1, else
+    ``error(count, budget, *what)`` if ``base ** exponent`` exceeds it, with
+    ``count`` as :func:`power_count` gives it. ``exponent`` may be a function
+    giving it, called only once the budget is judged positive."""
+    if budget < 1:
+        raise ValueError("budgets must be positive")
+    if callable(exponent):
+        exponent = exponent()
+    if power_over(base, exponent, budget):
+        raise error(power_count(base, exponent), budget, *what)
+
+
 class SweepTooLarge(HatlabError):
     """An assignment sweep would exceed its budget; no partial verdicts.
 

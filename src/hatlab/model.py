@@ -232,15 +232,16 @@ def build_canonical_instance(kind: str, m: int, c: int, rule: EvaluationRule) ->
         raise ZeroSize(f"need at least one player and one color, got m={m}, c={c}")
 
     players = tuple(range(-1, m - 1)) if kind == "hbsf" else tuple(range(m))
+    # generators: Instance builds each relation's frozenset once
     if kind == "hnsa":
-        sight = frozenset((x, y) for x in players for y in players if x != y)
+        sight = ((x, y) for x in players for y in players if x != y)
     else:
         # line order: earlier players see every later hat
-        sight = frozenset((players[j], players[i]) for i in range(m) for j in range(i + 1, m))
+        sight = ((players[j], players[i]) for i in range(m) for j in range(i + 1, m))
     if kind == "hbsf":
-        hearing = frozenset((players[i], players[j]) for i in range(m) for j in range(i + 1, m))
+        hearing = ((players[i], players[j]) for i in range(m) for j in range(i + 1, m))
     else:
-        hearing = frozenset()
+        hearing = ()
     return Instance(
         players=players,
         colors=ColorSpace(c),
@@ -384,12 +385,17 @@ def validate_instance(inst: Instance) -> ValidationReport:
     for t, m in zip(inst.askings, inst.labeling):
         if m not in players:
             errors.append(f"asking {t} is labeled with unknown player {m}")
-    for seen, seer in sorted(inst.sight):
+    # one pass over the sight pairs, sorting only those reported: hnsa 1000 has m(m-1)
+    unknown, self_seers = [], []
+    for seen, seer in inst.sight:
         if seen not in players or seer not in players:
-            errors.append(f"sight pair ({seen}, {seer}) mentions unknown players")
-    for earlier, later in sorted(inst.hearing):
-        if earlier not in askings or later not in askings:
-            errors.append(f"hearing pair ({earlier}, {later}) mentions unknown askings")
+            unknown.append((seen, seer))
+        elif seen == seer:
+            self_seers.append(seer)
+    for seen, seer in sorted(unknown):
+        errors.append(f"sight pair ({seen}, {seer}) mentions unknown players")
+    for earlier, later in sorted((x, y) for x, y in inst.hearing if x not in askings or y not in askings):
+        errors.append(f"hearing pair ({earlier}, {later}) mentions unknown askings")
     if inst.rule.threshold != OMEGA and inst.rule.threshold > len(inst.players):
         warnings.append(
             f"rule threshold {inst.rule.threshold} exceeds the player count {len(inst.players)}"
@@ -399,8 +405,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
     if cycle is not None:
         errors.append(f"hearing relation has a cycle: {list(cycle)}")
 
-    self_seers = sorted(seer for (seen, seer) in inst.sight if seen == seer and seer in players)
-    for m in self_seers:
+    for m in sorted(self_seers):
         warnings.append(f"player {m} sees its own hat, which trivializes its guess")
 
     return ValidationReport(tuple(errors), tuple(warnings), cycle)

@@ -45,7 +45,7 @@ from .engine import (
     _play_chunks,
     evaluate,
 )
-from .errors import BudgetExceeded, power_count, power_over
+from .errors import BudgetExceeded, check_budget
 from .model import Instance, instance_to_json
 
 
@@ -114,14 +114,6 @@ def count_table_strategies(inst: Instance) -> int:
     return inst.colors.size ** _entry_count(inst)
 
 
-def _check_space(inst: Instance, cap: int) -> None:
-    """Raise :class:`BudgetExceeded` if the table-strategy space holds more
-    than ``cap`` strategies, without multiplying out a count past it."""
-    c, entries = inst.colors.size, _entry_count(inst)
-    if power_over(c, entries, cap):
-        raise BudgetExceeded(power_count(c, entries), cap)
-
-
 def enumerate_table_strategies(inst: Instance, max_strategies: int | None = None):
     """All table strategies, lazily, in a fixed lexicographic order.
 
@@ -130,17 +122,11 @@ def enumerate_table_strategies(inst: Instance, max_strategies: int | None = None
     Raises :class:`BudgetExceeded` (carrying the exact count) before yielding
     anything if the space is too large.
     """
-    budget = DEFAULT_BUDGET if max_strategies is None else SearchBudget(max_strategies=max_strategies)
-    cap = budget.max_strategies
-    _check_space(inst, cap)
     c = inst.colors.size
-
-    def gen():
-        per_step = [product(range(c), repeat=_table_size(c, step)) for step in inst.steps]
-        for combo in product(*per_step):
-            yield _materialize(inst, combo)
-
-    return gen()
+    cap = DEFAULT_BUDGET.max_strategies if max_strategies is None else max_strategies
+    check_budget(c, lambda: _entry_count(inst), cap, BudgetExceeded)  # positivity before the play order
+    per_step = [product(range(c), repeat=_table_size(c, step)) for step in inst.steps]
+    return (_materialize(inst, combo) for combo in product(*per_step))
 
 
 def _materialize(inst: Instance, tables) -> TableStrategy:
@@ -208,16 +194,15 @@ def _walk(inst: Instance, budget: SearchBudget, floor, first: bool):
     final floor is the optimum and ``tables`` its first attainer (``None`` if
     no leaf beat the starting floor).
     """
-    _check_space(inst, budget.max_strategies)
-    steps = inst.steps
     c = inst.colors.size
+    check_budget(c, _entry_count(inst), budget.max_strategies, BudgetExceeded)
+    steps = inst.steps
     index = inst.player_index
     n = len(inst.players)
     asked = len(inst.asked)
     if not steps:  # the empty strategy is the only leaf, and nobody is wrong
         return (asked, (), 1, 0) if asked > floor else (floor, None, 1, 0)
-    if power_over(c, n, budget.max_assignments):  # the first table tried already passes the cap
-        raise BudgetExceeded(power_count(c, n), budget.max_assignments, "play steps")
+    check_budget(c, n, budget.max_assignments, BudgetExceeded, "play steps")  # the first table already passes the cap
     n_a = c ** n
     full = (1 << n_a) - 1
     strides = [c ** (n - 1 - p) for p in range(n)]

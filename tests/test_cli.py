@@ -411,6 +411,16 @@ class TestInstanceDescriptors:
          "table strategy 'entries' must be a JSON list, got dict"),
         (_SWEEP + ['{"name": "table", "params": {"entries": ""}}'],
          "table strategy 'entries' must be a JSON list, got str"),
+        # an entry listed twice is an error whatever the guesses; pairs are sorted, so their order is no difference
+        (_SWEEP + ['{"name": "table", "params": {"entries": [{"t": 0, "seen": [], "heard": [], "guess": 0}, '
+                   '{"t": 0, "seen": [], "heard": [], "guess": 1}]}}'],
+         "table rows 0 and 1 are both the entry t=0 seen=[] heard=[]"),
+        (_SWEEP + ['{"name": "table", "params": {"entries": [{"t": 1, "seen": [[1, 0]], "heard": [], "guess": 0}, '
+                   '{"t": 0, "seen": [], "heard": [], "guess": 0}, {"t": 1, "seen": [[1, 0]], "heard": [], "guess": 0}]}}'],
+         "table rows 0 and 2 are both the entry t=1 seen=[[1, 0]] heard=[]"),
+        (_SWEEP + ['{"name": "table", "params": {"entries": [{"t": 1, "seen": [[1, 0], [2, 1]], "heard": [], "guess": 0}, '
+                   '{"t": 1, "seen": [[2, 1], [1, 0]], "heard": [], "guess": 1}]}}'],
+         "table rows 0 and 1 are both the entry t=1 seen=[[1, 0], [2, 1]] heard=[]"),
     ])
     def test_malformed_descriptor_is_a_config_error(self, runner, args, message):
         res = invoke(runner, *args)
@@ -579,6 +589,32 @@ class TestOptionsAreDescriptors:
         assert expected.exit_code == code
         res = invoke(runner, *line, "--lazy", json.dumps(lazy))
         assert (res.exit_code, res.stdout, res.stderr) == (expected.exit_code, expected.stdout, expected.stderr)
+
+    @pytest.mark.parametrize("command", [["run", "--strategy", "constant:0", "--assignment", "0"],
+                                         ["sweep", "--strategy", "constant:0"], ["search"]])
+    @pytest.mark.parametrize("field,text", [(f, t) for f in ("players", "colors") for t in ("0", "-1", "abc", "2.5", "")]
+                             + [("kind", k) for k in ("HNSA", "custom", "foo")])
+    def test_instance_flags_are_descriptor_text(self, runner, command, field, text):
+        """A flag is given whatever its text, and its text is read as the
+        descriptor field: ``-m 0`` names the zero, ``--kind HNSA`` is hnsa."""
+        desc = dict({"kind": "hnsa", "players": "1", "colors": "2"}, **{field: text})
+        flags = ["--kind", desc["kind"], "-m", desc["players"], "-c", desc["colors"], "--rule", "at_least:1"]
+        expected = invoke(runner, *command, "--instance", json.dumps(dict(desc, rule={"kind": "at_least", "threshold": 1})))
+        res = invoke(runner, *command, *flags)
+        assert (res.exit_code, res.stdout, res.stderr) == (expected.exit_code, expected.stdout, expected.stderr)
+        assert (res.exit_code == 2) == (text not in ("HNSA", "custom"))
+
+    def test_zero_players_is_named(self, runner):
+        res = invoke(runner, *_SWEEP[:4], "0", *_SWEEP[5:], "constant:0")
+        assert (res.exit_code, res.stderr) == (2, "config error: need at least one player and one color, got m=0, c=2\n")
+
+    @pytest.mark.parametrize("flag,field", [("--blocks", "blocks"), ("--assignment-base", "base"), ("--front", "front")])
+    def test_line_flags_are_descriptor_text(self, runner, flag, field):
+        line = ["line", "--strategy", "sum_broadcast", "-c", "2"]
+        expected = invoke(runner, *line, "--lazy", json.dumps(dict({"base": 0, "blocks": 1, "exceptions": []}, **{field: "x"})))
+        res = invoke(runner, *line, flag, "x")
+        assert (res.exit_code, res.stdout, res.stderr) == (expected.exit_code, expected.stdout, expected.stderr)
+        assert res.stderr == f"config error: lazy assignment '{field}' must be an integer, got 'x'\n"
 
 
 # --- fuzz: any text on the input options and in HATLAB_BUDGET ----------------------

@@ -253,7 +253,7 @@ class TestSweeps:
     @pytest.mark.parametrize("budget", [0, -5])
     def test_sweep_budget_must_be_positive(self, budget):
         inst = hnsa(2, 2, at_least(1))
-        for call in (sweep, is_winning, lambda *a, **k: next(iter_plays(*a, **k))):
+        for call in (sweep, is_winning, lambda *a, **k: next(iter_plays(*a, **k)), correct_count_census):
             with pytest.raises(ValueError, match="budgets must be positive"):
                 call(inst, constant(0), max_assignments=budget)
 

@@ -31,7 +31,7 @@ from hatlab import (
     validate_instance,
 )
 from hatlab.engine import iter_assignment_tuples
-from hatlab.errors import power_count, power_over
+from hatlab.errors import CyclicHearing, power_count, power_over
 from hatlab import oracle
 from hatlab.oracle import DEFAULT_BUDGET, _materialize, _table_size, _walk
 
@@ -295,10 +295,22 @@ class TestEnumeration:
 
     def test_budgets_must_be_positive(self):
         inst = hnsa(2, 2, at_least(1))
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match="budgets must be positive"):
+                enumerate_table_strategies(inst, max_strategies=budget)
+            with pytest.raises(ValueError, match="budgets must be positive"):
+                correct_count_census(inst, constant(0), max_assignments=budget)
+            for search in (best_guaranteed_correct, exists_winning_exhaustive):
+                for field in ("max_strategies", "max_assignments"):
+                    with pytest.raises(ValueError, match="budgets must be positive"):
+                        search(inst, SearchBudget(**{field: budget}))
+
+    def test_positivity_is_judged_before_the_play_order(self):
+        inst = custom_instance(2, 2, (), at_least(1), hearing=[(0, 1), (1, 0)])
         with pytest.raises(ValueError, match="budgets must be positive"):
             enumerate_table_strategies(inst, max_strategies=0)
-        with pytest.raises(ValueError, match="budgets must be positive"):
-            correct_count_census(inst, constant(0), max_assignments=0)
+        with pytest.raises(CyclicHearing):
+            enumerate_table_strategies(inst, max_strategies=1)
 
     def test_search_budget_guard(self):
         inst = hnsa(3, 3, at_least(2))
