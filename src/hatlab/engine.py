@@ -31,15 +31,18 @@ players wrong. Chunks run in lexicographic order, so the lowest bit of the
 first failing ``S[k]`` of the first failing chunk is the least counterexample.
 A chunk that raises is replayed one assignment at a time through
 :func:`_play`, so errors, and the plays that come before them, are those of
-the scalar loop.
+the scalar loop. :func:`iter_plays` decodes a chunk's partitions into byte
+columns, one lane per assignment holding its color, built from each set's
+binary digits by ``bytes.translate``, and zips them into plays in C.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from functools import reduce
-from itertools import compress, product, repeat
-from operator import and_, or_
+from functools import cache, reduce
+from itertools import compress, product, repeat, starmap
+from operator import add, and_, or_
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -55,6 +58,7 @@ from .model import (
     EvaluationRule,
     Instance,
     RuleKind,
+    _bits,
     _is_color,
     _int_pairs,
     _json_field,
@@ -236,10 +240,14 @@ class TableStrategy(Strategy):
 
 @dataclass(frozen=True)
 class GameResult:
+    __slots__ = ("guesses", "correct_set", "incorrect_set", "verdict")  # slots=True: TypeError on a new name
     guesses: Mapping[int, int]
     correct_set: frozenset[int]
     incorrect_set: frozenset[int]
     verdict: bool
+
+    def __reduce__(self):  # copy and pickle would assign the frozen slots
+        return GameResult, (self.guesses, self.correct_set, self.incorrect_set, self.verdict)
 
     @property
     def correct_count(self) -> int:
@@ -281,9 +289,7 @@ def _play(steps, a, decide, size):
     for t, m, vis, hrd in steps:
         g = decide(t, {x: a[x] for x in vis}, {x: guesses[x] for x in hrd})
         if not _is_color(g, size):
-            raise StrategyRangeError(
-                f"strategy returned {g!r} at asking {t}; colors are 0..{size - 1}"
-            )
+            raise StrategyRangeError(f"strategy returned {g!r} at asking {t}; colors are 0..{size - 1}")
         guesses[t] = g
         if g != a[m]:
             wrong.add(m)
@@ -384,7 +390,7 @@ def _play_chunks(inst: Instance, strat: Strategy, max_assignments: int | None) -
         else:
             yield _Chunk(prefix, width, size, guesses, wrong, S)
             continue
-        for values in (prefix + tail for tail in product(range(size), repeat=width)):
+        for values in product(*zip(prefix), *repeat(range(size), width)):
             guesses, wrong = _play(steps, dict(zip(players, values)), strat.decide, size)
             points = {t: [int(g == color) for color in range(size)] for t, g in guesses.items()}
             yield _Chunk(values, 0, size, points, {m: int(m in wrong) for m in asked}, [1] * (len(wrong) + 1))
@@ -397,31 +403,32 @@ def _is_partition(part, size: int, full: int) -> bool:
     return len(part) == size and reduce(or_, part) == full and sum(map(int.bit_count, part)) == full.bit_count()
 
 
-_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _column(part: list[int], n: int) -> list[int]:
-    """The color of each of ``n`` assignments in a partition; ``[0, s]`` flags ``s``."""
-    col = [0] * n
+def _column(part: list[int], n: int) -> memoryview:
+    """The color of each of ``n`` assignments in a partition: each set's bits
+    spread to lanes of 1, 2 or 4 bytes, scaled by its color and joined by OR."""
+    width = next(w for w in (1, 2, 4) if len(part) <= 1 << 8 * w)
+    low = 0 if sys.byteorder == "little" else width - 1  # the lane byte holding a 1
+    col = 0
     for g, s in enumerate(part):
         if g and s:
-            for i in compress(range(n), format(s, f"0{n}b")[::-1].encode().translate(_BITS)):
-                col[i] = g
-    return col
+            lanes = bytearray(n * width)
+            lanes[low::width] = _bits(s, n)
+            col |= g * int.from_bytes(lanes, sys.byteorder)
+    return memoryview(col.to_bytes(n * width, sys.byteorder)).cast("BHI"[width // 2])
 
 
-def sweep(
-    inst: Instance,
-    strat: Strategy,
-    max_assignments: int | None = None,
-) -> SweepReport:
+def _rows(parts, n: int) -> Iterator[tuple[int, ...]]:
+    """Per assignment, its color in each of ``parts``."""
+    return zip(*(_column(part, n) for part in parts)) if parts else repeat((), n)
+
+
+def sweep(inst: Instance, strat: Strategy, max_assignments: int | None = None) -> SweepReport:
     """Play every assignment and report the worst case.
 
     The counterexample, when the strategy is not winning, is the
     lexicographically least failing assignment.
     """
-    max_incorrect = 0
-    counterexample = None
+    max_incorrect, counterexample = 0, None
     for chunk in _play_chunks(inst, strat, max_assignments):
         max_incorrect = max(max_incorrect, len(chunk.S) - 1)
         if counterexample is None:
@@ -435,32 +442,25 @@ def sweep(
     )
 
 
-def iter_plays(
-    inst: Instance,
-    strat: Strategy,
-    max_assignments: int | None = None,
-) -> Iterator[tuple[tuple[int, ...], GameResult]]:
+def iter_plays(inst: Instance, strat: Strategy,
+               max_assignments: int | None = None) -> Iterator[tuple[tuple[int, ...], GameResult]]:
     """Play every assignment in lexicographic order, yielding full results."""
+    @cache
+    def outcome(wrong: tuple[int, ...]) -> tuple[frozenset[int], frozenset[int], bool]:
+        incorrect = frozenset(compress(inst.asked, wrong))
+        correct = frozenset(inst.asked) - incorrect
+        return correct, incorrect, evaluate(inst.rule, len(correct), len(incorrect))
+
     for chunk in _play_chunks(inst, strat, max_assignments):
         n = chunk.colors**chunk.width
-        rows = zip(*(_column(part, n) for part in chunk.guesses.values())) if chunk.guesses else repeat((), n)
-        flags = zip(*(_column([0, w], n) for w in chunk.wrong.values())) if chunk.wrong else repeat((), n)
-        outcomes: dict[tuple[int, ...], tuple[frozenset[int], frozenset[int], bool]] = {}
-        tails = product(range(chunk.colors), repeat=chunk.width)
-        for values, row, wrong in zip((chunk.prefix + tail for tail in tails), rows, flags):
-            outcome = outcomes.get(wrong)
-            if outcome is None:
-                incorrect = frozenset(compress(chunk.wrong, wrong))
-                correct = frozenset(chunk.wrong) - incorrect
-                outcome = outcomes[wrong] = (correct, incorrect, evaluate(inst.rule, len(correct), len(incorrect)))
-            yield values, GameResult(dict(zip(chunk.guesses, row)), *outcome)
+        guesses = map(dict, map(zip, repeat(tuple(chunk.guesses)), _rows(chunk.guesses.values(), n)))
+        outcomes = map(outcome, _rows([[0, w] for w in chunk.wrong.values()], n))
+        values = product(*zip(chunk.prefix), *repeat(range(chunk.colors), chunk.width))
+        yield from zip(values, starmap(GameResult, map(add, zip(guesses), outcomes)))  # (guesses,) + outcome
 
 
-def is_winning(
-    inst: Instance,
-    strat: Strategy,
-    max_assignments: int | None = None,
-) -> tuple[bool, tuple[int, ...] | None]:
+def is_winning(inst: Instance, strat: Strategy,
+               max_assignments: int | None = None) -> tuple[bool, tuple[int, ...] | None]:
     """Decide winningness, stopping at the first (lex-least) counterexample."""
     for chunk in _play_chunks(inst, strat, max_assignments):
         counterexample = chunk.least_failure(inst.rule)

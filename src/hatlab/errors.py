@@ -51,13 +51,21 @@ def power_count(base: int, exponent: int) -> int | str:
     return f"{base}**{exponent if exponent < 10**COUNT_DIGITS else hex(exponent)}"
 
 
-def check_budget(base: int, exponent, budget: int, error: type, *what) -> None:
-    """The one budget rule: a ``ValueError`` if ``budget`` is below 1, else
-    ``error(count, budget, *what)`` if ``base ** exponent`` exceeds it, with
-    ``count`` as :func:`power_count` gives it. ``exponent`` may be a function
-    giving it, called only once the budget is judged positive."""
+def check_positive(budget) -> None:
+    """A ``ValueError`` naming ``budget`` unless it is an int (a bool is not),
+    and ``"budgets must be positive"`` if it is below 1."""
+    if not isinstance(budget, int) or isinstance(budget, bool):
+        raise ValueError(f"budgets must be integers, got {budget!r}")
     if budget < 1:
         raise ValueError("budgets must be positive")
+
+
+def check_budget(base: int, exponent, budget: int, error: type, *what) -> None:
+    """The one budget rule: :func:`check_positive`, then
+    ``error(count, budget, *what)`` if ``base ** exponent`` exceeds ``budget``,
+    with ``count`` as :func:`power_count` gives it. ``exponent`` may be a
+    function giving it, called only once the budget is judged positive."""
+    check_positive(budget)
     if callable(exponent):
         exponent = exponent()
     if power_over(base, exponent, budget):

@@ -30,9 +30,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from graphlib import CycleError, TopologicalSorter
-from itertools import repeat
+from itertools import chain, compress, repeat
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CyclicHearing, ZeroSize
@@ -41,6 +42,14 @@ OMEGA = math.inf
 """Unbounded threshold for ``fewer_incorrect_than``: any finite error count wins."""
 
 CANONICAL_KINDS = ("hnsa", "hnsf", "hbsf")
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(s: int, n: int) -> bytes:
+    """The ``n`` low bits of ``s`` as the bytes 0 and 1, bit ``i`` at index ``i``."""
+    return format(s, f"0{n}b")[::-1].encode().translate(_BITS)
 
 
 def _is_color(g, size: int) -> bool:
@@ -208,11 +217,13 @@ class Instance:
     @cached_property
     def influence(self) -> dict[int, frozenset[int]]:
         """The players whose hats each asking's guess can depend on: those its
-        player sees, and the influence of each asking it hears."""
-        out: dict[int, frozenset[int]] = {}
-        for t, _, vis, hrd in self.steps:
-            out[t] = frozenset(vis).union(*(out.get(x, ()) for x in hrd))  # an unknown asking adds none
-        return out
+        player sees, and the influence of each asking it hears. Each is built
+        as a bitmask over the seen players, then read out once."""
+        bit = {x: 1 << i for i, x in enumerate(dict.fromkeys(chain.from_iterable(step[2] for step in self.steps)))}
+        masks: dict[int, int] = {}
+        for t, _, vis, hrd in self.steps:  # an unknown asking adds none
+            masks[t] = reduce(or_, map(bit.__getitem__, vis), 0) | reduce(or_, (masks.get(x, 0) for x in hrd), 0)
+        return {t: frozenset(compress(bit, _bits(mask, len(bit)))) for t, mask in masks.items()}
 
     def assignment_count(self) -> int:
         return self.colors.size ** len(self.players)

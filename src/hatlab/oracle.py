@@ -45,7 +45,7 @@ from .engine import (
     _play_chunks,
     evaluate,
 )
-from .errors import BudgetExceeded, check_budget
+from .errors import BudgetExceeded, check_budget, check_positive
 from .model import Instance, instance_to_json
 
 
@@ -62,8 +62,8 @@ class SearchBudget:
     max_assignments: int = 10**8
 
     def __post_init__(self):
-        if self.max_strategies < 1 or self.max_assignments < 1:
-            raise ValueError("budgets must be positive")
+        check_positive(self.max_strategies)
+        check_positive(self.max_assignments)
 
 
 DEFAULT_BUDGET = SearchBudget()

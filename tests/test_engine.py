@@ -1,5 +1,8 @@
+import copy
 import itertools
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -250,17 +253,32 @@ class TestSweeps:
                 call(inst, strat, max_assignments=80)
         assert calls == []
 
-    @pytest.mark.parametrize("budget", [0, -5])
-    def test_sweep_budget_must_be_positive(self, budget):
+    @pytest.mark.parametrize("budget, message", [
+        (0, "budgets must be positive"),
+        (-5, "budgets must be positive"),
+        (2.5, "budgets must be integers, got 2.5"),
+        (True, "budgets must be integers, got True"),
+    ])
+    def test_sweep_budget_must_be_a_positive_int(self, budget, message):
         inst = hnsa(2, 2, at_least(1))
         for call in (sweep, is_winning, lambda *a, **k: next(iter_plays(*a, **k)), correct_count_census):
-            with pytest.raises(ValueError, match="budgets must be positive"):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 call(inst, constant(0), max_assignments=budget)
 
     def test_iter_plays_covers_lexicographically(self):
         inst = hnsa(2, 2, at_least(1))
         seen = [values for values, _ in iter_plays(inst, constant(0))]
         assert seen == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_streamed_results_are_frozen_and_equal_the_scalar_play(self):
+        inst = hbsf(3, 2, fewer_incorrect_than(2))
+        for values, result in iter_plays(inst, sum_broadcast(2)):
+            assert result == run_game(inst, sum_broadcast(2), values)
+            assert result == copy.copy(result) == copy.deepcopy(result) == pickle.loads(pickle.dumps(result))
+            for name in ("verdict", "extra"):
+                with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+                    setattr(result, name, 1)
+            assert not hasattr(result, "__dict__")
 
 
 class TestUniquePlay:

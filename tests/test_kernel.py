@@ -191,6 +191,18 @@ def relay_table():
     return inst, TableStrategy(entries)
 
 
+def wide_colors(raises):
+    """300 colors, past one byte: one player who sees only its own hat and
+    guesses ``299 - hat``; with ``raises`` it gives up at hat 200."""
+
+    def decide(t, seen, heard):
+        if raises and seen[0] == 200:
+            fail(t)
+        return 299 - seen[0]
+
+    return custom_instance(1, 300, [(0, 0)], at_least(1)), RuleStrategy(decide, label="wide")
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 4, 7, 8, 16, engine.CHUNK_PLAYS])
 @pytest.mark.parametrize("inst, strat", [
     (hnsa(5, 2, at_least(2)), block_mod_sum(5, 2, 2)),
@@ -200,6 +212,8 @@ def relay_table():
     (hbsf(4, 2, fewer_incorrect_than(1)), sum_broadcast(2)),
     (hnsa(4, 3, at_least(1)), constant(2)),
     relay_table(),
+    wide_colors(raises=False),
+    wide_colors(raises=True),
 ])
 def test_constructive_strategies_match_scalar(inst, strat, chunk):
     assert_matches_reference(inst, strat, chunk)

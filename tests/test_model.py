@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -242,6 +244,24 @@ class TestPlaySteps:
         inst = custom_instance(3, 2, sight=[(1, 0), (2, 2)], rule=at_least(1), hearing=[(0, 1), (1, 2)],
                                askings=(0, 1, 2), labeling=(2, 1, 0))
         assert inst.influence == {0: {2}, 1: {2}, 2: {1, 2}}
+
+    def test_influence_matches_its_definition_on_random_instances(self):
+        # players asked twice or never, hearing across them, and relations
+        # naming a player or an asking the instance does not have
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(1, 12)
+            sight = [(rng.randrange(n + 1), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+            askings = rng.sample(range(-3, 3 * n), rng.randint(0, n + 3))
+            order = rng.sample(askings, len(askings))
+            hearing = [(order[i], order[j]) for i in range(len(order)) for j in range(i + 1, len(order))
+                       if rng.random() < 0.3] + [(99, t) for t in askings[:1]]
+            labeling = [rng.randrange(n) for _ in askings]
+            inst = custom_instance(n, 2, sight, at_least(1), hearing=hearing, askings=askings, labeling=labeling)
+            want = {}
+            for t, _, vis, hrd in inst.steps:
+                want[t] = frozenset(vis).union(*(want.get(x, ()) for x in hrd))
+            assert inst.influence == want, seed
 
     def test_cyclic_instance_raises_on_influence(self):
         inst = custom_instance(2, 2, sight=(), rule=at_least(1), hearing=[(0, 1), (1, 0)])

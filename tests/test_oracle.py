@@ -293,16 +293,18 @@ class TestEnumeration:
         finally:
             sys.set_int_max_str_digits(limit)
 
-    def test_budgets_must_be_positive(self):
+    def test_budgets_must_be_positive_ints(self):
         inst = hnsa(2, 2, at_least(1))
-        for budget in (0, -5):
-            with pytest.raises(ValueError, match="budgets must be positive"):
+        for budget, message in [(0, "budgets must be positive"), (-5, "budgets must be positive"),
+                                (2.5, "budgets must be integers, got 2.5"), ("5", "budgets must be integers, got '5'"),
+                                (False, "budgets must be integers, got False")]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 enumerate_table_strategies(inst, max_strategies=budget)
-            with pytest.raises(ValueError, match="budgets must be positive"):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 correct_count_census(inst, constant(0), max_assignments=budget)
             for search in (best_guaranteed_correct, exists_winning_exhaustive):
                 for field in ("max_strategies", "max_assignments"):
-                    with pytest.raises(ValueError, match="budgets must be positive"):
+                    with pytest.raises(ValueError, match=f"^{message}$"):
                         search(inst, SearchBudget(**{field: budget}))
 
     def test_positivity_is_judged_before_the_play_order(self):
