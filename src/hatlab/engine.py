@@ -240,14 +240,10 @@ class TableStrategy(Strategy):
 
 @dataclass(frozen=True)
 class GameResult:
-    __slots__ = ("guesses", "correct_set", "incorrect_set", "verdict")  # slots=True: TypeError on a new name
     guesses: Mapping[int, int]
     correct_set: frozenset[int]
     incorrect_set: frozenset[int]
     verdict: bool
-
-    def __reduce__(self):  # copy and pickle would assign the frozen slots
-        return GameResult, (self.guesses, self.correct_set, self.incorrect_set, self.verdict)
 
     @property
     def correct_count(self) -> int:
@@ -289,7 +285,9 @@ def _play(steps, a, decide, size):
     for t, m, vis, hrd in steps:
         g = decide(t, {x: a[x] for x in vis}, {x: guesses[x] for x in hrd})
         if not _is_color(g, size):
-            raise StrategyRangeError(f"strategy returned {g!r} at asking {t}; colors are 0..{size - 1}")
+            raise StrategyRangeError(
+                f"strategy returned {g!r} at asking {t}; colors are 0..{size - 1}"
+            )
         guesses[t] = g
         if g != a[m]:
             wrong.add(m)
@@ -390,7 +388,7 @@ def _play_chunks(inst: Instance, strat: Strategy, max_assignments: int | None) -
         else:
             yield _Chunk(prefix, width, size, guesses, wrong, S)
             continue
-        for values in product(*zip(prefix), *repeat(range(size), width)):
+        for values in (prefix + tail for tail in product(range(size), repeat=width)):
             guesses, wrong = _play(steps, dict(zip(players, values)), strat.decide, size)
             points = {t: [int(g == color) for color in range(size)] for t, g in guesses.items()}
             yield _Chunk(values, 0, size, points, {m: int(m in wrong) for m in asked}, [1] * (len(wrong) + 1))
@@ -422,13 +420,18 @@ def _rows(parts, n: int) -> Iterator[tuple[int, ...]]:
     return zip(*(_column(part, n) for part in parts)) if parts else repeat((), n)
 
 
-def sweep(inst: Instance, strat: Strategy, max_assignments: int | None = None) -> SweepReport:
+def sweep(
+    inst: Instance,
+    strat: Strategy,
+    max_assignments: int | None = None,
+) -> SweepReport:
     """Play every assignment and report the worst case.
 
     The counterexample, when the strategy is not winning, is the
     lexicographically least failing assignment.
     """
-    max_incorrect, counterexample = 0, None
+    max_incorrect = 0
+    counterexample = None
     for chunk in _play_chunks(inst, strat, max_assignments):
         max_incorrect = max(max_incorrect, len(chunk.S) - 1)
         if counterexample is None:
@@ -442,16 +445,19 @@ def sweep(inst: Instance, strat: Strategy, max_assignments: int | None = None) -
     )
 
 
-def iter_plays(inst: Instance, strat: Strategy,
-               max_assignments: int | None = None) -> Iterator[tuple[tuple[int, ...], GameResult]]:
+def iter_plays(
+    inst: Instance,
+    strat: Strategy,
+    max_assignments: int | None = None,
+) -> Iterator[tuple[tuple[int, ...], GameResult]]:
     """Play every assignment in lexicographic order, yielding full results."""
-    @cache
-    def outcome(wrong: tuple[int, ...]) -> tuple[frozenset[int], frozenset[int], bool]:
-        incorrect = frozenset(compress(inst.asked, wrong))
-        correct = frozenset(inst.asked) - incorrect
-        return correct, incorrect, evaluate(inst.rule, len(correct), len(incorrect))
-
     for chunk in _play_chunks(inst, strat, max_assignments):
+        @cache  # this chunk's wrong patterns only, freed with it
+        def outcome(wrong: tuple[int, ...]) -> tuple[frozenset[int], frozenset[int], bool]:
+            incorrect = frozenset(compress(inst.asked, wrong))
+            correct = frozenset(inst.asked) - incorrect
+            return correct, incorrect, evaluate(inst.rule, len(correct), len(incorrect))
+
         n = chunk.colors**chunk.width
         guesses = map(dict, map(zip, repeat(tuple(chunk.guesses)), _rows(chunk.guesses.values(), n)))
         outcomes = map(outcome, _rows([[0, w] for w in chunk.wrong.values()], n))
@@ -459,8 +465,11 @@ def iter_plays(inst: Instance, strat: Strategy,
         yield from zip(values, starmap(GameResult, map(add, zip(guesses), outcomes)))  # (guesses,) + outcome
 
 
-def is_winning(inst: Instance, strat: Strategy,
-               max_assignments: int | None = None) -> tuple[bool, tuple[int, ...] | None]:
+def is_winning(
+    inst: Instance,
+    strat: Strategy,
+    max_assignments: int | None = None,
+) -> tuple[bool, tuple[int, ...] | None]:
     """Decide winningness, stopping at the first (lex-least) counterexample."""
     for chunk in _play_chunks(inst, strat, max_assignments):
         counterexample = chunk.least_failure(inst.rule)

@@ -6,8 +6,10 @@ loop over ``itertools.product``, including the exceptions it raises and the
 plays streamed before them.
 """
 
+import functools
 import itertools
 import random
+import weakref
 from unittest import mock
 
 import pytest
@@ -339,6 +341,24 @@ def test_is_winning_stops_at_the_first_failing_chunk():
     # only the chunk (0, 0, *, *) was played: 4 + 4 + 2 + 2 observations of
     # the 4 * 8 the whole space presents
     assert len(calls) == 12
+
+
+def test_stream_keeps_one_chunk_of_outcomes():
+    # constant(0) is wrong exactly on the nonzero hats: 16 wrong patterns in
+    # all, 4 in each chunk of 4 plays; a cache kept across chunks holds 16
+    caches = []
+
+    def cache(fn):
+        cached = functools.cache(fn)
+        caches.append(weakref.ref(cached))
+        return cached
+
+    inst = hnsa(4, 2, at_least(1))
+    with mock.patch.object(engine, "CHUNK_PLAYS", 4), mock.patch.object(engine, "cache", cache):
+        for values, result in iter_plays(inst, constant(0)):
+            assert result == run_game(inst, constant(0), values)
+            assert sum(c().cache_info().currsize for c in caches if c() is not None) <= 4
+    assert len(caches) == 4
 
 
 @pytest.mark.parametrize("inst, chunk, want", [
