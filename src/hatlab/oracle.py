@@ -18,9 +18,13 @@ table and against a sweep of every table strategy.
 The walk works on the assignment space transposed: every set of assignments
 is one Python int used as a bitset, so a table's effect on all assignments is
 an OR of one precomputed set per table entry, and the prune test is one AND.
-The last level is not visited leaf by leaf: a leaf changes the guaranteed
-count by at most one, and which leaves keep it is a product of per-entry
-choices, so the whole level is settled by arithmetic. The walk still counts
+Where the floor leaves a node no slack, the tables that survive it are the
+product of a set of safe guesses per entry (the forward checking of Haralick
+and Elliott), so only those are enumerated and each run of pruned tables
+between two of them is counted in one step. Nor is the last level visited
+leaf by leaf: a leaf changes the guaranteed count by at most one, and which
+leaves keep it is a product of per-entry choices, so the whole level is
+settled by arithmetic. The walk still counts
 every table it settles or prunes and charges every one to the budget, so its
 verdicts, witnesses, counts and budget errors are those of a walk that plays
 each table against each assignment; the suite checks that against such a
@@ -34,8 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
-from operator import or_
+from itertools import dropwhile, product
+from operator import getitem, or_
 
 from .engine import (
     TableStrategy,
@@ -160,6 +164,22 @@ def _lex_ors(rows):
     return (h | t for picks in product(*rows[:j]) for h in [reduce(or_, picks)] for t in tail)
 
 
+def _rank(table, c: int) -> int:
+    """The place of ``table`` among its step's tables, in lexicographic order."""
+    return reduce(lambda r, g: r * c + g, table, 0)
+
+
+def _survivors(rows, at_top: int, c: int, start: int):
+    """``(rank, table, new)`` from rank ``start`` on for each table whose new
+    wrong set, ``new = OR(rows[i][table[i]])``, misses ``at_top``: the product
+    of each entry's safe guesses ``g``, those with ``rows[i][g] & at_top == 0``."""
+    safe = [[g for g, r in enumerate(row) if not r & at_top] for row in rows]
+    tables = product(*safe)
+    if start:
+        tables = dropwhile(lambda t: _rank(t, c) < start, tables)
+    return ((_rank(t, c), t, reduce(or_, map(getitem, rows, t))) for t in tables)
+
+
 def _walk(inst: Instance, budget: SearchBudget, floor, first: bool):
     """Find the first strategy, in enumeration order, whose guaranteed correct
     count is above ``floor``; return ``(floor, tables, examined, pruned)``.
@@ -176,9 +196,15 @@ def _walk(inst: Instance, budget: SearchBudget, floor, first: bool):
     with guess ``g`` newly makes the player wrong on ``entry_i & hat != g``
     minus where the player is wrong already, so a table's new wrong set is the
     OR of one such set per entry. A table is pruned when ``asked - top' <=
-    floor`` after it: nothing under it can beat the floor. Pruning is always
-    on; the tests keep the walk that tries every table, unpruned, as the
-    reference its verdicts and witnesses must equal.
+    floor`` after it: nothing under it can beat the floor. A node with slack,
+    ``asked - floor > top + 1``, prunes nothing and tries each table. A tight
+    node, ``asked - floor == top + 1`` from the start or once the floor rises,
+    keeps exactly the product of each entry's safe guesses, those whose sets
+    miss ``S[top]``: only they are enumerated, and each pruned run between
+    them is counted and charged in one step, as is the rest of a node once
+    ``asked - floor <= top``. Pruning is always on; the tests keep the walk
+    that tries every table, unpruned, as the reference its verdicts and
+    witnesses must equal.
 
     The last level is settled without visiting its leaves. A leaf adds one
     player, so its score is ``asked - top`` unless some entry's guess makes the
@@ -233,10 +259,19 @@ def _walk(inst: Instance, budget: SearchBudget, floor, first: bool):
             cells = [e & s for e in cells for s in guessed[d]]
         return cells
 
+    def charge(tables: int) -> None:
+        """Spend the play steps of the next ``tables`` tables, raising at the
+        first one past the cap as trying them one at a time would."""
+        nonlocal spent
+        over = (cap - spent) // n_a  # how many more tables fit
+        if over < tables:
+            raise BudgetExceeded(spent + (over + 1) * n_a, cap, "play steps")
+        spent += tables * n_a
+
     def settle(top: int, at_top: int) -> bool:
         """Every leaf under a last-step node, by arithmetic; ``at_top`` is
         ``S[top]`` after the tables chosen so far."""
-        nonlocal floor, witness, spent, examined
+        nonlocal floor, witness, examined
         hi = asked - top
         rank = None  # of the first leaf scoring ``hi``, if any does
         if hi > floor:
@@ -259,32 +294,44 @@ def _walk(inst: Instance, budget: SearchBudget, floor, first: bool):
         if rank is not None and not (rank == 0 and beats):
             beats += ((rank, hi),)
         end = beats[0][0] if first and beats else c ** last_size - 1
-        over = (cap - spent) // n_a  # the first rank whose play steps pass the cap
-        if over <= end:
-            raise BudgetExceeded(spent + (over + 1) * n_a, cap, "play steps")
-        spent += (end + 1) * n_a
+        charge(end + 1)
         examined += end + 1
         if beats:
             rank, floor = beats[0] if first else beats[-1]
             witness = (*chosen, tuple(rank // c ** k % c for k in reversed(range(last_size))))
         return first and bool(beats)
 
-    def walk(depth: int, S: list) -> bool:
-        nonlocal spent, pruned
+    def tight(rows: list, at_top: int, top: int, start: int):
+        """``(table, new)`` for each surviving table of a tight node, from rank
+        ``start`` on; the pruned runs are counted and charged here."""
+        nonlocal pruned
+        for rank, table, new in _survivors(rows, at_top, c, start):
+            if asked - floor <= top:  # the floor rose: the rest is pruned
+                break
+            charge(rank - start)
+            pruned += rank - start
+            yield table, new
+            start = rank + 1
+        rest = c ** len(rows) - start
+        charge(rest)
+        pruned += rest
+
+    def walk(depth: int, S: list, start: int = 0) -> bool:
+        nonlocal spent
         cells = entries(depth)
         _, me, not_hat, _, shared = levels[depth]
         top = len(S) - 1
         fresh = ~wrong[me]
         rows = [[e & fresh & m for m in not_hat] for e in cells]
         deeper = depth + 1 < last
-        for table, new in zip(product(range(c), repeat=len(cells)), _lex_ors(rows)):
-            spent += n_a
+        slack = asked - floor > top + 1  # no table can be pruned, until the floor rises
+        tables = (zip(product(range(c), repeat=len(cells)), _lex_ors(rows)) if slack
+                  else tight(rows, S[top], top, start))
+        for table, new in tables:
+            spent += n_a  # charge(1), inline: a call per table would slow nodes with slack
             if spent > cap:
                 raise BudgetExceeded(spent, cap, "play steps")
             hit = S[top] & new
-            if asked - floor <= top + (1 if hit else 0):
-                pruned += 1
-                continue
             if shared:
                 split = [0] * c
                 for e, g in zip(cells, table):
@@ -306,6 +353,8 @@ def _walk(inst: Instance, budget: SearchBudget, floor, first: bool):
                 return True
             chosen.pop()
             wrong[me] = before
+            if slack and asked - floor <= top + 1:  # the floor rose: go on tight
+                return walk(depth, S, _rank(table, c) + 1)
         return False
 
     if last:

@@ -25,6 +25,7 @@ from hatlab import (
     hbsf,
     hnsa,
     hnsf,
+    instance_from_json,
     is_winning,
     run_game,
     sweep,
@@ -179,16 +180,42 @@ def _need(inst):
     return next((k for k in range(asked + 1) if evaluate(inst.rule, k, asked - k)), asked + 1)
 
 
-def _walk_outcomes(walk, inst, searches):
+def _walk_outcomes(walk, inst, searches, budgets=WALK_BUDGETS):
     """``(floor, witness, examined, pruned)`` or the budget error's text, for
-    each ``(floor, first)`` search and every budget of ``WALK_BUDGETS``."""
+    each ``(floor, first)`` search and every budget of ``budgets``."""
     out = []
-    for budget, (floor, first) in product(WALK_BUDGETS, searches):
+    for budget, (floor, first) in product(budgets, searches):
         try:
             out.append(walk(inst, budget, floor, first))
         except BudgetExceeded as exc:
             out.append(str(exc))
     return out
+
+
+# The benchmark's prune-heavy searches: hearing chains on two colors, where
+# most nodes are tight and most of their tables are pruned.
+RELAY4 = {"kind": "custom", "players": 4, "colors": 2,
+          "sight": [[1, 0], [2, 0], [3, 0], [2, 1], [3, 1], [3, 2]],
+          "hearing": [[0, 1], [1, 2], [2, 3]], "rule": {"kind": "fewer_incorrect", "threshold": 2}}
+RING5 = {"kind": "custom", "players": 5, "colors": 2,
+         "sight": [[1, 0], [2, 1], [3, 2], [4, 3], [0, 4], [2, 0], [3, 1]],
+         "hearing": [[0, 2], [1, 3]], "rule": {"kind": "at_least", "threshold": 2}}
+CHAINS = {"relay4": RELAY4, "ring5": RING5}
+# at several of these caps a search runs out inside a run of pruned tables,
+# which the walk counts and charges in one step
+CHAIN_BUDGETS = WALK_BUDGETS + [SearchBudget(max_assignments=cap) for cap in (5_000, 70_000, 300_003, 1_000_000)]
+
+
+def _chain_outcomes(walk, chain):
+    """``_walk_outcomes`` of a chain's best search and its exists search for
+    its rule, under every budget of ``CHAIN_BUDGETS``."""
+    inst = instance_from_json(CHAINS[chain])
+    return _walk_outcomes(walk, inst, [(-1, False), (_need(inst) - 1, True)], CHAIN_BUDGETS)
+
+
+@cache
+def _chain_reference(chain):
+    return _chain_outcomes(_pruned_reference, chain)
 
 
 class TestWalkMatchesReference:
@@ -219,6 +246,56 @@ class TestWalkMatchesReference:
         for floor, first in searches:
             unpruned = _reference_walk(inst, DEFAULT_BUDGET, False, floor, first)
             assert _walk(inst, DEFAULT_BUDGET, floor, first)[:2] == unpruned[:2]
+
+    @pytest.mark.parametrize("chain", CHAINS)
+    def test_prune_heavy_chains(self, chain):
+        assert _chain_outcomes(_walk, chain) == _chain_reference(chain)
+
+    def test_chain_counts_and_budget_error(self):
+        relay4, ring5 = (instance_from_json(CHAINS[chain]) for chain in ("relay4", "ring5"))
+        counts = {(name, search.__name__): (verdict.strategies_examined, verdict.pruned)
+                  for name, inst in (("relay4", relay4), ("ring5", ring5))
+                  for search in (best_guaranteed_correct, exists_winning_exhaustive)
+                  for verdict in [search(inst)]}
+        assert counts == {
+            ("relay4", "best_guaranteed_correct"): (2536, 88497),
+            ("relay4", "exists_winning_exhaustive"): (0, 65776),
+            ("ring5", "best_guaranteed_correct"): (8076, 23437),
+            ("ring5", "exists_winning_exhaustive"): (7009, 20089),
+        }
+        with pytest.raises(BudgetExceeded) as exc:
+            exists_winning_exhaustive(relay4, SearchBudget(max_assignments=70_000))
+        assert str(exc.value) == "search needs 70016 play steps, budget is 70000"
+
+    def test_each_tight_node_path_runs(self, monkeypatch):
+        """Under the reference comparison, tight nodes skip runs of pruned
+        tables between survivors, prune whole nodes that have an entry with
+        no safe guess, and go tight partway through in best mode, both when
+        the floor rises to the node's slack and when it rises past it."""
+        runs = []
+        survivors = oracle._survivors
+
+        def spy(rows, at_top, c, start):
+            run = {"start": start, "ranks": [], "done": False,
+                   "no safe guess": any(all(r & at_top for r in row) for row in rows)}
+            runs.append(run)
+            for found in survivors(rows, at_top, c, start):
+                run["ranks"].append(found[0])
+                yield found
+            run["done"] = True
+
+        monkeypatch.setattr(oracle, "_survivors", spy)
+        for chain in CHAINS:
+            assert _chain_outcomes(_walk, chain) == _chain_reference(chain)
+        assert any(b - a > 1 for run in runs for a, b in zip([run["start"] - 1] + run["ranks"], run["ranks"]))
+        assert any(run["no safe guess"] for run in runs)
+        assert any(run["start"] and run["ranks"] for run in runs)
+        # a best search within its budget leaves a node's survivors unvisited
+        # only when the floor rises past the node
+        runs.clear()
+        for chain in CHAINS:
+            _walk(instance_from_json(CHAINS[chain]), DEFAULT_BUDGET, -1, False)
+        assert any(not run["done"] for run in runs)
 
 
 class TestEnumeration:
