@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from . import engine
@@ -35,17 +36,34 @@ def constant(color: int) -> Strategy:
 
 
 def _mod_sum(full: int, start: int, terms, size: int, colors: int) -> list[int]:
-    """The partition of ``start + sum(sign * term) mod size`` over ``(sign,
-    term)`` pairs, by one c x c convolution per term, as ``colors`` sets (sums
-    past the instance's colors leave them short of the chunk, as they must)."""
-    acc = [0] * start + [full]
-    for sign, term in terms:
+    """The partition of ``start + sum(a * term) mod size`` over ``(a, term)``
+    pairs, by one c x c convolution per term, as ``colors`` sets (sums past
+    the instance's colors leave them short of the chunk, as they must)."""
+    acc = [0] * (start % size) + [full]
+    for a, term in terms:
         out = [0] * size
-        for a, x in enumerate(acc):
-            for b, y in enumerate(term):
-                out[(a + sign * b) % size] |= x & y
+        for i, x in enumerate(acc):
+            for j, y in enumerate(term):
+                out[(i + a * j) % size] |= x & y
         acc = out
     return (acc + [0] * colors)[:colors]
+
+
+def _affine(size: int, terms, label: str) -> RuleStrategy:
+    """The rule guessing ``k + sum(a * v) mod size`` for ``terms(t, seen, heard)
+    = (k, [(a, v), ...])``, each ``v`` read from ``seen`` or ``heard``. Given
+    colors, ``terms`` gives ``decide``; given partitions, the set form, so both
+    share every guess and every error the rule raises."""
+
+    def decide(t, seen, heard):
+        k, pairs = terms(t, seen, heard)
+        return (k + sum(a * v for a, v in pairs)) % size
+
+    def sets(t, seen, heard, full, colors):
+        k, pairs = terms(t, seen, heard)
+        return _mod_sum(full, k, pairs, size, colors)
+
+    return RuleStrategy(decide, label=label, sets=sets)
 
 
 @dataclass(frozen=True)
@@ -85,23 +103,16 @@ def mod_sum(block: Sequence[int], colors: ColorSpace | int) -> Strategy:
             f"block has {len(block)} players, need exactly {colors.size} (one per color)"
         )
     rename = {m: r for r, m in enumerate(block)}
-    members = frozenset(block)
-    size = colors.size
 
-    def decide(t, seen, heard):
-        if t not in members:
-            return 0
-        others = members - {t}
-        if not others <= seen.keys():
-            missing = sorted(others - seen.keys())
+    def terms(t, seen, heard):
+        if t not in rename:
+            return 0, ()
+        missing = [m for m in block if m != t and m not in seen]
+        if missing:
             raise ValueError(f"player {t} cannot see block mates {missing}")
-        return (rename[t] - sum(seen[m] for m in others)) % size
+        return rename[t], [(-1, seen[m]) for m in block if m != t]
 
-    def sets(t, seen, heard, full, colors):
-        terms = [(-1, seen[m]) for m in members - {t}] if t in members else ()
-        return _mod_sum(full, rename.get(t, 0), terms, size, colors)
-
-    return RuleStrategy(decide, label=f"mod_sum:{list(block)}", sets=sets)
+    return _affine(colors.size, terms, f"mod_sum:{list(block)}")
 
 
 def block_mod_sum(m: int, c: int, n: int) -> Strategy:
@@ -161,32 +172,17 @@ def sum_broadcast(colors: ColorSpace | int) -> Strategy:
     from the announcement leaves exactly its own hat color. At most the
     front's own guess can be wrong.
     """
-    colors = as_colors(colors)
-    size = colors.size
 
-    def no_front(t):
-        return NotHBSF(
-            f"player {t} heard no front announcement; this strategy needs the "
-            "hear-backward-see-forward line"
-        )
-
-    def decide(t, seen, heard):
+    def terms(t, seen, heard):
         if t == -1:
-            return sum(seen.values()) % size
+            return 0, [(1, v) for v in seen.values()]
         if -1 not in heard:
-            raise no_front(t)
-        behind = sum(v for x, v in heard.items() if x != -1)
-        return (heard[-1] - sum(seen.values()) - behind) % size
+            raise NotHBSF(f"player {t} heard no front announcement; this strategy needs the "
+                          "hear-backward-see-forward line")
+        # the announcement, less every other hat seen and guess heard
+        return 0, [*((-1, v) for v in seen.values()), *((1 if x == -1 else -1, v) for x, v in heard.items())]
 
-    def sets(t, seen, heard, full, colors):
-        if t == -1:
-            return _mod_sum(full, 0, [(1, part) for part in seen.values()], size, colors)
-        if -1 not in heard:
-            raise no_front(t)
-        rest = [*seen.values(), *(part for x, part in heard.items() if x != -1)]
-        return _mod_sum(full, 0, [(1, heard[-1]), *((-1, part) for part in rest)], size, colors)
-
-    return RuleStrategy(decide, label="sum_broadcast", sets=sets)
+    return _affine(as_colors(colors).size, terms, "sum_broadcast")
 
 
 def diagonal_adversary(strat: Strategy, inst: Instance) -> tuple[int, ...]:
@@ -265,4 +261,30 @@ def strategy_from_descriptor(desc: Mapping, inst: Instance) -> Strategy:
         return sum_broadcast(inst.colors)
     if name == "random":
         return seeded_random_strategy(inst.colors, param("seed", 0))
-    return TableStrategy.from_json(_json_object(params, "table strategy params", ("entries",))["entries"])
+    table = TableStrategy.from_json(_json_object(params, "table strategy params", ("entries",))["entries"])
+    return _readable(table, inst)
+
+
+def _readable(table: TableStrategy, inst: Instance) -> TableStrategy:
+    """``table`` once every row is one a play of ``inst`` can read: its asking's
+    seen and heard ids, in id order, each once, with colors 0..c-1. Else a
+    ``ValueError`` names the first row that is not, and why. Rows are entries in
+    order, as ``from_json`` lets no entry repeat."""
+    first, second = itemgetter(0), itemgetter(1)
+    in_range = frozenset(range(inst.colors.size)).issuperset
+    reads = {t: (inst.seen_by(inst.label_of(t)), inst.heard_at(t)) for t in inst.askings}
+    for j, (t, seen, heard) in enumerate(table.entries):
+        ids = reads.get(t)
+        if ids is None:
+            why = f"the instance has no asking {t}"
+        elif tuple(map(first, seen)) != ids[0]:
+            why = f"asking {t} sees players {list(ids[0])}"
+        elif tuple(map(first, heard)) != ids[1]:
+            why = f"asking {t} hears askings {list(ids[1])}"
+        elif in_range(map(second, seen + heard)):
+            continue
+        else:
+            why = f"its colors must be 0..{inst.colors.size - 1}"
+        raise ValueError(f"table row {j}, the entry t={t} seen={[list(p) for p in seen]} "
+                         f"heard={[list(p) for p in heard]}, is never read: {why}")
+    return table

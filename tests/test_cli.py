@@ -421,6 +421,14 @@ class TestInstanceDescriptors:
         (_SWEEP + ['{"name": "table", "params": {"entries": [{"t": 1, "seen": [[1, 0], [2, 1]], "heard": [], "guess": 0}, '
                    '{"t": 1, "seen": [[2, 1], [1, 0]], "heard": [], "guess": 1}]}}'],
          "table rows 0 and 1 are both the entry t=1 seen=[[1, 0], [2, 1]] heard=[]"),
+        # a row the play can never read: an unknown asking, an unseen or repeated player, a color past c
+        *((_SWEEP + [json.dumps({"name": "table", "params": {"entries": [
+            {"t": 1, "seen": [[0, 0]], "heard": [], "guess": 0}, {"t": t, "seen": seen, "heard": [], "guess": 0}]}})],
+           f"table row 1, the entry t={t} seen={seen} heard=[], is never read: {why}")
+          for t, seen, why in [(7, [], "the instance has no asking 7"),
+                               (0, [[5, 1]], "asking 0 sees players [1]"),
+                               (0, [[5, 1], [5, 1]], "asking 0 sees players [1]"),
+                               (0, [[1, 9]], "its colors must be 0..1")]),
     ])
     def test_malformed_descriptor_is_a_config_error(self, runner, args, message):
         res = invoke(runner, *args)

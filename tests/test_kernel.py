@@ -36,7 +36,7 @@ from hatlab import (
     sum_broadcast,
     sweep,
 )
-from hatlab import engine
+from hatlab import engine, strategies
 from test_oracle import SPACES
 
 CHUNKS = st.sampled_from([1, 2, 3, 5, 16, engine.CHUNK_PLAYS])
@@ -178,6 +178,34 @@ def test_set_forms_for_another_color_count_match_scalar(inst, data, chunk):
         strats.append(mod_sum(inst.players[:other], other))
     for strat in strats:
         assert_matches_reference(inst, strat, chunk)
+
+
+@given(instances(), st.data(), CHUNKS)
+@settings(max_examples=60, deadline=None)
+def test_affine_rules_match_scalar(inst, data, chunk):
+    # k + sum(a * v) mod size, with any coefficient of 0..size-1 on any hat the
+    # asking sees or guess it hears, read any number of times; a size other
+    # than the instance's wraps at its own c, and its guesses past the
+    # instance's colors fail as in the scalar loop
+    size = data.draw(st.just(inst.colors.size) | st.integers(1, 5))
+    forms = {}
+    for t in inst.askings:
+        reads = [*((0, x) for x in inst.seen_by(inst.label_of(t))), *((1, y) for y in inst.heard_at(t))]
+        pairs = st.lists(st.tuples(st.integers(0, size - 1), st.sampled_from(reads)), max_size=4)
+        forms[t] = data.draw(st.integers(0, 2 * size)), data.draw(pairs) if reads else []
+
+    def rule(raising):
+        def terms(t, seen, heard):
+            if t in raising:
+                raise RuntimeError(f"no rule at asking {t}")
+            k, pairs = forms[t]
+            return k, [(a, (seen, heard)[where][x]) for a, (where, x) in pairs]
+
+        return strategies._affine(size, terms, "affine")
+
+    assert_matches_reference(inst, rule(()), chunk)
+    if inst.askings:  # a rule that raises fails at the same play in both forms
+        assert_matches_reference(inst, rule(data.draw(st.sets(st.sampled_from(inst.askings), min_size=1))), chunk)
 
 
 def relay_table():

@@ -1,6 +1,8 @@
+import random
 import re
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from hatlab import (
@@ -13,6 +15,7 @@ from hatlab import (
     at_least,
     base_selector,
     block_mod_sum,
+    build_canonical_instance,
     consecutive_blocks,
     constant,
     diagonal_adversary,
@@ -30,8 +33,10 @@ from hatlab import (
     sum_broadcast,
     sweep,
 )
+from hatlab.cli import main
 from hatlab.model import _json_field
 from hatlab.strategies import STRATEGY_PARAMS
+from test_kernel import drain, full_table
 
 # any JSON value, and lists of pair-shaped lists often enough to reach the integer reads
 _SCALAR = st.none() | st.booleans() | st.integers(-3, 5) | st.floats(-2, 2) | st.text(max_size=3)
@@ -183,6 +188,34 @@ class TestSumBroadcast:
             run_game(inst, sum_broadcast(2), (0, 0))
 
 
+_MISFITS = {
+    "mod_sum-hnsf": (
+        hnsf(3, 3, at_least(1)), mod_sum((0, 1, 2), 3), ValueError, "player 1 cannot see block mates [0]",
+        ["--kind", "hnsf", "-m", "3", "-c", "3", "--rule", "at_least:1", "--strategy", "mod_sum:block=0-1-2"]),
+    "sum_broadcast-hnsa": (
+        hnsa(3, 2, at_least(1)), sum_broadcast(2), NotHBSF,
+        "player 0 heard no front announcement; this strategy needs the hear-backward-see-forward line",
+        ["--kind", "hnsa", "-m", "3", "-c", "2", "--rule", "at_least:1", "--strategy", "sum_broadcast"]),
+}
+
+
+@pytest.mark.parametrize("inst, strat, error, message, args", _MISFITS.values(), ids=_MISFITS.keys())
+def test_a_construction_that_misfits_its_instance_fails_at_play(inst, strat, error, message, args):
+    # built without complaint; every caller then raises the one error of the rule
+    pattern = f"^{re.escape(message)}$"
+    with pytest.raises(error, match=pattern):
+        run_game(inst, strat, (0,) * len(inst.players))
+    with pytest.raises(error, match=pattern):
+        sweep(inst, strat)
+    scalar = ((values, run_game(inst, strat, values)) for values in iter_assignment_tuples(inst))
+    assert drain(iter_plays(inst, strat)) == drain(scalar) == ([], (error, message))
+    assignment = ["--assignment", ",".join("0" * len(inst.players))]
+    for command, lines in [(["run", *args, *assignment], []), (["sweep", *args], []),
+                           (["sweep", *args, "--format", "csv"], ["assignment,correct,incorrect,verdict"])]:
+        res = CliRunner().invoke(main, command, catch_exceptions=False)
+        assert (res.exit_code, res.output.splitlines()) == (2, [*lines, f"config error: {message}"])
+
+
 class TestSeededRandomStrategy:
     def test_deterministic(self):
         s1 = seeded_random_strategy(3, 42)
@@ -239,6 +272,32 @@ class TestDescriptors:
         again = strategy_from_descriptor(desc, inst)
         assert again == witness
         assert TableStrategy.from_json(witness.to_json()).entries == witness.entries
+
+    @pytest.mark.parametrize("inst, row, why", [
+        (hnsa(2, 2, at_least(1)), {"t": 0, "seen": [[1, 1], [1, 1]], "heard": []}, "asking 0 sees players [1]"),
+        (hnsa(2, 2, at_least(1)), {"t": 0, "seen": [], "heard": []}, "asking 0 sees players [1]"),
+        (hnsa(2, 2, at_least(1)), {"t": 0, "seen": [[1, -1]], "heard": []}, "its colors must be 0..1"),
+        (hnsa(2, 2, at_least(1)), {"t": 0, "seen": [[1, 0]], "heard": [[1, 0]]}, "asking 0 hears askings []"),
+        (hbsf(3, 2, at_least(1)), {"t": 1, "seen": [], "heard": [[-1, 0]]}, "asking 1 hears askings [-1, 0]"),
+        (hbsf(3, 2, at_least(1)), {"t": 0, "seen": [[1, 0]], "heard": [[-1, 2]]}, "its colors must be 0..1"),
+    ])
+    def test_a_table_row_no_play_reads_is_named(self, inst, row, why):
+        # more of the cases tests/test_cli.py runs through the CLI; one readable
+        # row first, so the message names the row at fault by its index
+        rows = [full_table(inst, random.Random(0)).to_json()[0], dict(row, guess=0)]
+        seen, heard = (sorted(row[key]) for key in ("seen", "heard"))
+        message = f"table row 1, the entry t={row['t']} seen={seen} heard={heard}, is never read: {why}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            strategy_from_descriptor({"name": "table", "params": {"entries": rows}}, inst)
+        # without the instance a table takes any row
+        assert len(TableStrategy.from_json(rows).entries) == 2
+
+    @pytest.mark.parametrize("space", ["hnsf", "hnsa", "hbsf"])
+    def test_every_row_of_a_full_table_is_readable(self, space):
+        inst = build_canonical_instance(space, 3, 2, at_least(1))
+        rows = full_table(inst, random.Random(0)).to_json()
+        table = strategy_from_descriptor({"name": "table", "params": {"entries": rows}}, inst)
+        assert table == TableStrategy.from_json(rows)
 
     def test_table_pairs_are_keyed_in_canonical_order(self):
         import random
