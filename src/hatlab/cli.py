@@ -205,14 +205,16 @@ def cmd_sweep(instance, kind, players, colors, rule, strategy, max_assignments, 
     strat = strategy_from_descriptor(parse_strategy_spec(strategy), inst)
     budget = max_assignments if max_assignments is not None else _env_budget()
     if fmt == "csv":
-        click.echo("assignment,correct,incorrect,verdict")
+        # the header goes out with the first row: a sweep that fails before it leaves stdout empty
+        header = "assignment,correct,incorrect,verdict\n"
         winning = True
         for values, result in iter_plays(inst, strat, max_assignments=budget):
             winning = winning and result.verdict
             click.echo(
-                f"{'-'.join(map(str, values))},{result.correct_count},"
+                f"{header}{'-'.join(map(str, values))},{result.correct_count},"
                 f"{result.incorrect_count},{int(result.verdict)}"
             )
+            header = ""
         sys.exit(0 if winning else 1)
     report = sweep(inst, strat, max_assignments=budget)
     _emit(report.to_json(), fmt)

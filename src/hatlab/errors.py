@@ -60,14 +60,11 @@ def check_positive(budget) -> None:
         raise ValueError("budgets must be positive")
 
 
-def check_budget(base: int, exponent, budget: int, error: type, *what) -> None:
+def check_budget(base: int, exponent: int, budget: int, error: type, *what) -> None:
     """The one budget rule: :func:`check_positive`, then
     ``error(count, budget, *what)`` if ``base ** exponent`` exceeds ``budget``,
-    with ``count`` as :func:`power_count` gives it. ``exponent`` may be a
-    function giving it, called only once the budget is judged positive."""
+    with ``count`` as :func:`power_count` gives it."""
     check_positive(budget)
-    if callable(exponent):
-        exponent = exponent()
     if power_over(base, exponent, budget):
         raise error(power_count(base, exponent), budget, *what)
 

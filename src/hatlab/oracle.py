@@ -128,7 +128,8 @@ def enumerate_table_strategies(inst: Instance, max_strategies: int | None = None
     """
     c = inst.colors.size
     cap = DEFAULT_BUDGET.max_strategies if max_strategies is None else max_strategies
-    check_budget(c, lambda: _entry_count(inst), cap, BudgetExceeded)  # positivity before the play order
+    check_positive(cap)  # before the play order, which may raise CyclicHearing
+    check_budget(c, _entry_count(inst), cap, BudgetExceeded)
     per_step = [product(range(c), repeat=_table_size(c, step)) for step in inst.steps]
     return (_materialize(inst, combo) for combo in product(*per_step))
 
@@ -212,8 +213,8 @@ def _walk(inst: Instance, budget: SearchBudget, floor, first: bool):
     that keep ``asked - top`` are the product of a set of good guesses per
     entry: every color if the entry reads no assignment at ``top``, else only
     the hat those assignments share, if they share one. So the first leaf
-    above the floor, the count examined and the play steps spent follow by
-    arithmetic, including the exact count at which the budget is exceeded.
+    above the floor and the count examined follow by arithmetic, and so does
+    the table at which the budget runs out.
 
     A leaf above the floor becomes the witness and the floor rises to its
     count. With ``first`` the walk stops there; otherwise it goes on, so the
@@ -249,8 +250,9 @@ def _walk(inst: Instance, budget: SearchBudget, floor, first: bool):
     guessed: list = [None] * len(steps)  # per depth, where its chosen table guesses g
     chosen: list = []
     witness = None
-    spent = examined = pruned = 0
-    cap = budget.max_assignments
+    # each table tried, settled or pruned plays all n_a assignments: count tables
+    tables_done = examined = pruned = 0
+    limit = budget.max_assignments // n_a
 
     def entries(depth: int) -> list:
         """The assignments behind each table entry of the node at ``depth``."""
@@ -260,13 +262,12 @@ def _walk(inst: Instance, budget: SearchBudget, floor, first: bool):
         return cells
 
     def charge(tables: int) -> None:
-        """Spend the play steps of the next ``tables`` tables, raising at the
-        first one past the cap as trying them one at a time would."""
-        nonlocal spent
-        over = (cap - spent) // n_a  # how many more tables fit
-        if over < tables:
-            raise BudgetExceeded(spent + (over + 1) * n_a, cap, "play steps")
-        spent += tables * n_a
+        """Count the next ``tables`` tables, raising at the first one past
+        ``limit`` as trying them one at a time would."""
+        nonlocal tables_done
+        tables_done += tables
+        if tables_done > limit:
+            raise BudgetExceeded((limit + 1) * n_a, budget.max_assignments, "play steps")
 
     def settle(top: int, at_top: int) -> bool:
         """Every leaf under a last-step node, by arithmetic; ``at_top`` is
@@ -317,7 +318,7 @@ def _walk(inst: Instance, budget: SearchBudget, floor, first: bool):
         pruned += rest
 
     def walk(depth: int, S: list, start: int = 0) -> bool:
-        nonlocal spent
+        nonlocal tables_done
         cells = entries(depth)
         _, me, not_hat, _, shared = levels[depth]
         top = len(S) - 1
@@ -328,9 +329,9 @@ def _walk(inst: Instance, budget: SearchBudget, floor, first: bool):
         tables = (zip(product(range(c), repeat=len(cells)), _lex_ors(rows)) if slack
                   else tight(rows, S[top], top, start))
         for table, new in tables:
-            spent += n_a  # charge(1), inline: a call per table would slow nodes with slack
-            if spent > cap:
-                raise BudgetExceeded(spent, cap, "play steps")
+            tables_done += 1  # charge(1), inline: a call per table would slow nodes with slack
+            if tables_done > limit:
+                raise BudgetExceeded((limit + 1) * n_a, budget.max_assignments, "play steps")
             hit = S[top] & new
             if shared:
                 split = [0] * c

@@ -76,6 +76,10 @@ class BlockPartition:
 
 def consecutive_blocks(players: Sequence[int], block_size: int, n: int) -> BlockPartition:
     """First ``n`` consecutive blocks of ``block_size`` players; rest is leftover."""
+    if n < 0:
+        raise ValueError(f"n must be a nonnegative block count, got {n}")
+    if block_size < 1:
+        raise ValueError(f"block_size must be positive, got {block_size}")
     players = tuple(players)
     if n * block_size > len(players):
         raise TooManyBlocks(

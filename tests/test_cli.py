@@ -123,6 +123,25 @@ class TestSweep:
                      env={"HATLAB_BUDGET": "10"})
         assert res.exit_code == 3
 
+    # the CSV header goes out with the first row, so stdout holds no table the sweep did not play
+    def test_csv_budget_error_leaves_stdout_empty(self, runner):
+        res = invoke(runner, "sweep", "--kind", "hnsa", "-m", "2", "-c", "2",
+                     "--strategy", "constant:0", "--rule", "at_least:1",
+                     "--format", "csv", "--max-assignments", "1")
+        assert (res.exit_code, res.stdout, res.stderr) == (
+            3, "", "budget error: sweep needs 4 assignment plays, budget is 1\n")
+
+    def test_csv_streams_the_rows_played_before_a_failure(self, runner):
+        # rows only for seen color 0: the first assignment plays, the second has no entry
+        rows = [{"t": 0, "seen": [[1, 0]], "heard": [], "guess": 0},
+                {"t": 1, "seen": [[0, 0]], "heard": [], "guess": 0}]
+        table = json.dumps({"name": "table", "params": {"entries": rows}})
+        res = invoke(runner, "sweep", "--kind", "hnsa", "-m", "2", "-c", "2",
+                     "--strategy", table, "--rule", "at_least:1", "--format", "csv")
+        assert res.exit_code == 2
+        assert res.stdout.splitlines() == ["assignment,correct,incorrect,verdict", "0-0,2,0,1"]
+        assert res.stderr.startswith("config error: table strategy has no entry for asking 0 ")
+
 
 class TestMissingTableEntry:
     @pytest.mark.parametrize("command", [["run", "--assignment", "0,1"], ["sweep"]])
@@ -464,6 +483,9 @@ class TestConfigErrorsNameTheirInput:
          None, "a part's sight relation is not contained in the target's"),
         (["sweep", "--kind", "hbsf", "-m", "4", "-c", "2", "--rule", "at_least:1", "--strategy", "block_mod_sum:n=2"],
          None, "parts must cover the target askings exactly; missing=[-1] extra=[3]"),
+        # a negative block count is named before any rule is built from it
+        (["sweep", "--kind", "hnsa", "-m", "4", "-c", "2", "--rule", "at_least:1", "--strategy", "block_mod_sum:n=-1"],
+         None, "n must be a nonnegative block count, got -1"),
         # a position listed twice is rejected, whether in flags or in a descriptor
         (["line", "--strategy", "sum_broadcast", "-c", "2", "--front", "1",
           "--exception", "0,3,1", "--exception", "0,3,0"], None, "exception at 3 is listed more than once"),
@@ -473,7 +495,7 @@ class TestConfigErrorsNameTheirInput:
           '{"base": 0, "exceptions": [{"k": 0, "n": 3, "color": 1}, {"k": 0, "n": 3, "color": 1}], "front": 0}'],
          None, "exception at 3 is listed more than once"),
     ], ids=["exception-short", "exception-text", "env-budget", "env-budget-list", "assignment",
-            "block-mod-sum-hnsf", "block-mod-sum-hbsf", "exception-twice", "exception-twice-same",
+            "block-mod-sum-hnsf", "block-mod-sum-hbsf", "block-mod-sum-negative", "exception-twice", "exception-twice-same",
             "lazy-exception-twice"])
     def test_error_names_the_input(self, runner, args, env, message):
         res = invoke(runner, *args, env=env)

@@ -4,6 +4,7 @@ from functools import cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hatlab import (
     OMEGA,
@@ -250,6 +251,27 @@ class TestWalkMatchesReference:
     @pytest.mark.parametrize("chain", CHAINS)
     def test_prune_heavy_chains(self, chain):
         assert _chain_outcomes(_walk, chain) == _chain_reference(chain)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_cap_runs_out_at_a_whole_table(self, data):
+        """Between the fixed caps above: every table the walk tries, settles or
+        prunes plays all c**m assignments, so a search runs out at the first
+        multiple of c**m past its cap, as the reference does."""
+        source = data.draw(st.sampled_from([*SPACES, "seeded", *CHAINS]))
+        if source in CHAINS:
+            inst = instance_from_json(CHAINS[source])
+        else:
+            build = _seeded_custom(data.draw(st.integers(0, 200))) if source == "seeded" else SPACES[source]
+            inst = build(RULES[data.draw(st.sampled_from(list(RULES)))])
+        n_a = inst.colors.size ** len(inst.players)
+        cap = data.draw(st.integers(1, 500 * n_a))
+        search = data.draw(st.sampled_from([(-1, False), (_need(inst) - 1, True)]))
+        budget = [SearchBudget(max_assignments=cap)]
+        [outcome] = _walk_outcomes(_walk, inst, [search], budget)
+        assert [outcome] == _walk_outcomes(_pruned_reference, inst, [search], budget)
+        if isinstance(outcome, str):
+            assert outcome == f"search needs {(cap // n_a + 1) * n_a} play steps, budget is {cap}"
 
     def test_chain_counts_and_budget_error(self):
         relay4, ring5 = (instance_from_json(CHAINS[chain]) for chain in ("relay4", "ring5"))
