@@ -24,11 +24,16 @@ and Elliott), so only those are enumerated and each run of pruned tables
 between two of them is counted in one step. Nor is the last level visited
 leaf by leaf: a leaf changes the guaranteed count by at most one, and which
 leaves keep it is a product of per-entry choices, so the whole level is
-settled by arithmetic. The walk still counts
-every table it settles or prunes and charges every one to the budget, so its
-verdicts, witnesses, counts and budget errors are those of a walk that plays
-each table against each assignment; the suite checks that against such a
-walk.
+settled by arithmetic. Nor is every first-level subtree walked: renaming one
+player's colors, in its hats, in what others see of them and in its guesses,
+maps every strategy to one with the same worst case, and the subtree under a
+first-step table onto the subtree under the table's image. Once the subtree
+under one table is finished with the floor unchanged, the subtree under each
+table a renaming maps onto it is not walked again: its counts are reused. The
+walk still counts every table it settles, prunes or reuses and charges every
+one to the budget, so its verdicts, witnesses, counts and budget errors are
+those of a walk that plays each table against each assignment; the suite
+checks that against such a walk.
 
 Budgets are hard limits: a search that would outgrow them raises instead of
 returning an answer computed from a partial walk.
@@ -181,6 +186,26 @@ def _survivors(rows, at_top: int, c: int, start: int):
     return ((_rank(t, c), t, reduce(or_, map(getitem, rows, t))) for t in tables)
 
 
+def _relabellings(c: int, seen: list, me: int) -> list:
+    """The rank of a first-step table's image under each adjacent
+    transposition of one player's colors, as weights: the image of table
+    ``T`` ranks ``sum(w[i][T[i]])``. The step's player ``me`` sees the
+    players ``seen`` (by index); the image guesses at the transposed pattern
+    of entry ``i`` what ``T`` guesses at ``i``, transposed too if the player
+    is ``me``. A player neither seen nor ``me`` maps every table to itself
+    and has no weights."""
+    moves = []
+    patterns = list(product(range(c), repeat=len(seen)))
+    for q in sorted({*seen, me}):
+        for j in range(c - 1):
+            swap = [*range(j), j + 1, j, *range(j + 2, c)]
+            guess = swap if q == me else range(c)
+            moves.append([[guess[g] * c ** (len(patterns) - 1 - _rank(image, c)) for g in range(c)]
+                          for pattern in patterns
+                          for image in [[swap[d] if x == q else d for x, d in zip(seen, pattern)]]])
+    return moves
+
+
 def _walk(inst: Instance, budget: SearchBudget, floor, first: bool):
     """Find the first strategy, in enumeration order, whose guaranteed correct
     count is above ``floor``; return ``(floor, tables, examined, pruned)``.
@@ -215,6 +240,22 @@ def _walk(inst: Instance, budget: SearchBudget, floor, first: bool):
     the hat those assignments share, if they share one. So the first leaf
     above the floor and the count examined follow by arithmetic, and so does
     the table at which the budget runs out.
+
+    With three or more play steps, first-level subtrees are reused. A color
+    renaming maps the state under a first-step table T (the wrong sets, every
+    ``S[k]``, the heard partitions) onto the state under its image, and every
+    prune test, tight-node survivor count and settled leaf count with it. So a
+    subtree walked with the floor unchanged throughout holds no leaf above the
+    floor, and the subtree under any table it is the image of has the same
+    counts at that floor. ``memo`` keeps, per first-step table whose subtree
+    ended so, the floor and the tables charged, examined and pruned under it:
+    at most one entry per first-step table. Before descending under T, the
+    walk ranks T's image under each adjacent transposition of one player's
+    colors (``_relabellings``); if one ranks before T and has an entry at the
+    current floor, T's subtree is not walked but charged in one step, which
+    runs out of budget where walking it would, its counts are added, and the
+    entry is recorded for T too. With two steps a subtree is one settle, no
+    dearer than ranking the images.
 
     A leaf above the floor becomes the witness and the floor rises to its
     count. With ``first`` the walk stops there; otherwise it goes on, so the
@@ -317,6 +358,30 @@ def _walk(inst: Instance, budget: SearchBudget, floor, first: bool):
         charge(rest)
         pruned += rest
 
+    moves = _relabellings(c, [index[x] for x in steps[0][2]], levels[0][1]) if last > 1 else ()
+    memo: dict = {}  # first-step rank -> (floor, tables, examined, pruned) under it
+
+    def reuse(tables):
+        """The first-step ``tables`` whose subtree must be walked; each of the
+        others is charged and counted from the entry of an image of it. The
+        tables come in rank order, so every entry is of a table before it."""
+        nonlocal examined, pruned
+        for table, new in tables:
+            key = _rank(table, c)
+            entry = next((e for w in moves for e in [memo.get(sum(map(getitem, w, table)))]
+                          if e and e[0] == floor), None)
+            if entry:
+                charge(entry[1])
+                examined += entry[2]
+                pruned += entry[3]
+            else:
+                before = (floor, tables_done, examined, pruned)
+                yield table, new
+                if floor != before[0]:  # the floor rose under the table
+                    continue
+                entry = (floor, tables_done - before[1], examined - before[2], pruned - before[3])
+            memo[key] = entry
+
     def walk(depth: int, S: list, start: int = 0) -> bool:
         nonlocal tables_done
         cells = entries(depth)
@@ -328,6 +393,8 @@ def _walk(inst: Instance, budget: SearchBudget, floor, first: bool):
         slack = asked - floor > top + 1  # no table can be pruned, until the floor rises
         tables = (zip(product(range(c), repeat=len(cells)), _lex_ors(rows)) if slack
                   else tight(rows, S[top], top, start))
+        if moves and not depth:
+            tables = reuse(tables)
         for table, new in tables:
             tables_done += 1  # charge(1), inline: a call per table would slow nodes with slack
             if tables_done > limit:

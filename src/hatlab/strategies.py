@@ -20,6 +20,7 @@ from .errors import (
     NeedsTwoColors,
     NotHBSF,
     TooManyBlocks,
+    ZeroSize,
 )
 from .model import (ColorSpace, EvaluationRule, Instance, _is_color, _json_field, _json_object, as_colors, at_least,
                     custom_instance, hnsa)
@@ -131,6 +132,8 @@ def block_mod_sum(m: int, c: int, n: int) -> Strategy:
 
 def _block_mod_sum(m: int, c: int, n: int, target_of: Callable[[EvaluationRule], Instance]) -> Strategy:
     """:func:`block_mod_sum`'s parts combined against ``target_of(at_least(n))``."""
+    if c < 1:  # before ``m // c`` divides by it
+        raise ZeroSize(f"need at least one color, got c={c}")
     if n > m // c:
         raise TooManyBlocks(f"{n} blocks of size {c} do not fit into {m} players")
     partition = consecutive_blocks(range(m), c, n)

@@ -35,7 +35,7 @@ from hatlab import (
 from hatlab.engine import iter_assignment_tuples
 from hatlab.errors import CyclicHearing, power_count, power_over
 from hatlab import oracle
-from hatlab.oracle import DEFAULT_BUDGET, _materialize, _table_size, _walk
+from hatlab.oracle import DEFAULT_BUDGET, _materialize, _rank, _table_size, _walk
 
 
 # --- reference: every table strategy, swept -----------------------------------
@@ -318,6 +318,123 @@ class TestWalkMatchesReference:
         for chain in CHAINS:
             _walk(instance_from_json(CHAINS[chain]), DEFAULT_BUDGET, -1, False)
         assert any(not run["done"] for run in runs)
+
+
+# --- colour relabellings: the symmetry the walk's reuse rests on -------------
+
+def _relabel(inst, strat, perms):
+    """The image of table strategy ``strat`` under ``perms``, one color
+    permutation per player id: at the relabelled observation it guesses the
+    relabelled guess, and a heard guess is relabelled by the permutation of
+    its asking's player."""
+    label = inst.label_of
+    return TableStrategy({
+        (t, tuple((x, perms[x][a]) for x, a in seen), tuple((s, perms[label(s)][g]) for s, g in heard)):
+            perms[label(t)][guess]
+        for (t, seen, heard), guess in strat.entries.items()})
+
+
+# seeded custom instances where some asking hears another and a player is asked twice
+HEARD_TWICE = [9, 10, 17, 19, 22, 23, 25, 26, 27, 28, 35]
+# the walk reuses first-step subtrees only with three or more play steps;
+# in the last one player 0 asks first and sees its own hat
+REUSE_SPACES = {
+    "hnsf-3x2": lambda: hnsf(3, 2, at_least(1)),
+    "hnsf-4x2": lambda: hnsf(4, 2, at_least(1)),
+    "hnsa-3x2": lambda: hnsa(3, 2, at_least(1)),
+    "hnsf-3x3": lambda: hnsf(3, 3, at_least(1)),
+    "relay4": lambda: instance_from_json(RELAY4),
+    "ring5": lambda: instance_from_json(RING5),
+    "custom-27": lambda: _seeded_custom(27)(at_least(1)),
+    "self-first-3x3": lambda: custom_instance(3, 3, [(0, 0), (0, 2), (1, 0), (2, 1)], at_least(1),
+                                              hearing=[(0, 1), (1, 2)]),
+}
+
+
+class TestRelabelling:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_relabelling_preserves_sweep_results(self, data):
+        source = data.draw(st.sampled_from([*SPACES, *(f"seeded-{seed}" for seed in HEARD_TWICE)]))
+        if source in SPACES:
+            inst = SPACES[source](at_least(1))
+        else:
+            inst = _seeded_custom(int(source.split("-")[1]))(at_least(1))
+            assert any(heard for *_, heard in inst.steps) and len(set(inst.labeling)) < len(inst.labeling)
+        c = inst.colors.size
+        perms = {x: data.draw(st.permutations(range(c))) for x in inst.players}
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        strat = _materialize(inst, [tuple(rng.randrange(c) for _ in range(_table_size(c, step))) for step in inst.steps])
+        image = _relabel(inst, strat, perms)
+        assert set(image.entries) == set(strat.entries)  # a table strategy of the same space
+        before, after = sweep(inst, strat), sweep(inst, image)
+        assert (after.min_correct, after.max_incorrect) == (before.min_correct, before.max_incorrect)
+
+    @pytest.mark.parametrize("space", REUSE_SPACES)
+    def test_moves_rank_the_image_of_each_first_step_table(self, space):
+        """The weights ``_walk`` ranks a first-step table's images by give the
+        images ``_relabel`` builds, under every adjacent transposition of one
+        player's colors that moves some table."""
+        inst = REUSE_SPACES[space]()
+        c = inst.colors.size
+        t, player, seen, heard = inst.steps[0]
+        index = inst.player_index
+        moves = oracle._relabellings(c, [index[x] for x in seen], index[player])
+        assert len(moves) == len({*seen, player}) * (c - 1)
+        rest = [(0,) * _table_size(c, step) for step in inst.steps[1:]]
+        patterns = list(product(range(c), repeat=len(seen)))
+        tables = list(product(range(c), repeat=len(patterns)))
+        if len(tables) > 512:  # c = 3 and nine entries: a seeded sample
+            tables = random.Random(space).sample(tables, 512)
+        for table in tables:
+            strat = _materialize(inst, [table, *rest])
+            images = set()
+            for q, j in product(inst.players, range(c - 1)):
+                swap = [*range(j), j + 1, j, *range(j + 2, c)]
+                image = _relabel(inst, strat, {x: swap if x == q else range(c) for x in inst.players})
+                images.add(_rank([image.entries[(t, tuple(zip(seen, p)), ())] for p in patterns], c))
+            rank = _rank(table, c)
+            assert {sum(w[i][g] for i, g in enumerate(table)) for w in moves} | {rank} == images | {rank}
+
+
+class TestReuse:
+    @staticmethod
+    def _nodes(monkeypatch, inst, search, moves=True):
+        """The outcome of ``_walk`` and the nodes it opened, with or without
+        the relabelling moves."""
+        opened = [0]
+        for name in ("_lex_ors", "_survivors"):
+            def spy(*args, inner=getattr(oracle, name)):
+                opened[0] += 1
+                return inner(*args)
+            monkeypatch.setattr(oracle, name, spy)
+        if not moves:
+            monkeypatch.setattr(oracle, "_relabellings", lambda *args: [])
+        [outcome] = _walk_outcomes(_walk, inst, [search], [DEFAULT_BUDGET])
+        monkeypatch.undo()
+        return outcome, opened[0]
+
+    @pytest.mark.parametrize("space,search", [
+        ("hnsf-4x2", (0, True)), ("relay4", (-1, False)), ("ring5", (-1, False)),
+    ])
+    def test_first_step_subtrees_are_reused(self, monkeypatch, space, search):
+        inst = REUSE_SPACES[space]()
+        reused, opened = self._nodes(monkeypatch, inst, search)
+        walked, opened_without = self._nodes(monkeypatch, inst, search, moves=False)
+        assert reused == walked
+        assert opened < opened_without
+
+    @pytest.mark.parametrize("m,caps", [(3, [215, 1_000, 1_500]), (4, [6_709, 50_000, 300_000])])
+    def test_budget_runs_out_inside_a_reused_charge(self, m, caps):
+        inst = hnsf(m, 2, at_least(1))
+        budgets = [SearchBudget(max_assignments=cap) for cap in caps]
+        searches = [(-1, False), (0, True)]
+        assert _walk_outcomes(_walk, inst, searches, budgets) == _walk_outcomes(_pruned_reference, inst, searches, budgets)
+        for budget, search in product(budgets, searches):
+            with pytest.raises(BudgetExceeded) as exc:
+                _walk(inst, budget, *search)
+            # raised by the one-step charge of a reused subtree
+            assert [entry.name for entry in exc.traceback[-2:]] == ["reuse", "charge"]
 
 
 class TestEnumeration:

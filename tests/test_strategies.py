@@ -13,6 +13,7 @@ from hatlab import (
     NotHBSF,
     TableStrategy,
     TooManyBlocks,
+    ZeroSize,
     at_least,
     base_selector,
     block_mod_sum,
@@ -122,6 +123,19 @@ class TestBlockModSum:
     def test_negative_block_count_is_named(self):
         with pytest.raises(ValueError, match="^n must be a nonnegative block count, got -1$"):
             block_mod_sum(4, 2, -1)
+
+    @pytest.mark.parametrize("c", [0, -2])
+    @pytest.mark.parametrize("n", [0, 1, -1])
+    def test_color_count_below_one_is_named(self, c, n):
+        # before the block count is checked against m // c
+        with pytest.raises(ZeroSize, match=f"^need at least one color, got c={c}$"):
+            block_mod_sum(3, c, n)
+
+    def test_zero_players_keep_their_errors(self):
+        with pytest.raises(ZeroSize, match="^need at least one player and one color, got m=0, c=2$"):
+            block_mod_sum(0, 2, 0)
+        with pytest.raises(TooManyBlocks, match="^1 blocks of size 2 do not fit into 0 players$"):
+            block_mod_sum(0, 2, 1)
 
     @pytest.mark.parametrize("m,c", [(4, 2), (5, 2), (6, 3), (6, 2)])
     def test_guarantee_is_tight(self, m, c):
