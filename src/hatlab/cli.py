@@ -1,9 +1,9 @@
-"""Command-line surface: run games, sweep assignments, search strategy spaces,
-demo the symbolic lines, and run the acceptance suite.
+"""Command-line surface on ``argparse``: run games, sweep assignments, search
+strategy spaces, demo the symbolic lines, and run the acceptance suite.
 
 Reports are JSON by default (canonical form: sorted keys, no whitespace), so
-identical invocations produce byte-identical output. Exit codes: 0 success /
-property holds, 1 property fails, 2 configuration error, 3 budget exceeded.
+identical invocations produce byte-identical output. Exit codes: 0 property
+holds, 1 it fails, 2 configuration or usage error, 3 budget exceeded.
 
 Each command imports the modules it plays with in its own body, so a call
 loads only what it runs: ``run`` and ``sweep`` never load the oracle, the
@@ -12,12 +12,10 @@ line or the acceptance suite.
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import os
 import sys
-
-import click
 
 from .errors import BudgetExceeded, HatlabError, SweepTooLarge
 from .model import (
@@ -47,21 +45,6 @@ def _env_budget() -> int | None:
 
 def _first_given(*values):
     return next(v for v in values if v is not None)
-
-
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (SweepTooLarge, BudgetExceeded) as exc:
-            click.echo(f"budget error: {exc}", err=True)
-            sys.exit(3)
-        except (HatlabError, ValueError, OverflowError, OSError) as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(2)
-
-    return wrapper
 
 
 # --- options as descriptors: the descriptor readers parse every field ---------
@@ -137,38 +120,12 @@ def parse_strategy_spec(text: str) -> dict:
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        click.echo(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
     else:
         for key in sorted(report):
-            click.echo(f"{key}: {report[key]}")
+            print(f"{key}: {report[key]}")
 
 
-_instance_options = [
-    click.option("--instance", default=None, help="Instance descriptor (JSON text or file path)."),
-    click.option("--kind", default=None, help=f"Instance kind: {', '.join(CANONICAL_KINDS)} or custom."),
-    click.option("-m", "--players", default=None, help="Player count (hbsf: incl. front)."),
-    click.option("-c", "--colors", default=None, help="Color count."),
-    click.option("--rule", default=None, help="at_least:K or fewer_incorrect:K (K int or 'omega')."),
-]
-
-
-def instance_options(fn):
-    for opt in reversed(_instance_options):
-        fn = opt(fn)
-    return fn
-
-
-@click.group()
-def main():
-    """Hat-guessing games: deterministic plays, sweeps, and exhaustive searches."""
-
-
-@main.command("run")
-@instance_options
-@click.option("--strategy", required=True, help="Strategy spec, e.g. block_mod_sum:n=2.")
-@click.option("--assignment", required=True, help="Comma-separated colors in player order.")
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
-@_guarded
 def cmd_run(instance, kind, players, colors, rule, strategy, assignment, fmt):
     """Play one game and print the result; exit 0 iff the rule is satisfied."""
     from .engine import run_game
@@ -190,12 +147,6 @@ def cmd_run(instance, kind, players, colors, rule, strategy, assignment, fmt):
     sys.exit(0 if result.verdict else 1)
 
 
-@main.command("sweep")
-@instance_options
-@click.option("--strategy", required=True)
-@click.option("--max-assignments", type=int, default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="json")
-@_guarded
 def cmd_sweep(instance, kind, players, colors, rule, strategy, max_assignments, fmt):
     """Play every assignment; exit 0 iff the strategy wins all of them."""
     from .engine import iter_plays, sweep
@@ -205,14 +156,14 @@ def cmd_sweep(instance, kind, players, colors, rule, strategy, max_assignments, 
     strat = strategy_from_descriptor(parse_strategy_spec(strategy), inst)
     budget = max_assignments if max_assignments is not None else _env_budget()
     if fmt == "csv":
-        # the header goes out with the first row: a sweep that fails before it leaves stdout empty
+        # each row is flushed as played, the header with the first: a sweep that fails before it leaves stdout empty
         header = "assignment,correct,incorrect,verdict\n"
         winning = True
         for values, result in iter_plays(inst, strat, max_assignments=budget):
             winning = winning and result.verdict
-            click.echo(
+            print(
                 f"{header}{'-'.join(map(str, values))},{result.correct_count},"
-                f"{result.incorrect_count},{int(result.verdict)}"
+                f"{result.incorrect_count},{int(result.verdict)}", flush=True
             )
             header = ""
         sys.exit(0 if winning else 1)
@@ -221,15 +172,6 @@ def cmd_sweep(instance, kind, players, colors, rule, strategy, max_assignments, 
     sys.exit(0 if report.winning else 1)
 
 
-@main.command("search")
-@instance_options
-@click.option("--mode", type=click.Choice(["exists", "best"]), default="exists")
-@click.option("--expect", type=click.Choice(["yes", "no"]), default=None,
-              help="Exit 0 iff a winning strategy exists (yes) / doesn't (no).")
-@click.option("--max-strategies", type=int, default=None)
-@click.option("--max-assignments", type=int, default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
-@_guarded
 def cmd_search(instance, kind, players, colors, rule, mode, expect, max_strategies, max_assignments, fmt):
     """Exhaust the table-strategy space for the instance's rule."""
     from .oracle import SearchBudget, best_guaranteed_correct, exists_winning_exhaustive
@@ -252,23 +194,7 @@ def cmd_search(instance, kind, players, colors, rule, mode, expect, max_strategi
     sys.exit(0)
 
 
-@main.command("line")
-@click.option("--strategy", "kind",
-              type=click.Choice(["see_all_selector", "forward_selector", "sum_broadcast"]),
-              required=True)
-@click.option("-c", "--colors", type=int, required=True)
-@click.option("--lazy", default=None,
-              help='Lazy assignment descriptor (JSON text or file): {"base", "exceptions", "front", "blocks"}.')
-@click.option("--blocks", type=str, default=1, help="Number of limit blocks in the line.")
-@click.option("--assignment-base", type=str, default=0)
-@click.option("--exception", "exceptions", multiple=True,
-              help="k,n,color -- hat at position w*k+n (repeatable).")
-@click.option("--front", type=str, default=None, help="Front player's hat color.")
-@click.option("--base", type=int, default=None,
-              help="Selector strategies: the base color announced (default: assignment base).")
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
-@_guarded
-def cmd_line(kind, colors, lazy, blocks, assignment_base, exceptions, front, base, fmt):
+def cmd_line(strategy, colors, lazy, blocks, assignment_base, exception, front, base, fmt):
     """Play a line strategy symbolically on an eventually-constant assignment."""
     from .line import lazy_assignment_from_json, run_lazy
 
@@ -276,32 +202,106 @@ def cmd_line(kind, colors, lazy, blocks, assignment_base, exceptions, front, bas
         data = _load_json_arg(lazy)
     else:
         data = {"base": assignment_base, "front": front, "blocks": blocks, "exceptions": [
-            dict(zip(("k", "n", "color"), _ints(text, "--exception", "k,n,color", 3))) for text in exceptions]}
+            dict(zip(("k", "n", "color"), _ints(text, "--exception", "k,n,color", 3))) for text in exception]}
     shape, a = lazy_assignment_from_json(data)
-    record = run_lazy(kind, shape, a.base if base is None else base, a, colors)
+    record = run_lazy(strategy, shape, a.base if base is None else base, a, colors)
     report = record.to_json()
     report["assignment"] = a.to_json(shape.limit_blocks)
     _emit(report, fmt)
 
 
-@main.command("verify")
-@click.option("--only", default=None, help="Run only criteria whose id contains this text.")
-@_guarded
 def cmd_verify(only):
     """Run the acceptance suite; exit 0 iff every criterion passes."""
     from .acceptance import run_criteria
 
     results = run_criteria(only)
     if not results:
-        click.echo(f"no criteria match {only!r}", err=True)
+        print(f"no criteria match {only!r}", file=sys.stderr)
         sys.exit(2)
     width = max(len(r.cid) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        click.echo(f"{status}  {r.cid:<{width}}  {r.seconds:6.2f}s  {r.detail}")
+        print(f"{status}  {r.cid:<{width}}  {r.seconds:6.2f}s  {r.detail}")
     failed = [r for r in results if not r.passed]
-    click.echo(f"{len(results) - len(failed)}/{len(results)} criteria passed")
+    print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     sys.exit(1 if failed else 0)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads an option's value from the next argument even when it starts with a dash."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        takes_value = {opt for action in self._actions if action.nargs is None for opt in action.option_strings}
+        joined: list[str] = []
+        for arg in sys.argv[1:] if args is None else args:
+            if joined and joined[-1] in takes_value and arg != "--":  # a lone ``--`` still ends the options
+                arg = f"{joined.pop()}={arg}"
+            joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
+
+def _parser() -> _Parser:
+    root = _Parser(prog="hatlab", description=main.__doc__, allow_abbrev=False)
+    commands = root.add_subparsers(required=True)
+
+    def command(name: str, fn, formats: tuple[str, ...] = (), instance: bool = False) -> _Parser:
+        sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__, allow_abbrev=False)
+        sub.set_defaults(command=fn)
+        if instance:
+            sub.add_argument("--instance", help="Instance descriptor (JSON text or file path).")
+            sub.add_argument("--kind", help=f"Instance kind: {', '.join(CANONICAL_KINDS)} or custom.")
+            sub.add_argument("-m", "--players", help="Player count (hbsf: incl. front).")
+            sub.add_argument("-c", "--colors", help="Color count.")
+            sub.add_argument("--rule", help="at_least:K or fewer_incorrect:K (K int or 'omega').")
+        if formats:
+            sub.add_argument("--format", dest="fmt", choices=formats, default="json")
+        return sub
+
+    line = command("line", cmd_line, ("json", "text"))
+    line.add_argument("--strategy", required=True,
+                      choices=["see_all_selector", "forward_selector", "sum_broadcast"])
+    line.add_argument("-c", "--colors", type=int, required=True)
+    line.add_argument("--lazy",
+                      help='Lazy assignment descriptor (JSON text or file): {"base", "exceptions", "front", "blocks"}.')
+    line.add_argument("--blocks", default=1, help="Number of limit blocks in the line.")
+    line.add_argument("--assignment-base", default=0)
+    line.add_argument("--exception", action="append", default=[],
+                      help="k,n,color -- hat at position w*k+n (repeatable).")
+    line.add_argument("--front", help="Front player's hat color.")
+    line.add_argument("--base", type=int,
+                      help="Selector strategies: the base color announced (default: assignment base).")
+
+    run = command("run", cmd_run, ("json", "text"), instance=True)
+    run.add_argument("--strategy", required=True, help="Strategy spec, e.g. block_mod_sum:n=2.")
+    run.add_argument("--assignment", required=True, help="Comma-separated colors in player order.")
+
+    search = command("search", cmd_search, ("json", "text"), instance=True)
+    search.add_argument("--mode", choices=["exists", "best"], default="exists")
+    search.add_argument("--expect", choices=["yes", "no"],
+                        help="Exit 0 iff a winning strategy exists (yes) / doesn't (no).")
+    search.add_argument("--max-strategies", type=int)
+    search.add_argument("--max-assignments", type=int)
+
+    sweep = command("sweep", cmd_sweep, ("json", "csv", "text"), instance=True)
+    sweep.add_argument("--strategy", required=True)
+    sweep.add_argument("--max-assignments", type=int)
+
+    command("verify", cmd_verify).add_argument("--only", help="Run only criteria whose id contains this text.")
+    return root
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Hat-guessing games: deterministic plays, sweeps, and exhaustive searches."""
+    options = vars(_parser().parse_args(argv))
+    command = options.pop("command")
+    try:
+        command(**options)
+    except (SweepTooLarge, BudgetExceeded) as exc:
+        print(f"budget error: {exc}", file=sys.stderr)
+        sys.exit(3)
+    except (HatlabError, ValueError, OverflowError, OSError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        sys.exit(2)
 
 
 if __name__ == "__main__":

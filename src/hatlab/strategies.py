@@ -132,6 +132,9 @@ def block_mod_sum(m: int, c: int, n: int) -> Strategy:
 
 def _block_mod_sum(m: int, c: int, n: int, target_of: Callable[[EvaluationRule], Instance]) -> Strategy:
     """:func:`block_mod_sum`'s parts combined against ``target_of(at_least(n))``."""
+    for name, value in (("m", m), ("c", c), ("n", n)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if c < 1:  # before ``m // c`` divides by it
         raise ZeroSize(f"need at least one color, got c={c}")
     if n > m // c:

@@ -1,14 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, seed, settings, strategies as st
 
+from cli_runner import CliRunner
 from hatlab.cli import main, parse_strategy_spec
 from hatlab.model import MAX_COLORS
 
@@ -778,8 +779,8 @@ class TestCommands:
     def test_help_lists_exactly_the_commands(self, runner):
         res = invoke(runner, "--help")
         assert res.exit_code == 0
-        commands = res.output.split("Commands:\n", 1)[1].splitlines()
-        names = [line.split()[0] for line in commands if line.strip()]
+        # argparse lists each command, indented by four spaces, under the positional arguments
+        names = re.findall(r"^    (\S+) ", res.stdout.split("positional arguments:\n", 1)[1], re.M)
         assert names == ["line", "run", "search", "sweep", "verify"]
 
     def test_bench_is_gone(self, runner):
@@ -794,7 +795,41 @@ class TestCommands:
     def test_options_that_cannot_change_an_answer_are_gone(self, runner, command, option):
         res = runner.invoke(main, command + option)
         assert (res.exit_code, res.stdout) == (2, "")
-        assert "No such option" in res.stderr and option[0] in res.stderr
+        assert option[0] in res.stderr
+
+
+class TestArgumentReading:
+    """An option's value is the next argument, even one that starts with a dash;
+    a usage error exits 2 with a usage message on stderr and nothing on stdout."""
+
+    @pytest.mark.parametrize("args,message", [
+        (["run", *_HNSA, "--strategy", "constant:0", "--assignment", "-1,0"],
+         "assignment colors out of range 0..1: {0: -1}"),
+        (["line", "--strategy", "sum_broadcast", "-c", "2", "--exception", "-1,3,1", "--front", "1"],
+         "the front marker has no offset"),
+        (["sweep", *_HNSA[:6], "--rule", "-x", "--strategy", "constant:0"],
+         "rule '-x' needs a threshold, e.g. at_least:1"),
+        (["line", "--strategy", "sum_broadcast", "-c", "2", "--front", "-1"], "front color -1 out of range"),
+    ], ids=["assignment", "exception", "rule", "front"])
+    def test_a_value_that_starts_with_a_dash_reaches_its_reader(self, runner, args, message):
+        res = invoke(runner, *args)
+        assert (res.exit_code, res.stdout, res.stderr) == (2, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("args,named", [
+        (["bench"], "'bench'"),
+        (["search", *_HNSA, "--seed", "5"], "--seed"),
+        (["search", *_HNSA, "--max-a", "5"], "--max-a"),
+        (["run", *_HNSA, "--assignment", "0,0"], "--strategy"),
+        (["search", *_HNSA, "--mode", "worst"], "--mode"),
+        (["sweep", *_HNSA, "--strategy", "constant:0", "--max-assignments", "x"], "--max-assignments"),
+        # a lone ``--`` ends the options, so it is no option's value
+        (["search", *_HNSA[:6], "--rule", "--"], "--rule"),
+    ], ids=["unknown-command", "unknown-option", "abbreviated-option", "missing-option", "not-a-choice",
+            "not-an-integer", "dash-dash"])
+    def test_a_usage_error_exits_two_with_usage_on_stderr(self, runner, args, named):
+        res = invoke(runner, *args)
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr.startswith("usage: hatlab") and named in res.stderr
 
 
 class TestTextFormat:
@@ -946,17 +981,21 @@ _PUBLIC = sorted("""
 """.split())
 
 
+_LOADS = [
+    (["run", *_INSTANCE, "--strategy", "constant:0", "--assignment", "0,1,1"], _PLAY),
+    (["sweep", *_INSTANCE, "--strategy", "constant:0"], _PLAY),
+    (["run", *_INSTANCE, "--strategy", "no_such_strategy", "--assignment", "0,0,0"], _PLAY),
+    (["search", *_INSTANCE, "--mode", "best"], _ALWAYS | {"hatlab.engine", "hatlab.oracle"}),
+    (["line", "--strategy", "sum_broadcast", "-c", "2", "--exception", "0,3,1", "--front", "1"],
+     _ALWAYS | {"hatlab.line"}),
+    (["verify", "--only", "broadcast-exhaustive"], _ALL),
+    (["--help"], _ALWAYS),
+]
+
+
 class TestImports:
-    @pytest.mark.parametrize("args,loaded", [
-        (["run", *_INSTANCE, "--strategy", "constant:0", "--assignment", "0,1,1"], _PLAY),
-        (["sweep", *_INSTANCE, "--strategy", "constant:0"], _PLAY),
-        (["run", *_INSTANCE, "--strategy", "no_such_strategy", "--assignment", "0,0,0"], _PLAY),
-        (["search", *_INSTANCE, "--mode", "best"], _ALWAYS | {"hatlab.engine", "hatlab.oracle"}),
-        (["line", "--strategy", "sum_broadcast", "-c", "2", "--exception", "0,3,1", "--front", "1"],
-         _ALWAYS | {"hatlab.line"}),
-        (["verify", "--only", "broadcast-exhaustive"], _ALL),
-        (["--help"], _ALWAYS),
-    ], ids=["run", "sweep", "config-error", "search", "line", "verify", "help"])
+    @pytest.mark.parametrize("args,loaded", _LOADS,
+                             ids=["run", "sweep", "config-error", "search", "line", "verify", "help"])
     def test_each_command_loads_only_what_it_runs(self, args, loaded):
         out = _python(
             "import json, sys\n"
@@ -968,6 +1007,21 @@ class TestImports:
             "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'hatlab']))\n"
         )
         assert set(json.loads(out.splitlines()[-1])) == loaded
+
+    def test_a_call_loads_no_third_party_module(self):
+        out = _python(
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "from hatlab.cli import main\n"
+            f"for args in {[args for args, _ in _LOADS]!r}:\n"
+            "    try:\n"
+            "        main(args)\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "added = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+            "print(json.dumps(sorted(added - set(sys.stdlib_module_names))))\n"
+        )
+        assert json.loads(out.splitlines()[-1]) == ["hatlab"]
 
     def test_package_lists_the_same_public_names_and_loads_nothing(self):
         names, exported, loaded = json.loads(_python(
@@ -1003,11 +1057,8 @@ class TestImports:
         )
         assert out.strip() == "False"
 
-    def test_click_is_the_only_dependency(self):
-        import re
-        from pathlib import Path
-
+    def test_there_is_no_runtime_dependency(self):
         text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
         block = re.search(r"^dependencies\s*=\s*\[(.*?)\]", text, re.M | re.S).group(1)
         names = [re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in re.findall(r'"([^"]+)"', block)]
-        assert names == ["click"]
+        assert names == []

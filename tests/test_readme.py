@@ -7,15 +7,16 @@ criterion. The "Library use" block runs as it stands, and the README names
 every long option of every command.
 """
 
+import argparse
 import json
 import re
 import shlex
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from hatlab.cli import main
+from cli_runner import CliRunner
+from hatlab.cli import _parser, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -67,10 +68,14 @@ def test_tour_command_exits_as_documented(args):
     assert res.exit_code == (0 if _holds(args, res.stdout) else 1)
 
 
-@pytest.mark.parametrize("command", sorted(main.commands))
+(_SUBPARSERS,) = [action for action in _parser()._actions if isinstance(action, argparse._SubParsersAction)]
+COMMANDS = _SUBPARSERS.choices
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_every_option_is_documented(command):
-    options = [opt for param in main.commands[command].params for opt in param.opts + param.secondary_opts
-               if opt.startswith("--")]
+    options = [opt for action in COMMANDS[command]._actions for opt in action.option_strings
+               if opt.startswith("--") and opt != "--help"]
     assert options
     assert [opt for opt in options if not re.search(rf"{re.escape(opt)}(?![\w-])", README)] == []
 

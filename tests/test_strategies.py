@@ -2,9 +2,9 @@ import random
 import re
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from cli_runner import CliRunner
 from hatlab import (
     BlockPartition,
     BlockSizeMismatch,
@@ -120,9 +120,18 @@ class TestBlockModSum:
         with pytest.raises(ValueError, match=f"^{message}$"):
             consecutive_blocks(range(5), block_size, n)
 
-    def test_negative_block_count_is_named(self):
-        with pytest.raises(ValueError, match="^n must be a nonnegative block count, got -1$"):
-            block_mod_sum(4, 2, -1)
+    @pytest.mark.parametrize("m,c,n,message", [
+        (4, 2, -1, "n must be a nonnegative block count, got -1"),
+        (3, 2, 1.5, "n must be an integer, got 1.5"),
+        (4, 2, True, "n must be an integer, got True"),
+        (3, 2.5, 1, "c must be an integer, got 2.5"),
+        (4, False, 1, "c must be an integer, got False"),
+        (4, "2", 1, "c must be an integer, got '2'"),
+        (4.0, 2, 1, "m must be an integer, got 4.0"),
+    ])
+    def test_block_and_color_counts_are_named(self, m, c, n, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            block_mod_sum(m, c, n)
 
     @pytest.mark.parametrize("c", [0, -2])
     @pytest.mark.parametrize("n", [0, 1, -1])
