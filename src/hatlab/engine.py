@@ -217,22 +217,25 @@ class TableStrategy(Strategy):
         if not isinstance(rows, (list, tuple)):
             raise ValueError(f"table strategy 'entries' must be a JSON list, got {type(rows).__name__}")
         entries = {}
-        for row in rows:
+        repeat = None  # (j, key) of the first row j whose entry an earlier row gave
+        for j, row in enumerate(rows):
             try:
-                entries[_json_int(row["t"]), _int_pairs(row["seen"]), _int_pairs(row["heard"])] = _json_int(row["guess"])
+                key = _json_int(row["t"]), _int_pairs(row["seen"]), _int_pairs(row["heard"])
+                entries[key] = _json_int(row["guess"])
             except (KeyError, TypeError, ValueError, OverflowError):  # name the row's fault, off the fast path
                 _json_object(row, "table row", ("t", "seen", "heard", "guess"))
-                for key, form in (("seen", "observation"), ("heard", "observation"), ("t", "int"), ("guess", "int")):
-                    _json_field(row, "table row", key, form=form)
+                for field, form in (("seen", "observation"), ("heard", "observation"), ("t", "int"), ("guess", "int")):
+                    _json_field(row, "table row", field, form=form)
                 raise
-        if len(entries) < len(rows):  # an entry listed twice: name the first repeat, off the fast path
-            first = {}
-            for j, row in enumerate(rows):
-                t, seen, heard = key = _json_int(row["t"]), _int_pairs(row["seen"]), _int_pairs(row["heard"])
-                i = first.setdefault(key, j)
-                if i != j:
-                    raise ValueError(f"table rows {i} and {j} are both the entry t={t} "
-                                     f"seen={[list(p) for p in seen]} heard={[list(p) for p in heard]}")
+            if len(entries) == j and repeat is None:
+                repeat = j, key
+        if repeat:  # after the loop, so that a malformed row anywhere is named first
+            j, key = repeat
+            t, seen, heard = key
+            # every row before j added a new key, so the first one to give
+            # this entry is at its position in ``entries``
+            raise ValueError(f"table rows {list(entries).index(key)} and {j} are both the entry t={t} "
+                             f"seen={[list(p) for p in seen]} heard={[list(p) for p in heard]}")
         return TableStrategy(entries)
 
 

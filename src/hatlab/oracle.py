@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import dropwhile, product
+from itertools import count, dropwhile, product
 from operator import getitem, or_
 
 from .engine import (
@@ -302,18 +302,21 @@ def _walk(inst: Instance, budget: SearchBudget, floor, first: bool):
             cells = [e & s for e in cells for s in guessed[d]]
         return cells
 
-    def charge(tables: int) -> None:
-        """Count the next ``tables`` tables, raising at the first one past
-        ``limit`` as trying them one at a time would."""
-        nonlocal tables_done
+    def charge(tables: int, settled: int = 0, cut: int = 0) -> None:
+        """Count the next ``tables`` tables, ``settled`` of them examined and
+        ``cut`` pruned, raising at the first one past ``limit`` as trying them
+        one at a time would."""
+        nonlocal tables_done, examined, pruned
         tables_done += tables
+        examined += settled
+        pruned += cut
         if tables_done > limit:
             raise BudgetExceeded((limit + 1) * n_a, budget.max_assignments, "play steps")
 
     def settle(top: int, at_top: int) -> bool:
         """Every leaf under a last-step node, by arithmetic; ``at_top`` is
         ``S[top]`` after the tables chosen so far."""
-        nonlocal floor, witness, examined
+        nonlocal floor, witness
         hi = asked - top
         rank = None  # of the first leaf scoring ``hi``, if any does
         if hi > floor:
@@ -336,27 +339,23 @@ def _walk(inst: Instance, budget: SearchBudget, floor, first: bool):
         if rank is not None and not (rank == 0 and beats):
             beats += ((rank, hi),)
         end = beats[0][0] if first and beats else c ** last_size - 1
-        charge(end + 1)
-        examined += end + 1
+        charge(end + 1, settled=end + 1)
         if beats:
             rank, floor = beats[0] if first else beats[-1]
             witness = (*chosen, tuple(rank // c ** k % c for k in reversed(range(last_size))))
         return first and bool(beats)
 
     def tight(rows: list, at_top: int, top: int, start: int):
-        """``(table, new)`` for each surviving table of a tight node, from rank
-        ``start`` on; the pruned runs are counted and charged here."""
-        nonlocal pruned
+        """``(rank, table, new)`` for each surviving table of a tight node, from
+        rank ``start`` on; the pruned runs are counted and charged here."""
         for rank, table, new in _survivors(rows, at_top, c, start):
             if asked - floor <= top:  # the floor rose: the rest is pruned
                 break
-            charge(rank - start)
-            pruned += rank - start
-            yield table, new
+            charge(rank - start, cut=rank - start)
+            yield rank, table, new
             start = rank + 1
         rest = c ** len(rows) - start
-        charge(rest)
-        pruned += rest
+        charge(rest, cut=rest)
 
     moves = _relabellings(c, [index[x] for x in steps[0][2]], levels[0][1]) if last > 1 else ()
     memo: dict = {}  # first-step rank -> (floor, tables, examined, pruned) under it
@@ -365,22 +364,18 @@ def _walk(inst: Instance, budget: SearchBudget, floor, first: bool):
         """The first-step ``tables`` whose subtree must be walked; each of the
         others is charged and counted from the entry of an image of it. The
         tables come in rank order, so every entry is of a table before it."""
-        nonlocal examined, pruned
-        for table, new in tables:
-            key = _rank(table, c)
+        for rank, table, new in tables:
             entry = next((e for w in moves for e in [memo.get(sum(map(getitem, w, table)))]
                           if e and e[0] == floor), None)
             if entry:
-                charge(entry[1])
-                examined += entry[2]
-                pruned += entry[3]
+                charge(*entry[1:])
             else:
                 before = (floor, tables_done, examined, pruned)
-                yield table, new
+                yield rank, table, new
                 if floor != before[0]:  # the floor rose under the table
                     continue
                 entry = (floor, tables_done - before[1], examined - before[2], pruned - before[3])
-            memo[key] = entry
+            memo[rank] = entry
 
     def walk(depth: int, S: list, start: int = 0) -> bool:
         nonlocal tables_done
@@ -391,11 +386,11 @@ def _walk(inst: Instance, budget: SearchBudget, floor, first: bool):
         rows = [[e & fresh & m for m in not_hat] for e in cells]
         deeper = depth + 1 < last
         slack = asked - floor > top + 1  # no table can be pruned, until the floor rises
-        tables = (zip(product(range(c), repeat=len(cells)), _lex_ors(rows)) if slack
+        tables = (zip(count(), product(range(c), repeat=len(cells)), _lex_ors(rows)) if slack
                   else tight(rows, S[top], top, start))
         if moves and not depth:
             tables = reuse(tables)
-        for table, new in tables:
+        for rank, table, new in tables:
             tables_done += 1  # charge(1), inline: a call per table would slow nodes with slack
             if tables_done > limit:
                 raise BudgetExceeded((limit + 1) * n_a, budget.max_assignments, "play steps")
@@ -422,7 +417,7 @@ def _walk(inst: Instance, budget: SearchBudget, floor, first: bool):
             chosen.pop()
             wrong[me] = before
             if slack and asked - floor <= top + 1:  # the floor rose: go on tight
-                return walk(depth, S, _rank(table, c) + 1)
+                return walk(depth, S, rank + 1)
         return False
 
     if last:

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import engine
 from .engine import RuleStrategy, Strategy, TableStrategy
@@ -22,7 +22,7 @@ from .errors import (
     TooManyBlocks,
     ZeroSize,
 )
-from .model import (ColorSpace, EvaluationRule, Instance, _is_color, _json_field, _json_object, as_colors, at_least,
+from .model import (ColorSpace, Instance, _is_color, _json_field, _json_object, as_colors, at_least,
                     custom_instance, hnsa)
 
 
@@ -127,11 +127,12 @@ def block_mod_sum(m: int, c: int, n: int) -> Strategy:
     players guess 0) and combines the per-block strategies, guaranteeing at
     least ``n`` correct guesses on every assignment.
     """
-    return _block_mod_sum(m, c, n, partial(hnsa, m, c))
+    return engine.combine(_block_parts(m, c, n), hnsa(m, c, at_least(n)))
 
 
-def _block_mod_sum(m: int, c: int, n: int, target_of: Callable[[EvaluationRule], Instance]) -> Strategy:
-    """:func:`block_mod_sum`'s parts combined against ``target_of(at_least(n))``."""
+def _block_parts(m: int, c: int, n: int) -> list[tuple[Instance, Strategy]]:
+    """:func:`block_mod_sum`'s parts, once its arguments are checked; none for
+    ``m < 1``, the one case where its target cannot be built."""
     for name, value in (("m", m), ("c", c), ("n", n)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -140,7 +141,6 @@ def _block_mod_sum(m: int, c: int, n: int, target_of: Callable[[EvaluationRule],
     if n > m // c:
         raise TooManyBlocks(f"{n} blocks of size {c} do not fit into {m} players")
     partition = consecutive_blocks(range(m), c, n)
-    target = target_of(at_least(n))
     parts: list[tuple[Instance, Strategy]] = []
     for block in partition.blocks:
         sub = custom_instance(
@@ -153,7 +153,7 @@ def _block_mod_sum(m: int, c: int, n: int, target_of: Callable[[EvaluationRule],
     if partition.leftover:
         sub = custom_instance(partition.leftover, c, sight=(), rule=at_least(0))
         parts.append((sub, constant(0)))
-    return engine.combine(parts, target)
+    return parts
 
 
 def base_selector(base: int) -> Strategy:
@@ -264,7 +264,7 @@ def strategy_from_descriptor(desc: Mapping, inst: Instance) -> Strategy:
         return mod_sum(param("block", inst.players[:c], "ints"), inst.colors)
     if name == "block_mod_sum":
         # combined against the instance played alone, so a misfit fails in ``combine``
-        return _block_mod_sum(m, c, param("n", m // c), lambda rule: inst)
+        return engine.combine(_block_parts(m, c, param("n", m // c)), inst)
     if name == "base_selector":
         return base_selector(param("base", 0))
     if name == "sum_broadcast":

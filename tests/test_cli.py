@@ -495,9 +495,20 @@ class TestConfigErrorsNameTheirInput:
         (["line", "--strategy", "sum_broadcast", "-c", "2", "--lazy",
           '{"base": 0, "exceptions": [{"k": 0, "n": 3, "color": 1}, {"k": 0, "n": 3, "color": 1}], "front": 0}'],
          None, "exception at 3 is listed more than once"),
+        (["line", "--strategy", "sum_broadcast", "-c", "2", "--front", "1", "--exception", "0,-3,1"],
+         None, "bad ordinal position (0, -3)"),
+        (["line", "--strategy", "see_all_selector", "-c", "2", "--blocks", "0"],
+         None, "a line needs at least one limit block"),
+        (["line", "--strategy", "see_all_selector", "-c", "2", "--exception", "0,3,5"],
+         None, "exception color 5 out of range"),
+        (["sweep", "--kind", "hnsa", "--strategy", "constant:0"],
+         None, "give --instance, or all of --kind, -m, -c and --rule"),
+        (["sweep", "--kind", "hnsa", "-m", "2", "-c", "2", "--rule", "at_least:1", "--strategy", "sum_broadcast:3"],
+         None, "strategy 'sum_broadcast' takes no bare parameter"),
     ], ids=["exception-short", "exception-text", "env-budget", "env-budget-list", "assignment",
             "block-mod-sum-hnsf", "block-mod-sum-hbsf", "block-mod-sum-negative", "exception-twice", "exception-twice-same",
-            "lazy-exception-twice"])
+            "lazy-exception-twice", "exception-negative-position", "no-blocks", "exception-color", "instance-incomplete",
+            "bare-parameter"])
     def test_error_names_the_input(self, runner, args, env, message):
         res = invoke(runner, *args, env=env)
         assert res.exit_code == 2

@@ -28,7 +28,6 @@ from hatlab import (
     hnsf,
     is_winning,
     iter_plays,
-    mod_sum,
     run_game,
     seeded_random_strategy,
     sum_broadcast,
@@ -337,8 +336,15 @@ class TestCombine:
         with pytest.raises(CoverageError):
             combine([(part, constant(0))], target)
 
-    def test_part_relations_must_be_contained(self):
-        target = hnsf(2, 2, at_least(1))  # player 1 sees nothing
-        part = self._block_instance((0, 1), 2)
-        with pytest.raises(ValueError):
-            combine([(part, mod_sum((0, 1), 2))], target)
+    @pytest.mark.parametrize("part,target,message", [
+        # in hnsf player 1 sees nothing
+        (custom_instance(2, 2, [(0, 1), (1, 0)], at_least(1)), hnsf(2, 2, at_least(1)),
+         "a part's sight relation is not contained in the target's"),
+        (custom_instance(2, 2, (), at_least(1), hearing=[(0, 1)]), custom_instance(2, 2, (), at_least(1)),
+         "a part's hearing relation is not contained in the target's"),
+        (custom_instance(2, 2, (), at_least(1)), custom_instance(2, 2, (), at_least(1), labeling=(1, 0)),
+         "part and target disagree on who is asked at 0"),
+    ], ids=["sight", "hearing", "labelling"])
+    def test_part_relations_must_be_contained(self, part, target, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            combine([(part, constant(0))], target)

@@ -193,6 +193,12 @@ class TestBroadcastRuns:
         with pytest.raises(ValueError, match="^front color 5 out of range$"):
             run_lazy("sum_broadcast", LineShape(1, front_present=True), 0, LazyAssignment.of(0, front=5), 2)
 
+    def test_exceptions_outside_the_shape_or_range(self):
+        with pytest.raises(ShapeMismatch, match=r"^exception at w\*2\+0 lies outside the line shape$"):
+            run_lazy("see_all_selector", LineShape(1), 0, LazyAssignment.of(0, {pos(2, 0): 1}), 2)
+        with pytest.raises(ValueError, match="^exception color 5 out of range$"):
+            run_lazy("see_all_selector", LineShape(1), 0, LazyAssignment.of(0, {pos(0, 3): 5}), 2)
+
     def test_front_decodes_nothing(self):
         with pytest.raises(ValueError, match="^the front player answers with the announcement itself$"):
             broadcast_guess_at(LazyAssignment.of(0, front=1), FRONT, 2)

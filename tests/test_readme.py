@@ -3,8 +3,9 @@
 Every ``hatlab`` command in the "CLI quick tour" exits with the code the
 README's exit-code rules give: 0 when the property holds, 1 when it fails.
 ``hatlab verify`` is left out; ``tests/test_acceptance.py`` runs every
-criterion. The "Library use" block runs as it stands, and the README names
-every long option of every command.
+criterion. The "Library use" block runs as it stands, the README names
+every long option of every command, and its install lines install every
+build requirement of ``pyproject.toml``.
 """
 
 import argparse
@@ -18,7 +19,8 @@ import pytest
 from cli_runner import CliRunner
 from hatlab.cli import _parser, main
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _section(title: str) -> str:
@@ -66,6 +68,19 @@ def test_tour_command_exits_as_documented(args):
     res = CliRunner().invoke(main, args, catch_exceptions=False)
     assert res.stderr == ""
     assert res.exit_code == (0 if _holds(args, res.stdout) else 1)
+
+
+def test_install_names_every_build_requirement():
+    # --no-build-isolation builds with what is installed, so the README installs
+    # the build requirements itself; a regex, as tomllib is 3.11+
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    (requires,) = re.findall(r"^\[build-system\]$.*?^requires = \[(.*?)\]", pyproject, re.M | re.S)
+    requires = re.findall(r'"([^"]+)"', requires)
+    assert requires
+    (block,) = _blocks("Install and test", "sh")
+    installed = [arg for line in block.splitlines() for args in [shlex.split(line, comments=True)]
+                 if args[:2] == ["pip", "install"] for arg in args[2:]]
+    assert [req for req in requires if req not in installed] == []
 
 
 (_SUBPARSERS,) = [action for action in _parser()._actions if isinstance(action, argparse._SubParsersAction)]

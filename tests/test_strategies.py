@@ -316,6 +316,12 @@ class TestDescriptors:
         assert again == witness
         assert TableStrategy.from_json(witness.to_json()).entries == witness.entries
 
+    def test_a_table_and_its_round_trip_hash_equal(self):
+        table = full_table(hbsf(3, 2, at_least(1)), random.Random(0))
+        again = TableStrategy.from_json(table.to_json())
+        assert again is not table and hash(again) == hash(table)
+        assert len({table, again}) == 1
+
     @pytest.mark.parametrize("inst, row, why", [
         (hnsa(2, 2, at_least(1)), {"t": 0, "seen": [[1, 1], [1, 1]], "heard": []}, "asking 0 sees players [1]"),
         (hnsa(2, 2, at_least(1)), {"t": 0, "seen": [], "heard": []}, "asking 0 sees players [1]"),
