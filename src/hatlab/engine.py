@@ -33,15 +33,19 @@ A chunk that raises is replayed one assignment at a time through
 :func:`_play`, so errors, and the plays that come before them, are those of
 the scalar loop. :func:`iter_plays` decodes a chunk's partitions into byte
 columns, one lane per assignment holding its color, built from each set's
-binary digits by ``bytes.translate``, and zips them into plays in C.
+binary digits by ``bytes.translate``, and zips them into plays in C. Each
+play's :class:`GameResult` is a tuple that ``tuple.__new__`` builds from its
+guesses and its wrong pattern's outcome, scored once per chunk, so Python code
+runs per chunk and per distinct wrong pattern, never per play.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cache, reduce
-from itertools import compress, product, repeat, starmap
+from itertools import compress, product, repeat
 from operator import add, and_, or_
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -241,12 +245,34 @@ class TableStrategy(Strategy):
 
 # --- play and scoring -------------------------------------------------------
 
-@dataclass(frozen=True)
-class GameResult:
-    guesses: Mapping[int, int]
-    correct_set: frozenset[int]
-    incorrect_set: frozenset[int]
-    verdict: bool
+class GameResult(namedtuple("GameResult", "guesses correct_set incorrect_set verdict")):
+    """One play: ``guesses`` (asking -> color), the players right and wrong
+    (``correct_set``, ``incorrect_set``) and the rule's ``verdict``.
+
+    A frozen 4-tuple, so :func:`iter_plays` builds each one in C with
+    ``tuple.__new__``. It compares equal only to another ``GameResult``, and
+    ``guesses`` is a dict, so hashing one raises ``TypeError``.
+    """
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__  # defining __eq__ alone would set it to None
+    __lt__ = __le__ = __gt__ = __ge__ = object.__lt__  # unordered: no tuple order on results
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        # False, not NotImplemented, for any other tuple: its reflected
+        # tuple.__eq__ would compare the fields and could answer True
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        return not self == other
 
     @property
     def correct_count(self) -> int:
@@ -465,7 +491,8 @@ def iter_plays(
         guesses = map(dict, map(zip, repeat(tuple(chunk.guesses)), _rows(chunk.guesses.values(), n)))
         outcomes = map(outcome, _rows([[0, w] for w in chunk.wrong.values()], n))
         values = product(*zip(chunk.prefix), *repeat(range(chunk.colors), chunk.width))
-        yield from zip(values, starmap(GameResult, map(add, zip(guesses), outcomes)))  # (guesses,) + outcome
+        # (guesses,) + outcome is the record's tuple; tuple.__new__ builds it in C
+        yield from zip(values, map(tuple.__new__, repeat(GameResult), map(add, zip(guesses), outcomes)))
 
 
 def is_winning(

@@ -1,3 +1,4 @@
+import collections
 import copy
 import itertools
 import pickle
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hatlab import (
     CoverageError,
     CyclicHearing,
+    GameResult,
     OMEGA,
     OverlapError,
     RuleStrategy,
@@ -277,6 +279,32 @@ class TestSweeps:
             for name in ("verdict", "extra"):
                 with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
                     setattr(result, name, 1)
+                with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+                    delattr(result, name)
+
+    @pytest.mark.parametrize("source", ["run_game", "iter_plays"])
+    def test_results_are_records_equal_only_to_records(self, source):
+        inst, strat = hbsf(3, 2, fewer_incorrect_than(2)), sum_broadcast(2)
+        streamed = dict(iter_plays(inst, strat))
+        results = streamed if source == "iter_plays" else {v: run_game(inst, strat, v) for v in streamed}
+        twin = collections.namedtuple("GameResult", "guesses correct_set incorrect_set verdict")
+        assert repr(results[0, 1, 1]) == ("GameResult(guesses={-1: 0, 0: 1, 1: 1}, correct_set=frozenset({0, 1, -1}), "
+                                          "incorrect_set=frozenset(), verdict=True)")
+        for result in results.values():
+            assert type(result) is GameResult
+            # a plain tuple loses both ways round, as the record's own __eq__ is asked first
+            assert result != tuple(result) and tuple(result) != result
+            assert not result == tuple(result) and not tuple(result) == result
+            assert result != twin(*result) and not result == twin(*result)
+            for protocol in range(6):
+                back = pickle.loads(pickle.dumps(result, protocol))
+                assert type(back) is GameResult and back == result and repr(back) == repr(result)
+            with pytest.raises(TypeError, match="^unhashable type: 'dict'$"):
+                hash(result)
+            with pytest.raises(TypeError, match="^'<' not supported between instances of 'GameResult' and 'GameResult'$"):
+                sorted([result, result])
+        # every play gets its own guesses dict
+        assert len({id(result.guesses) for result in results.values()}) == len(results) == 8
 
 
 class TestUniquePlay:
