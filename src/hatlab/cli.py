@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from .errors import BudgetExceeded, HatlabError, SweepTooLarge
 from .model import (
@@ -57,21 +58,26 @@ def _parse_rule(text: str) -> dict:
     return {"kind": kind, "threshold": threshold}
 
 
-def _load_json_arg(text: str):
-    """JSON text, or else the path of a JSON file."""
+def _load_json_arg(text: str, what: str):
+    """JSON text, or else the path of a JSON file, read as ``what``; a key
+    given twice in one object is a ``ValueError`` naming it. Text that is
+    neither names its JSON error when it starts as a JSON object or list
+    does, and the missing file otherwise."""
+    hook = partial(_unique_keys, what=what)
     try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        pass
+        return json.loads(text, object_pairs_hook=hook)
+    except json.JSONDecodeError as exc:
+        if text.lstrip()[:1] in ("{", "[") and not os.path.isfile(text):
+            raise ValueError(f"{what} is neither valid JSON nor a file: {exc}") from None
     with open(text, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=hook)
 
 
 def _build_instance(instance, kind, players, colors, rule) -> Instance:
     """The instance of ``--instance``, or of the flags as descriptor text; a
     flag counts as given whatever its text, so ``-m 0`` reaches the reader."""
     if instance is not None:
-        data = _load_json_arg(instance)
+        data = _load_json_arg(instance, "instance descriptor")
         if rule is not None and isinstance(data, dict):  # instance_from_json rejects a non-object
             data["rule"] = _parse_rule(rule)
     elif None not in (kind, players, colors, rule):
@@ -85,12 +91,12 @@ def _build_instance(instance, kind, players, colors, rule) -> Instance:
     return inst
 
 
-def _unique_keys(pairs) -> dict:
+def _unique_keys(pairs, what: str = "strategy spec") -> dict:
     """``(key, value)`` pairs as a dict; a key given twice is a ``ValueError`` naming it."""
     out = {}
     for key, value in pairs:
         if key in out:
-            raise ValueError(f"strategy spec repeats the key {key!r}")
+            raise ValueError(f"{what} repeats the key {key!r}")
         out[key] = value
     return out
 
@@ -114,7 +120,7 @@ def parse_strategy_spec(text: str) -> dict:
     if "block" in params and "block" in takes:
         params["block"] = params["block"].split("-")
     if "entries" in params and "entries" in takes:
-        params["entries"] = _load_json_arg(params["entries"])
+        params["entries"] = _load_json_arg(params["entries"], "table strategy 'entries'")
     return {"name": name, "params": params}
 
 
@@ -199,7 +205,7 @@ def cmd_line(strategy, colors, lazy, blocks, assignment_base, exception, front, 
     from .line import lazy_assignment_from_json, run_lazy
 
     if lazy:
-        data = _load_json_arg(lazy)
+        data = _load_json_arg(lazy, "lazy assignment")
     else:
         data = {"base": assignment_base, "front": front, "blocks": blocks, "exceptions": [
             dict(zip(("k", "n", "color"), _ints(text, "--exception", "k,n,color", 3))) for text in exception]}

@@ -152,26 +152,16 @@ def _hat_sets(colors: int, width: int) -> list[list[int]]:
 
 
 class RuleStrategy(Strategy):
-    """Strategy backed by a plain decision function.
+    """Strategy backed by a plain decision function ``fn(t, seen, heard)``.
+    Sweeps adapt it through :meth:`Strategy.decide_sets`; a subclass with a
+    set form of its own overrides ``decide_sets``."""
 
-    ``sets``, when given, is the same rule in set form:
-    ``sets(t, seen, heard, full, colors)`` returns the guess partition (see
-    :meth:`Strategy.decide_sets`). Without it sweeps call ``fn`` per observation.
-    """
-
-    def __init__(self, fn: Callable[[int, Mapping, Mapping], int], label: str = "rule",
-                 sets: Callable[[int, Mapping, Mapping, int, int], list[int]] | None = None):
+    def __init__(self, fn: Callable[[int, Mapping, Mapping], int], label: str = "rule"):
         self.fn = fn
         self.label = label
-        self.sets = sets
 
     def decide(self, t, seen, heard):
         return self.fn(t, seen, heard)
-
-    def decide_sets(self, t, seen, heard, full, colors):
-        if self.sets is None:
-            return super().decide_sets(t, seen, heard, full, colors)
-        return self.sets(t, seen, heard, full, colors)
 
 
 def freeze_observation(mapping: Mapping[int, int]) -> tuple[tuple[int, int], ...]:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial, reduce
 from graphlib import CycleError, TopologicalSorter
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -206,7 +206,8 @@ class Instance:
 
     @cached_property
     def steps(self) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]:
-        """The play steps ``(t, player, seen, heard)`` in the canonical play order."""
+        """The play steps ``(t, player, seen, heard)`` in the canonical play order;
+        an id a step reads that the instance lacks raises ``ValueError``."""
         return _steps(self, topological_extension(self))
 
     @cached_property
@@ -218,11 +219,11 @@ class Instance:
     def influence(self) -> dict[int, frozenset[int]]:
         """The players whose hats each asking's guess can depend on: those its
         player sees, and the influence of each asking it hears. Each is built
-        as a bitmask over the seen players, then read out once."""
-        bit = {x: 1 << i for i, x in enumerate(dict.fromkeys(chain.from_iterable(step[2] for step in self.steps)))}
+        as a bitmask over the players, then read out once."""
+        bit = {x: 1 << i for i, x in enumerate(self.players)}
         masks: dict[int, int] = {}
-        for t, _, vis, hrd in self.steps:  # an unknown asking adds none
-            masks[t] = reduce(or_, map(bit.__getitem__, vis), 0) | reduce(or_, (masks.get(x, 0) for x in hrd), 0)
+        for t, _, vis, hrd in self.steps:
+            masks[t] = reduce(or_, map(bit.__getitem__, vis), 0) | reduce(or_, map(masks.__getitem__, hrd), 0)
         return {t: frozenset(compress(bit, _bits(mask, len(bit)))) for t, mask in masks.items()}
 
     def assignment_count(self) -> int:
@@ -290,23 +291,10 @@ def custom_instance(
     labeling: Sequence[int] | None = None,
 ) -> Instance:
     """Build an arbitrary instance; askings/labeling default to one-per-player."""
-    if isinstance(players, int):
-        players = range(players)
-    players = tuple(players)
-    if askings is None:
-        askings = players
-    if labeling is None:
-        labeling = tuple(askings)
-    return Instance(
-        players=players,
-        colors=as_colors(colors),
-        sight=sight,
-        askings=tuple(askings),
-        hearing=hearing,
-        labeling=tuple(labeling),
-        rule=rule,
-        kind="custom",
-    )
+    players = tuple(range(players) if isinstance(players, int) else players)
+    askings = players if askings is None else tuple(askings)
+    labeling = askings if labeling is None else labeling
+    return Instance(players, colors, sight, askings, hearing, labeling, rule)
 
 
 # --- validation -------------------------------------------------------------
@@ -360,8 +348,21 @@ def topological_extension(inst: Instance, seed: int | None = None) -> tuple[int,
 
 
 def _steps(inst: Instance, order: Iterable[int]) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]:
-    """The play steps ``(t, player, seen, heard)``, one per asking in ``order``."""
-    return tuple((t, m, inst.seen_by(m), inst.heard_at(t)) for t in order for m in [inst.label_of(t)])
+    """The play steps ``(t, player, seen, heard)``, one per asking in ``order``.
+    An id a step reads that the instance lacks is a ``ValueError`` in the words
+    of :func:`validate_instance`; ids no step reads are not checked."""
+    steps = tuple((t, m, inst.seen_by(m), inst.heard_at(t)) for t in order for m in [inst.label_map.get(t)])
+    players, askings = frozenset(inst.players), frozenset(inst.askings)
+    for t, m, seen, heard in steps:
+        if m is None:
+            raise ValueError(f"labeling covers {len(inst.labeling)} askings, instance has {len(inst.askings)}")
+        if m not in players:
+            raise ValueError(f"asking {t} is labeled with unknown player {m}")
+        if not players.issuperset(seen):
+            raise ValueError(f"sight pair ({min(set(seen) - players)}, {m}) mentions unknown players")
+        if not askings.issuperset(heard):
+            raise ValueError(f"hearing pair ({min(set(heard) - askings)}, {t}) mentions unknown askings")
+    return steps
 
 
 def find_hearing_cycle(inst: Instance) -> tuple[int, ...] | None:

@@ -26,45 +26,48 @@ from .model import (ColorSpace, Instance, _is_color, _json_field, _json_object, 
                     custom_instance, hnsa)
 
 
-def constant(color: int) -> Strategy:
-    """Everyone guesses the same fixed color."""
+class _Constant(RuleStrategy):
+    """Everyone guesses ``color``; its set form is one full set."""
 
-    def sets(t, seen, heard, full, colors):
+    def __init__(self, color: int, label: str):
+        super().__init__(lambda t, seen, heard: color, label)
+        self.color = color
+
+    def decide_sets(self, t, seen, heard, full, colors):
         # an invalid color covers nothing, so the sweep replays the scalar error
-        return [full if g == color and _is_color(color, colors) else 0 for g in range(colors)]
-
-    return RuleStrategy(lambda t, seen, heard: color, label=f"constant:{color}", sets=sets)
+        return [full if g == self.color and _is_color(self.color, colors) else 0 for g in range(colors)]
 
 
-def _mod_sum(full: int, start: int, terms, size: int, colors: int) -> list[int]:
-    """The partition of ``start + sum(a * term) mod size`` over ``(a, term)``
-    pairs, by one c x c convolution per term, as ``colors`` sets (sums past
-    the instance's colors leave them short of the chunk, as they must)."""
-    acc = [0] * (start % size) + [full]
-    for a, term in terms:
-        out = [0] * size
-        for i, x in enumerate(acc):
-            for j, y in enumerate(term):
-                out[(i + a * j) % size] |= x & y
-        acc = out
-    return (acc + [0] * colors)[:colors]
-
-
-def _affine(size: int, terms, label: str) -> RuleStrategy:
+class _Affine(Strategy):
     """The rule guessing ``k + sum(a * v) mod size`` for ``terms(t, seen, heard)
     = (k, [(a, v), ...])``, each ``v`` read from ``seen`` or ``heard``. Given
-    colors, ``terms`` gives ``decide``; given partitions, the set form, so both
-    share every guess and every error the rule raises."""
+    colors, ``terms`` gives ``decide``; given partitions, the set form, by one
+    c x c convolution per term, so both share every guess and every error the
+    rule raises."""
 
-    def decide(t, seen, heard):
-        k, pairs = terms(t, seen, heard)
-        return (k + sum(a * v for a, v in pairs)) % size
+    def __init__(self, size: int, terms, label: str):
+        self.size, self.terms, self.label = size, terms, label
 
-    def sets(t, seen, heard, full, colors):
-        k, pairs = terms(t, seen, heard)
-        return _mod_sum(full, k, pairs, size, colors)
+    def decide(self, t, seen, heard):
+        k, pairs = self.terms(t, seen, heard)
+        return (k + sum(a * v for a, v in pairs)) % self.size
 
-    return RuleStrategy(decide, label=label, sets=sets)
+    def decide_sets(self, t, seen, heard, full, colors):
+        k, pairs = self.terms(t, seen, heard)
+        size = self.size
+        acc = [0] * (k % size) + [full]
+        for a, term in pairs:
+            out = [0] * size
+            for i, x in enumerate(acc):
+                for j, y in enumerate(term):
+                    out[(i + a * j) % size] |= x & y
+            acc = out
+        return (acc + [0] * colors)[:colors]  # sums past the colors leave the sets short of the chunk
+
+
+def constant(color: int) -> Strategy:
+    """Everyone guesses the same fixed color."""
+    return _Constant(color, f"constant:{color}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,7 @@ def mod_sum(block: Sequence[int], colors: ColorSpace | int) -> Strategy:
             raise ValueError(f"player {t} cannot see block mates {missing}")
         return rename[t], [(-1, seen[m]) for m in block if m != t]
 
-    return _affine(colors.size, terms, f"mod_sum:{list(block)}")
+    return _Affine(colors.size, terms, f"mod_sum:{list(block)}")
 
 
 def block_mod_sum(m: int, c: int, n: int) -> Strategy:
@@ -167,9 +170,7 @@ def base_selector(base: int) -> Strategy:
     the base, and on the infinite line (see :mod:`hatlab.line`) there are
     only finitely many of those.
     """
-    strat = constant(base)
-    strat.label = f"base_selector:{base}"
-    return strat
+    return _Constant(base, f"base_selector:{base}")
 
 
 def sum_broadcast(colors: ColorSpace | int) -> Strategy:
@@ -192,7 +193,7 @@ def sum_broadcast(colors: ColorSpace | int) -> Strategy:
         # the announcement, less every other hat seen and guess heard
         return 0, [*((-1, v) for v in seen.values()), *((1 if x == -1 else -1, v) for x, v in heard.items())]
 
-    return _affine(as_colors(colors).size, terms, "sum_broadcast")
+    return _Affine(as_colors(colors).size, terms, "sum_broadcast")
 
 
 def diagonal_adversary(strat: Strategy, inst: Instance) -> tuple[int, ...]:

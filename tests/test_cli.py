@@ -514,6 +514,58 @@ class TestConfigErrorsNameTheirInput:
         assert res.exit_code == 2
         assert res.output.splitlines() == [f"config error: {message}"]
 
+    @pytest.mark.parametrize("args, message", [
+        (["sweep", "--instance", '{"kind": "hnsa", "players": 2,', "--strategy", "constant:0"],
+         "instance descriptor is neither valid JSON nor a file: Expecting property name enclosed "
+         "in double quotes: line 1 column 31 (char 30)"),
+        (["line", "--strategy", "see_all_selector", "-c", "2", "--lazy", ' [{"base": 0}'],
+         "lazy assignment is neither valid JSON nor a file: Expecting ',' delimiter: "
+         "line 1 column 14 (char 13)"),
+        (["sweep", "--kind", "hnsa", "-m", "1", "-c", "2", "--rule", "at_least:1", "--strategy", 'table:entries=[{"t": 0'],
+         "table strategy 'entries' is neither valid JSON nor a file: Expecting ',' delimiter: "
+         "line 1 column 9 (char 8)"),
+        # text that does not start as JSON does is a path, and a missing one is named
+        (["sweep", "--instance", "missing.json", "--strategy", "constant:0"],
+         "[Errno 2] No such file or directory: 'missing.json'"),
+        (["line", "--strategy", "see_all_selector", "-c", "2", "--lazy", "missing.json"],
+         "[Errno 2] No such file or directory: 'missing.json'"),
+        (["sweep", "--kind", "hnsa", "-m", "1", "-c", "2", "--rule", "at_least:1", "--strategy", "table:entries=missing.json"],
+         "[Errno 2] No such file or directory: 'missing.json'"),
+    ], ids=["instance", "lazy", "entries", "instance-path", "lazy-path", "entries-path"])
+    def test_malformed_json_names_its_error(self, runner, args, message):
+        res = invoke(runner, *args)
+        assert (res.exit_code, res.stdout, res.stderr) == (2, "", f"config error: {message}\n")
+
+    _REPEATS = {
+        "instance": ('{"kind": "hnsa", "players": 2, "players": 3, "colors": 2, '
+                     '"rule": {"kind": "at_least", "threshold": 1}}', "instance descriptor repeats the key 'players'"),
+        "rule": ('{"kind": "hnsa", "players": 2, "colors": 2, "rule": {"kind": "at_least", "threshold": 1, '
+                 '"kind": "at_least"}}', "instance descriptor repeats the key 'kind'"),
+        "lazy": ('{"base": 0, "exceptions": [], "front": null, "blocks": 1, "base": 1}',
+                 "lazy assignment repeats the key 'base'"),
+        "entries": ('[{"t": 0, "seen": [], "heard": [], "guess": 1, "guess": 0}]',
+                    "table strategy 'entries' repeats the key 'guess'"),
+    }
+
+    # a compact value is split at its commas, so entries come from a file only
+    @pytest.mark.parametrize("case, spelling", [
+        ("instance", "text"), ("instance", "file"), ("rule", "text"), ("lazy", "text"), ("lazy", "file"),
+        ("entries", "file"),
+    ])
+    def test_repeated_json_key_is_named(self, runner, tmp_path, case, spelling):
+        text, message = self._REPEATS[case]
+        value = text
+        if spelling == "file":
+            value = str(tmp_path / "arg.json")
+            Path(value).write_text(text, encoding="utf-8")
+        args = {
+            "lazy": ["line", "--strategy", "see_all_selector", "-c", "2", "--lazy", value],
+            "entries": ["sweep", "--kind", "hnsa", "-m", "1", "-c", "2", "--rule", "at_least:1",
+                        "--strategy", f"table:entries={value}"],
+        }.get(case, ["sweep", "--instance", value, "--strategy", "constant:0"])
+        res = invoke(runner, *args)
+        assert (res.exit_code, res.stdout, res.stderr) == (2, "", f"config error: {message}\n")
+
     @pytest.mark.parametrize("text", ['"x"', "5", "null", "true"])
     def test_json_scalar_is_a_descriptor_not_a_path(self, runner, text):
         res = invoke(runner, "search", "--instance", text)

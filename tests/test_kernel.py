@@ -201,7 +201,7 @@ def test_affine_rules_match_scalar(inst, data, chunk):
             k, pairs = forms[t]
             return k, [(a, (seen, heard)[where][x]) for a, (where, x) in pairs]
 
-        return strategies._affine(size, terms, "affine")
+        return strategies._Affine(size, terms, "affine")
 
     assert_matches_reference(inst, rule(()), chunk)
     if inst.askings:  # a rule that raises fails at the same play in both forms
@@ -308,7 +308,11 @@ def test_out_of_range_set_form_reports_the_scalar_error(color):
 
 def assert_bad_partition_is_reported(fault):
     # the replay cannot reproduce a fault of the set form alone; its own error stands
-    strat = RuleStrategy(lambda t, s, h: 0, sets=lambda t, s, h, full, colors: fault(full))
+    class Faulty(RuleStrategy):
+        def decide_sets(self, t, seen, heard, full, colors):
+            return fault(full)
+
+    strat = Faulty(lambda t, s, h: 0)
     # one chunk; then two chunks of 4 in which every asking is steady, so
     # its partition is checked in the first chunk before any reuse
     for inst, chunk in [(hnsa(3, 2, at_least(1)), engine.CHUNK_PLAYS), (hnsf(3, 2, at_least(1)), 4)]:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -246,8 +247,10 @@ class TestPlaySteps:
         assert inst.influence == {0: {2}, 1: {2}, 2: {1, 2}}
 
     def test_influence_matches_its_definition_on_random_instances(self):
-        # players asked twice or never, hearing across them, and relations
-        # naming a player or an asking the instance does not have
+        # players asked twice or never, and hearing across them; a relation
+        # naming a player or an asking the instance does not have is an error
+        # of the steps that read it, and the influence is then checked on the
+        # instance without the pairs naming one
         for seed in range(200):
             rng = random.Random(seed)
             n = rng.randint(1, 12)
@@ -258,6 +261,12 @@ class TestPlaySteps:
                        if rng.random() < 0.3] + [(99, t) for t in askings[:1]]
             labeling = [rng.randrange(n) for _ in askings]
             inst = custom_instance(n, 2, sight, at_least(1), hearing=hearing, askings=askings, labeling=labeling)
+            try:
+                inst.steps
+            except ValueError as exc:
+                assert str(exc) in validate_instance(inst).errors, seed
+                inst = custom_instance(n, 2, [p for p in sight if p[0] < n], at_least(1), askings=askings,
+                                       hearing=[p for p in hearing if p[0] in askings], labeling=labeling)
             want = {}
             for t, _, vis, hrd in inst.steps:
                 want[t] = frozenset(vis).union(*(want.get(x, ()) for x in hrd))
@@ -268,6 +277,28 @@ class TestPlaySteps:
         for _ in range(2):
             with pytest.raises(CyclicHearing, match=r"^hearing relation has a cycle: \[0, 1\]$"):
                 inst.influence
+
+    @pytest.mark.parametrize("relations, error", [
+        ({"sight": [(5, 0)]}, "sight pair (5, 0) mentions unknown players"),
+        ({"hearing": [(9, 1)]}, "hearing pair (9, 1) mentions unknown askings"),
+        ({"labeling": [0, 7]}, "asking 1 is labeled with unknown player 7"),
+        ({"askings": [0, 1], "labeling": [0]}, "labeling covers 1 askings, instance has 2"),
+    ], ids=["sight", "hearing", "labeling", "short-labeling"])
+    def test_an_id_the_steps_read_and_the_instance_lacks_is_named(self, relations, error):
+        # the words of validate_instance, from every play, sweep and search,
+        # and a cyclic hearing is still named first
+        from hatlab import best_guaranteed_correct, exists_winning_exhaustive, sweep
+
+        relations = {"sight": (), **relations}
+        inst = custom_instance(2, 2, rule=at_least(1), **relations)
+        assert error in validate_instance(inst).errors
+        for play in (lambda i: i.steps, lambda i: i.influence, lambda i: run_game(i, constant(0), (0, 0)),
+                     lambda i: sweep(i, constant(0)), best_guaranteed_correct, exists_winning_exhaustive):
+            with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+                play(inst)
+        cyclic = custom_instance(2, 2, rule=at_least(1), **{**relations, "hearing": [(0, 1), (1, 0), *relations.get("hearing", ())]})
+        with pytest.raises(CyclicHearing):
+            cyclic.steps
 
     def test_cyclic_instance_raises_on_every_access(self):
         inst = custom_instance(2, 2, sight=(), rule=at_least(1), hearing=[(0, 1), (1, 0)])

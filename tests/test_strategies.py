@@ -49,6 +49,22 @@ _JSON = _PAIR_LISTS | st.recursive(
     max_leaves=8)
 
 
+def test_strategies_carry_their_rule():
+    # the constant rules keep their color; the affine ones their size and
+    # terms, which read labelled maps as readily as colors
+    from hatlab import RuleStrategy
+
+    for strat, color, label in ((constant(2), 2, "constant:2"), (base_selector(1), 1, "base_selector:1")):
+        assert isinstance(strat, RuleStrategy) and (strat.color, strat.label) == (color, label)
+    broadcast, block = sum_broadcast(3), mod_sum([0, 1, 2], 3)
+    assert (broadcast.size, broadcast.label, block.size, block.label) == (3, "sum_broadcast", 3, "mod_sum:[0, 1, 2]")
+    assert broadcast.terms(-1, {0: 2, 1: 1}, {}) == (0, [(1, 2), (1, 1)])
+    seen = {x: ("seen", x) for x in (0, 2, 3)}
+    assert block.terms(1, seen, {}) == (1, [(-1, ("seen", 0)), (-1, ("seen", 2))])
+    with pytest.raises(TypeError):  # a set form is a decide_sets override, not an option
+        RuleStrategy(lambda t, seen, heard: 0, sets=None)
+
+
 class TestModSum:
     def test_three_color_block(self):
         inst = hnsa(3, 3, at_least(1))
