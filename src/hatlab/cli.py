@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from functools import partial
 
@@ -110,7 +111,8 @@ def parse_strategy_spec(text: str) -> dict:
     if text.strip().startswith("{"):
         return json.loads(text, object_pairs_hook=_unique_keys)
     name, _, rest = text.partition(":")
-    params = _unique_keys(pair.partition("=")[::2] for pair in rest.split(",")) if "=" in rest else {}
+    pairs = re.split(r",(?=\w+=)", rest)  # a value ends only where the next ``key=`` begins: JSON keeps its commas
+    params = _unique_keys(pair.partition("=")[::2] for pair in pairs) if "=" in rest else {}
     takes = strategy_params(name)
     if rest and not params:
         if not takes:

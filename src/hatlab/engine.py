@@ -512,13 +512,12 @@ class CombinedStrategy(Strategy):
 
     def __init__(self, parts: Sequence[tuple[Instance, Strategy]]):
         self.parts = tuple(parts)
-        self._owner = {t: (sub, strat) for sub, strat in self.parts for t in sub.askings}
+        self._owner = {t: (strat, vis, hrd) for sub, strat in self.parts for t, _, vis, hrd in sub.steps}
 
     def _part(self, t, seen, heard):
         """The part owning ``t``, with ``seen`` and ``heard`` cut to its relations."""
-        sub, strat = self._owner[t]
-        sub_seen = {x: seen[x] for x in sub.seen_by(sub.label_of(t))}
-        return strat, sub_seen, {x: heard[x] for x in sub.heard_at(t)}
+        strat, vis, hrd = self._owner[t]
+        return strat, {x: seen[x] for x in vis}, {x: heard[x] for x in hrd}
 
     def decide(self, t, seen, heard):
         strat, sub_seen, sub_heard = self._part(t, seen, heard)

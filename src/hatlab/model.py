@@ -15,7 +15,10 @@ provided:
 An instance fixes its play before any strategy is chosen: computed once per
 instance, :attr:`Instance.steps` are the play steps in the canonical order
 (:func:`topological_extension`), :attr:`Instance.asked` the players asked and
-:attr:`Instance.influence` the hats each guess can depend on.
+:attr:`Instance.influence` the hats each guess can depend on. An instance is
+playable exactly when :func:`validate_instance` finds no error: the steps
+raise :class:`CyclicHearing` for a cyclic hearing and ``ValueError`` with the
+report's first error for any other.
 
 The adversary picks a full color assignment (any map from players to colors);
 the engine module derives the unique play of a strategy against it and scores
@@ -147,7 +150,8 @@ class Instance:
     at an asking carrying its own id). ``hearing`` holds pairs
     ``(earlier, later)``: the guess recorded at ``earlier`` is replayed to the
     player asked at ``later``. The hearing relation must be acyclic for play
-    to be well defined; :func:`validate_instance` reports violations.
+    to be well defined; :func:`validate_instance` reports violations, and
+    :attr:`steps` refuses an instance with any.
     """
 
     players: tuple[int, ...]
@@ -207,7 +211,7 @@ class Instance:
     @cached_property
     def steps(self) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]:
         """The play steps ``(t, player, seen, heard)`` in the canonical play order;
-        an id a step reads that the instance lacks raises ``ValueError``."""
+        an instance :func:`validate_instance` rejects raises (see :func:`_steps`)."""
         return _steps(self, topological_extension(self))
 
     @cached_property
@@ -349,20 +353,35 @@ def topological_extension(inst: Instance, seed: int | None = None) -> tuple[int,
 
 def _steps(inst: Instance, order: Iterable[int]) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]:
     """The play steps ``(t, player, seen, heard)``, one per asking in ``order``.
-    An id a step reads that the instance lacks is a ``ValueError`` in the words
-    of :func:`validate_instance`; ids no step reads are not checked."""
-    steps = tuple((t, m, inst.seen_by(m), inst.heard_at(t)) for t in order for m in [inst.label_map.get(t)])
-    players, askings = frozenset(inst.players), frozenset(inst.askings)
-    for t, m, seen, heard in steps:
-        if m is None:
-            raise ValueError(f"labeling covers {len(inst.labeling)} askings, instance has {len(inst.askings)}")
+    The first id error :func:`validate_instance` reports, if any, is raised as
+    a ``ValueError``, whether or not a step reads the id it names."""
+    for error in _id_errors(inst):
+        raise ValueError(error)
+    return tuple((t, m, inst.seen_by(m), inst.heard_at(t)) for t in order for m in [inst.label_map[t]])
+
+
+def _id_errors(inst: Instance) -> Iterator[str]:
+    """The errors of :func:`validate_instance` that name an id, in its words and
+    order. The relations are checked as ``_seen_by`` and ``_heard_at`` hold them,
+    with set operations; the pairs are scanned and sorted only when that fails."""
+    players, askings = set(inst.players), set(inst.askings)
+    if len(inst.labeling) != len(inst.askings):
+        yield f"labeling covers {len(inst.labeling)} askings, instance has {len(inst.askings)}"
+    for t in sorted(t for t, k in Counter(inst.askings).items() if k > 1):
+        yield f"asking {t} appears more than once"
+    for t, m in zip(inst.askings, inst.labeling):
         if m not in players:
-            raise ValueError(f"asking {t} is labeled with unknown player {m}")
-        if not players.issuperset(seen):
-            raise ValueError(f"sight pair ({min(set(seen) - players)}, {m}) mentions unknown players")
-        if not askings.issuperset(heard):
-            raise ValueError(f"hearing pair ({min(set(heard) - askings)}, {t}) mentions unknown askings")
-    return steps
+            yield f"asking {t} is labeled with unknown player {m}"
+    # each list holds the first ids of the pairs whose second id is known: all
+    # pairs are listed when the lengths add up, and all first ids are known when
+    # every list is a subset
+    seen, heard = inst._seen_by.values(), inst._heard_at.values()
+    if sum(map(len, seen)) != len(inst.sight) or not all(map(players.issuperset, seen)):
+        for pair in sorted(p for p in inst.sight if not players.issuperset(p)):
+            yield f"sight pair {pair} mentions unknown players"
+    if sum(map(len, heard)) != len(inst.hearing) or not all(map(askings.issuperset, heard)):
+        for pair in sorted(p for p in inst.hearing if not askings.issuperset(p)):
+            yield f"hearing pair {pair} mentions unknown askings"
 
 
 def find_hearing_cycle(inst: Instance) -> tuple[int, ...] | None:
@@ -383,41 +402,17 @@ def validate_instance(inst: Instance) -> ValidationReport:
     distinct, the labeling covers every asking with a real player, and all
     relations stay inside the declared players and askings.
     """
-    errors: list[str] = []
-    warnings: list[str] = []
-
-    players = set(inst.players)
-    askings = set(inst.askings)
-    if len(inst.labeling) != len(inst.askings):
-        errors.append(
-            f"labeling covers {len(inst.labeling)} askings, instance has {len(inst.askings)}"
-        )
-    for t in sorted(t for t, k in Counter(inst.askings).items() if k > 1):
-        errors.append(f"asking {t} appears more than once")
-    for t, m in zip(inst.askings, inst.labeling):
-        if m not in players:
-            errors.append(f"asking {t} is labeled with unknown player {m}")
-    # one pass over the sight pairs, sorting only those reported: hnsa 1000 has m(m-1)
-    unknown, self_seers = [], []
-    for seen, seer in inst.sight:
-        if seen not in players or seer not in players:
-            unknown.append((seen, seer))
-        elif seen == seer:
-            self_seers.append(seer)
-    for seen, seer in sorted(unknown):
-        errors.append(f"sight pair ({seen}, {seer}) mentions unknown players")
-    for earlier, later in sorted((x, y) for x, y in inst.hearing if x not in askings or y not in askings):
-        errors.append(f"hearing pair ({earlier}, {later}) mentions unknown askings")
-    if inst.rule.threshold != OMEGA and inst.rule.threshold > len(inst.players):
-        warnings.append(
-            f"rule threshold {inst.rule.threshold} exceeds the player count {len(inst.players)}"
-        )
-
+    errors = list(_id_errors(inst))
     cycle = find_hearing_cycle(inst)
     if cycle is not None:
         errors.append(f"hearing relation has a cycle: {list(cycle)}")
 
-    for m in sorted(self_seers):
+    warnings: list[str] = []
+    if inst.rule.threshold != OMEGA and inst.rule.threshold > len(inst.players):
+        warnings.append(
+            f"rule threshold {inst.rule.threshold} exceeds the player count {len(inst.players)}"
+        )
+    for m, _ in sorted(inst.sight.intersection(zip(inst.players, inst.players))):
         warnings.append(f"player {m} sees its own hat, which trivializes its guess")
 
     return ValidationReport(tuple(errors), tuple(warnings), cycle)

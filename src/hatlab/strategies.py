@@ -22,8 +22,7 @@ from .errors import (
     TooManyBlocks,
     ZeroSize,
 )
-from .model import (ColorSpace, Instance, _is_color, _json_field, _json_object, as_colors, at_least,
-                    custom_instance, hnsa)
+from .model import ColorSpace, Instance, _is_color, _json_field, _json_object, as_colors, at_least, custom_instance
 
 
 class _Constant(RuleStrategy):
@@ -128,14 +127,14 @@ def block_mod_sum(m: int, c: int, n: int) -> Strategy:
 
     Splits the players into ``n`` consecutive blocks of size ``c`` (leftover
     players guess 0) and combines the per-block strategies, guaranteeing at
-    least ``n`` correct guesses on every assignment.
+    least ``n`` correct guesses on every assignment of ``hnsa(m, c)``.
     """
-    return engine.combine(_block_parts(m, c, n), hnsa(m, c, at_least(n)))
+    return engine.CombinedStrategy(_block_parts(m, c, n))
 
 
 def _block_parts(m: int, c: int, n: int) -> list[tuple[Instance, Strategy]]:
-    """:func:`block_mod_sum`'s parts, once its arguments are checked; none for
-    ``m < 1``, the one case where its target cannot be built."""
+    """:func:`block_mod_sum`'s parts, once its arguments are checked; they fit
+    ``hnsa(m, c)`` by construction, and ``m < 1`` fails as that instance would."""
     for name, value in (("m", m), ("c", c), ("n", n)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -144,6 +143,8 @@ def _block_parts(m: int, c: int, n: int) -> list[tuple[Instance, Strategy]]:
     if n > m // c:
         raise TooManyBlocks(f"{n} blocks of size {c} do not fit into {m} players")
     partition = consecutive_blocks(range(m), c, n)
+    if m < 1:
+        raise ZeroSize(f"need at least one player and one color, got m={m}, c={c}")
     parts: list[tuple[Instance, Strategy]] = []
     for block in partition.blocks:
         sub = custom_instance(
@@ -283,7 +284,7 @@ def _readable(table: TableStrategy, inst: Instance) -> TableStrategy:
     order, as ``from_json`` lets no entry repeat."""
     first, second = itemgetter(0), itemgetter(1)
     in_range = frozenset(range(inst.colors.size)).issuperset
-    reads = {t: (inst.seen_by(inst.label_of(t)), inst.heard_at(t)) for t in inst.askings}
+    reads = {t: (seen, heard) for t, _, seen, heard in inst.steps}
     for j, (t, seen, heard) in enumerate(table.entries):
         ids = reads.get(t)
         if ids is None:

@@ -547,10 +547,9 @@ class TestConfigErrorsNameTheirInput:
                     "table strategy 'entries' repeats the key 'guess'"),
     }
 
-    # a compact value is split at its commas, so entries come from a file only
     @pytest.mark.parametrize("case, spelling", [
         ("instance", "text"), ("instance", "file"), ("rule", "text"), ("lazy", "text"), ("lazy", "file"),
-        ("entries", "file"),
+        ("entries", "text"), ("entries", "file"),
     ])
     def test_repeated_json_key_is_named(self, runner, tmp_path, case, spelling):
         text, message = self._REPEATS[case]
@@ -970,6 +969,17 @@ class TestStrategySpecs:
         for spec in (compact, json.dumps({"name": "mod_sum", "params": {"block": block}})):
             res = invoke(runner, *base, "--strategy", spec)
             assert (res.exit_code, res.stdout, res.stderr) == expected
+
+    def test_compact_entries_may_hold_inline_json(self, runner):
+        # a compact value ends only at a comma that begins the next key=
+        entries = '[{"t": 0, "seen": [], "heard": [], "guess": 1}]'
+        assert parse_strategy_spec(f"table:entries={entries},x=1") == {
+            "name": "table", "params": {"entries": json.loads(entries), "x": "1"}
+        }
+        res = invoke(runner, "sweep", "--kind", "hnsa", "-m", "1", "-c", "2", "--rule", "at_least:1",
+                     "--strategy", f"table:entries={entries}")
+        report = '{"assignments":2,"counterexample":[0],"max_incorrect":1,"min_correct":0,"winning":false}\n'
+        assert (res.exit_code, res.stdout, res.stderr) == (1, report, "")
 
     def test_json_form(self):
         spec = '{"name": "base_selector", "params": {"base": 1}}'

@@ -157,6 +157,77 @@ class TestValidation:
                 ran = False
             assert ok == ran
 
+    def test_report_matches_a_loop_over_every_pair(self):
+        # the reference scans every pair in id order; the report checks the
+        # relations as the instance holds them and scans only on a fault.
+        # The steps refuse exactly what the report does, with its first error
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(1, 6)
+            ids = range(-2, n + 3)  # unknown players and askings on both sides
+            known = (1.0, 0.97, 0.85)[seed % 3]  # the chance a drawn id is one the instance has
+
+            def pick(pool):
+                return rng.choice(pool) if pool and rng.random() < known else rng.choice(ids)
+
+            askings = rng.sample(ids, rng.randint(0, n + 1))  # players asked twice or never
+            if askings and rng.random() < 0.15:
+                askings.append(rng.choice(askings))  # an asking id repeats
+            labeling = [pick(range(n)) for _ in range(len(askings) + rng.choice((-1,) + (0,) * 8 + (1,)))]
+            sight = [(pick(range(n)), pick(range(n))) for _ in range(rng.randint(0, 2 * n))]  # self-seers too
+            rank = rng.sample(ids, len(ids)).index
+            hearing = [pair if rng.random() < 0.1 else tuple(sorted(pair, key=rank))  # a few back edges: cycles
+                       for pair in ((pick(askings), pick(askings)) for _ in range(rng.randint(0, 2 * n)))
+                       if pair[0] != pair[1] or rng.random() < 0.1]
+            rule = at_least(rng.randint(0, n + 1))
+            inst = custom_instance(n, 2, sight, rule, hearing=hearing, askings=askings, labeling=labeling)
+            report = validate_instance(inst)
+            assert report.errors == _errors_by_loops(inst), seed
+            assert report.warnings == _warnings_by_loops(inst), seed
+            if report.hearing_cycle is not None:
+                with pytest.raises(CyclicHearing):
+                    inst.steps
+            elif report.errors:
+                with pytest.raises(ValueError, match=f"^{re.escape(report.errors[0])}$"):
+                    inst.steps
+            else:
+                assert sorted(t for t, _, _, _ in inst.steps) == sorted(askings)
+
+
+def _errors_by_loops(inst):
+    """:func:`validate_instance`'s errors, each rule a plain loop over the pairs in id order."""
+    players, askings = set(inst.players), set(inst.askings)
+    errors = []
+    if len(inst.labeling) != len(inst.askings):
+        errors.append(f"labeling covers {len(inst.labeling)} askings, instance has {len(inst.askings)}")
+    errors += [f"asking {t} appears more than once" for t in sorted(askings) if inst.askings.count(t) > 1]
+    errors += [f"asking {t} is labeled with unknown player {m}"
+               for t, m in zip(inst.askings, inst.labeling) if m not in players]
+    errors += [f"sight pair ({seen}, {seer}) mentions unknown players"
+               for seen, seer in sorted(inst.sight) if seen not in players or seer not in players]
+    errors += [f"hearing pair ({earlier}, {later}) mentions unknown askings"
+               for earlier, later in sorted(inst.hearing) if earlier not in askings or later not in askings]
+    # a cycle is left when no asking can go first: every one still in ``left`` hears another still in it
+    left = set(askings)
+    while any(not any((x, t) in inst.hearing for x in left) for t in left):
+        left -= {t for t in left if not any((x, t) in inst.hearing for x in left)}
+    cycle = find_hearing_cycle(inst)
+    assert (cycle is None) == (not left)
+    if cycle is not None:
+        assert all((x, t) in inst.hearing for x, t in zip(cycle, cycle[1:] + cycle[:1]))
+        errors.append(f"hearing relation has a cycle: {list(cycle)}")
+    return tuple(errors)
+
+
+def _warnings_by_loops(inst):
+    """:func:`validate_instance`'s warnings, the self-seers by a loop over the sight pairs."""
+    warnings = []
+    if inst.rule.threshold > len(inst.players):
+        warnings.append(f"rule threshold {inst.rule.threshold} exceeds the player count {len(inst.players)}")
+    warnings += [f"player {seer} sees its own hat, which trivializes its guess"
+                 for seen, seer in sorted(inst.sight) if seen == seer and seer in inst.players]
+    return tuple(warnings)
+
 
 def _hearing_instance(askings, hearing):
     return custom_instance(len(askings), 2, sight=(), rule=at_least(0), hearing=hearing,
@@ -248,9 +319,9 @@ class TestPlaySteps:
 
     def test_influence_matches_its_definition_on_random_instances(self):
         # players asked twice or never, and hearing across them; a relation
-        # naming a player or an asking the instance does not have is an error
-        # of the steps that read it, and the influence is then checked on the
-        # instance without the pairs naming one
+        # naming a player or an asking the instance does not have makes the
+        # steps raise validate_instance's first error, and the influence is
+        # then checked on the instance without the pairs naming one
         for seed in range(200):
             rng = random.Random(seed)
             n = rng.randint(1, 12)
@@ -264,7 +335,7 @@ class TestPlaySteps:
             try:
                 inst.steps
             except ValueError as exc:
-                assert str(exc) in validate_instance(inst).errors, seed
+                assert str(exc) == validate_instance(inst).errors[0], seed
                 inst = custom_instance(n, 2, [p for p in sight if p[0] < n], at_least(1), askings=askings,
                                        hearing=[p for p in hearing if p[0] in askings], labeling=labeling)
             want = {}
@@ -283,21 +354,32 @@ class TestPlaySteps:
         ({"hearing": [(9, 1)]}, "hearing pair (9, 1) mentions unknown askings"),
         ({"labeling": [0, 7]}, "asking 1 is labeled with unknown player 7"),
         ({"askings": [0, 1], "labeling": [0]}, "labeling covers 1 askings, instance has 2"),
-    ], ids=["sight", "hearing", "labeling", "short-labeling"])
-    def test_an_id_the_steps_read_and_the_instance_lacks_is_named(self, relations, error):
-        # the words of validate_instance, from every play, sweep and search,
-        # and a cyclic hearing is still named first
-        from hatlab import best_guaranteed_correct, exists_winning_exhaustive, sweep
+        # no step reads these: a repeated asking plays once, an extra label
+        # labels nothing, and nobody asked is seer 7 or asking 9
+        ({"askings": [0, 0], "labeling": [0, 1]}, "asking 0 appears more than once"),
+        ({"askings": [0], "labeling": [0, 1]}, "labeling covers 2 askings, instance has 1"),
+        ({"sight": [(0, 7)]}, "sight pair (0, 7) mentions unknown players"),
+        ({"hearing": [(0, 9)]}, "hearing pair (0, 9) mentions unknown askings"),
+        ({"sight": [(0, 7)], "hearing": [(0, 9)]}, "sight pair (0, 7) mentions unknown players"),
+    ], ids=["sight", "hearing", "labeling", "short-labeling", "repeated-asking", "long-labeling",
+            "unknown-seer", "unknown-later-asking", "unknown-seer-and-later-asking"])
+    def test_an_id_the_instance_lacks_or_repeats_is_named(self, relations, error):
+        # validate_instance's first error, in its words, from every play, sweep
+        # and search, and a cyclic hearing is still named first
+        from hatlab import (best_guaranteed_correct, correct_count_census, exists_winning_exhaustive,
+                            is_winning, iter_plays, sweep)
 
         relations = {"sight": (), **relations}
         inst = custom_instance(2, 2, rule=at_least(1), **relations)
-        assert error in validate_instance(inst).errors
+        assert validate_instance(inst).errors[0] == error
         for play in (lambda i: i.steps, lambda i: i.influence, lambda i: run_game(i, constant(0), (0, 0)),
-                     lambda i: sweep(i, constant(0)), best_guaranteed_correct, exists_winning_exhaustive):
+                     lambda i: sweep(i, constant(0)), lambda i: next(iter_plays(i, constant(0))),
+                     lambda i: is_winning(i, constant(0)), lambda i: correct_count_census(i, constant(0)),
+                     best_guaranteed_correct, exists_winning_exhaustive):
             with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
                 play(inst)
-        cyclic = custom_instance(2, 2, rule=at_least(1), **{**relations, "hearing": [(0, 1), (1, 0), *relations.get("hearing", ())]})
-        with pytest.raises(CyclicHearing):
+        cyclic = custom_instance(2, 2, rule=at_least(1), **{**relations, "hearing": [(0, 0), *relations.get("hearing", ())]})
+        with pytest.raises(CyclicHearing, match=r"^hearing relation has a cycle: \[0\]$"):
             cyclic.steps
 
     def test_cyclic_instance_raises_on_every_access(self):

@@ -605,17 +605,14 @@ class TestExistsWinning:
                 break
 
     @pytest.mark.parametrize("rule", [at_least(0), at_least(1), fewer_incorrect_than(1), fewer_incorrect_than(2)])
-    def test_verdict_agrees_with_a_sweep_of_its_witness_when_an_asking_repeats(self, rule):
-        # invalid, as asking 0 repeats, and only player 1 is asked; the
-        # searches count the asked players as the sweep does
+    def test_an_instance_whose_asking_repeats_is_refused(self, rule):
+        # asking 0 repeats, so only one of its two labels could be asked:
+        # the searches refuse the instance, as a sweep of any strategy does
         inst = custom_instance(2, 2, (), rule, askings=(0, 0), labeling=(0, 1))
-        assert not validate_instance(inst).valid
-        best = best_guaranteed_correct(inst)
-        report = sweep(inst, best.witness)
-        assert (report.min_correct, report.winning) == (best.best_guaranteed, best.exists_winning)
-        found = exists_winning_exhaustive(inst)
-        assert found.exists_winning == best.exists_winning
-        assert found.witness is None or sweep(inst, found.witness).winning
+        assert validate_instance(inst).errors == ("asking 0 appears more than once",)
+        for search in (best_guaranteed_correct, exists_winning_exhaustive, lambda i: sweep(i, constant(0))):
+            with pytest.raises(ValueError, match=r"^asking 0 appears more than once$"):
+                search(inst)
 
     @CASES
     def test_pruned_and_unpruned_agree(self, space, rule):

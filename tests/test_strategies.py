@@ -302,21 +302,25 @@ class TestDescriptors:
         assert is_winning(inst, strat)[0]
 
     def test_block_mod_sum_combines_against_the_instance_alone(self):
-        # no throwaway hnsa target: the descriptor's parts meet only ``inst``
+        # no throwaway hnsa target: the descriptor's parts meet only ``inst``,
+        # and the public function's parts fit hnsa(m, c) by construction
         from unittest import mock
 
-        from hatlab import ZeroSize, custom_instance, strategies
+        from hatlab import ZeroSize, custom_instance, model
 
         inst = hnsa(5, 2, at_least(2))
-        with mock.patch.object(strategies, "hnsa", side_effect=AssertionError("built an hnsa target")):
+        with mock.patch.object(model, "build_canonical_instance", side_effect=AssertionError("built a target")):
             strat = strategy_from_descriptor({"name": "block_mod_sum", "params": {"n": 2}}, inst)
-            with pytest.raises(AssertionError, match="built an hnsa target"):
-                block_mod_sum(5, 2, 2)
-        assert sweep(inst, strat) == sweep(inst, block_mod_sum(5, 2, 2))
-        assert strat.parts[-1][0].players == (4,)
-        # the public function still combines against hnsa(m, c)
-        with pytest.raises(ZeroSize):
-            block_mod_sum(0, 2, 0)
+            public = block_mod_sum(5, 2, 2)
+            with pytest.raises(ZeroSize, match="^need at least one player and one color, got m=0, c=2$"):
+                block_mod_sum(0, 2, 0)
+        assert sweep(inst, strat) == sweep(inst, public)
+        assert repr(public) == "<CombinedStrategy combined>"
+        assert [(sub.players, sub.sight, repr(part)) for sub, part in public.parts] == [
+            ((0, 1), {(0, 1), (1, 0)}, "<_Affine mod_sum:[0, 1]>"),
+            ((2, 3), {(2, 3), (3, 2)}, "<_Affine mod_sum:[2, 3]>"),
+            ((4,), frozenset(), "<_Constant constant:0>"),
+        ]
         # a misfit fails in ``combine``, against the instance played
         line = custom_instance(4, 2, [(1, 0), (3, 2)], at_least(1))
         with pytest.raises(ValueError, match="^a part's sight relation is not contained in the target's$"):
