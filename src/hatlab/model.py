@@ -18,7 +18,8 @@ instance, :attr:`Instance.steps` are the play steps in the canonical order
 :attr:`Instance.influence` the hats each guess can depend on. An instance is
 playable exactly when :func:`validate_instance` finds no error: the steps
 raise :class:`CyclicHearing` for a cyclic hearing and ``ValueError`` with the
-report's first error for any other.
+report's first error for any other. Both read one hearing order, or its
+cycle, computed once per instance.
 
 The adversary picks a full color assignment (any map from players to colors);
 the engine module derives the unique play of a strategy against it and scores
@@ -209,10 +210,22 @@ class Instance:
         return {m: i for i, m in enumerate(self.players)}
 
     @cached_property
+    def _play_order(self) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
+        """``(order, None)`` for the canonical play order, or ``(None, cycle)`` for
+        the cycle it meets; ``steps`` and :func:`validate_instance` both read it."""
+        try:
+            return topological_extension(self), None
+        except CyclicHearing as exc:
+            return None, exc.cycle
+
+    @cached_property
     def steps(self) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]:
         """The play steps ``(t, player, seen, heard)`` in the canonical play order;
         an instance :func:`validate_instance` rejects raises (see :func:`_steps`)."""
-        return _steps(self, topological_extension(self))
+        order, cycle = self._play_order
+        if cycle is not None:
+            raise CyclicHearing(cycle)
+        return _steps(self, order)
 
     @cached_property
     def asked(self) -> tuple[int, ...]:
@@ -314,32 +327,26 @@ class ValidationReport:
         return not self.errors
 
 
-def _hearing_order(inst: Instance) -> TopologicalSorter:
-    """The hearing relation between askings, prepared. Askings go in in
-    instance order and pairs in id order; that fixes the cycle ``prepare()``
-    finds, raised as :class:`CyclicHearing` without its repeated last asking."""
-    order = TopologicalSorter(dict.fromkeys(inst.askings, ()))
-    askings = set(inst.askings)
-    for earlier, later in sorted(inst.hearing):
-        if earlier in askings and later in askings:
-            order.add(later, earlier)
-    try:
-        order.prepare()
-    except CycleError as exc:
-        raise CyclicHearing(exc.args[1][:-1]) from None
-    return order
-
-
 def topological_extension(inst: Instance, seed: int | None = None) -> tuple[int, ...]:
     """A linear order on askings extending the hearing relation, read from
-    ``graphlib`` (:func:`_hearing_order` raises :class:`CyclicHearing`).
+    ``graphlib``. Askings go in in instance order and pairs in id order; that
+    fixes the cycle ``prepare()`` finds, raised as :class:`CyclicHearing`
+    without its repeated last asking.
 
     With ``seed=None`` the choice among ready askings is always the least id,
     giving the canonical (lexicographically least) extension; an integer seed
     randomizes the tie-breaks, which is how the suite exercises that play does
     not depend on the extension.
     """
-    sorter = _hearing_order(inst)
+    sorter = TopologicalSorter(dict.fromkeys(inst.askings, ()))
+    askings = set(inst.askings)
+    for earlier, later in sorted(inst.hearing):
+        if earlier in askings and later in askings:
+            sorter.add(later, earlier)
+    try:
+        sorter.prepare()
+    except CycleError as exc:
+        raise CyclicHearing(exc.args[1][:-1]) from None
     rng = random.Random(seed) if seed is not None else None
     ready, order = sorted(sorter.get_ready()), []
     while ready:
@@ -386,12 +393,8 @@ def _id_errors(inst: Instance) -> Iterator[str]:
 
 def find_hearing_cycle(inst: Instance) -> tuple[int, ...] | None:
     """Return some cycle of askings in the hearing relation, or None: the one
-    ``graphlib`` finds by depth-first search in :func:`_hearing_order`."""
-    try:
-        _hearing_order(inst)
-    except CyclicHearing as exc:
-        return exc.cycle
-    return None
+    ``graphlib`` finds by depth-first search in :func:`topological_extension`."""
+    return inst._play_order[1]
 
 
 def validate_instance(inst: Instance) -> ValidationReport:

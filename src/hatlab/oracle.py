@@ -52,6 +52,7 @@ from .engine import (
     _cells,
     _hat_sets,
     _play_chunks,
+    _rank,
     evaluate,
 )
 from .errors import BudgetExceeded, check_budget, check_positive
@@ -140,13 +141,9 @@ def enumerate_table_strategies(inst: Instance, max_strategies: int | None = None
 
 
 def _materialize(inst: Instance, tables) -> TableStrategy:
-    c = inst.colors.size
-    entries = {}
-    for (t, _, seen, heard), table in zip(inst.steps, tables):
-        keys = product(product(range(c), repeat=len(seen)), product(range(c), repeat=len(heard)))
-        for (av, gv), guess in zip(keys, table):
-            entries[(t, tuple(zip(seen, av)), tuple(zip(heard, gv)))] = guess
-    return TableStrategy(entries)
+    """The table strategy of one table per play step, each in rank order."""
+    return TableStrategy._from_ranks({(t, seen, heard): dict(enumerate(table))
+                                      for (t, _, seen, heard), table in zip(inst.steps, tables)}, inst.colors.size)
 
 
 # --- branch-and-bound walk ---------------------------------------------------
@@ -168,11 +165,6 @@ def _lex_ors(rows):
     if not j:
         return tail
     return (h | t for picks in product(*rows[:j]) for h in [reduce(or_, picks)] for t in tail)
-
-
-def _rank(table, c: int) -> int:
-    """The place of ``table`` among its step's tables, in lexicographic order."""
-    return reduce(lambda r, g: r * c + g, table, 0)
 
 
 def _survivors(rows, at_top: int, c: int, start: int):

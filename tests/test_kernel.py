@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hatlab import (
+    MissingTableEntry,
     RuleStrategy,
     StrategyRangeError,
     TableStrategy,
@@ -285,10 +286,29 @@ def test_raising_strategy_fails_as_in_scalar(inst, seed, chunk):
 @settings(max_examples=60, deadline=None)
 def test_missing_table_entry_fails_as_in_scalar(inst, seed, chunk):
     rng = random.Random(seed)
-    table = full_table(inst, rng)
-    for key in sorted(table.entries):
-        if rng.random() < 0.2:
-            del table.entries[key]
+    entries = full_table(inst, rng).entries
+    table = TableStrategy({key: entries[key] for key in sorted(entries) if rng.random() >= 0.2})
+    assert_matches_reference(inst, table, chunk)
+
+
+@given(instances(), st.integers(0, 10**6), CHUNKS)
+@settings(max_examples=60, deadline=None)
+def test_a_table_short_of_the_top_colors_decides_as_its_entries(inst, seed, chunk):
+    """A table built from entries ranks them in base one more than its largest
+    color, so a play may present colors past that base: every such observation
+    misses, in ``decide`` and in the sweeps alike, and every other reads its entry."""
+    rng = random.Random(seed)
+    top = rng.randrange(inst.colors.size)
+    entries = {key: guess for key, guess in full_table(inst, rng).entries.items()
+               if all(v <= top for _, v in key[1] + key[2]) and rng.random() < 0.9}
+    table = TableStrategy(entries)
+    for t in inst.askings:
+        for seen, heard in observations(inst, t):
+            if (t, seen, heard) in entries:
+                assert table.decide(t, dict(seen), dict(heard)) == entries[t, seen, heard]
+            else:
+                with pytest.raises(MissingTableEntry):
+                    table.decide(t, dict(seen), dict(heard))
     assert_matches_reference(inst, table, chunk)
 
 

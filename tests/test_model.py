@@ -1,5 +1,6 @@
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +27,8 @@ from hatlab import (
     topological_extension,
     validate_instance,
 )
-from hatlab.model import ValidationReport, find_hearing_cycle
+from hatlab import model
+from hatlab.model import ValidationReport, _steps, find_hearing_cycle
 
 
 class TestCanonicalConstructors:
@@ -266,6 +268,31 @@ class TestHearingCycles:
                 play()
             assert type(exc.value) is CyclicHearing
             assert exc.value.cycle == cycle and str(exc.value) == message
+
+    @pytest.mark.parametrize("hearing", [[(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 0)]], ids=["chain", "cycle"])
+    @pytest.mark.parametrize("first", ["steps", "validate"])
+    def test_steps_and_validate_share_one_hearing_order(self, hearing, first):
+        inst = _hearing_instance((0, 1, 2), hearing)
+        calls = []
+
+        def steps():
+            try:
+                return inst.steps
+            except CyclicHearing as exc:
+                return exc.cycle
+
+        def order(*args, **kwargs):
+            calls.append(args)
+            return topological_extension(*args, **kwargs)
+
+        with mock.patch.object(model, "topological_extension", order):
+            reports = [validate_instance(inst)] if first == "validate" else []
+            played = [steps(), steps()]
+            reports.append(validate_instance(inst))
+        assert calls == [(inst,)]  # one sort, whichever asks first
+        cycle = reports[-1].hearing_cycle
+        assert reports[0] == reports[-1] and played[0] == played[1]
+        assert played[0] == (_steps(inst, topological_extension(inst)) if cycle is None else cycle)
 
     @given(hearing_instances(), st.integers(0, 999))
     @settings(max_examples=300, deadline=None)

@@ -391,8 +391,8 @@ class TestRelabelling:
             images = set()
             for q, j in product(inst.players, range(c - 1)):
                 swap = [*range(j), j + 1, j, *range(j + 2, c)]
-                image = _relabel(inst, strat, {x: swap if x == q else range(c) for x in inst.players})
-                images.add(_rank([image.entries[(t, tuple(zip(seen, p)), ())] for p in patterns], c))
+                image = _relabel(inst, strat, {x: swap if x == q else range(c) for x in inst.players}).entries
+                images.add(_rank([image[(t, tuple(zip(seen, p)), ())] for p in patterns], c))
             rank = _rank(table, c)
             assert {sum(w[i][g] for i, g in enumerate(table)) for w in moves} | {rank} == images | {rank}
 

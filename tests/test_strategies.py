@@ -1,5 +1,7 @@
+import gc
 import random
 import re
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,10 +37,12 @@ from hatlab import (
     sum_broadcast,
     sweep,
 )
+from hatlab import strategies
 from hatlab.cli import main
-from hatlab.model import _json_field
-from hatlab.strategies import STRATEGY_PARAMS
+from hatlab.model import _json_field, instance_from_json
+from hatlab.strategies import STRATEGY_PARAMS, _readable
 from test_kernel import drain, full_table
+from test_oracle import CHAINS, SPACES
 
 # any JSON value, and lists of pair-shaped lists often enough to reach the integer reads
 _SCALAR = st.none() | st.booleans() | st.integers(-3, 5) | st.floats(-2, 2) | st.text(max_size=3)
@@ -47,6 +51,88 @@ _PAIR_LISTS = st.lists(st.lists(st.integers(-2, 3) | st.sampled_from(["2", "11",
 _JSON = _PAIR_LISTS | st.recursive(
     _SCALAR, lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=2), kids, max_size=2),
     max_leaves=8)
+
+
+def _read_then_check(rows, inst):
+    """The table reader as two passes: ``from_json``, then ``_readable``."""
+    table = TableStrategy.from_json(rows)
+    _readable(rows, inst)
+    return table
+
+
+def _read_outcome(read, rows, inst):
+    """The table ``read`` makes of ``rows`` against ``inst``, its JSON and its
+    sweep (or the error that raises), or the message reading raises."""
+    try:
+        table = read(rows, inst)
+    except ValueError as exc:
+        return "raises", str(exc)
+    try:
+        report = sweep(inst, table).to_json()
+    except (MissingTableEntry, ValueError) as exc:
+        report = type(exc).__name__, str(exc)
+    return table, table.to_json(), report
+
+
+def _edit_value(rows, j, rng, how):
+    """Replace one value of row ``j`` (its asking, its guess, or an id or
+    color of one pair) by ``how`` of it."""
+    row = rows[j]
+    spots = [("t",), ("guess",), *((key, i, k) for key in ("seen", "heard") for i in range(len(row[key]))
+                                   for k in range(2))]
+    spot = rng.choice(spots)
+    if len(spot) == 1:
+        row[spot[0]] = how(row[spot[0]])
+    else:
+        key, i, k = spot
+        pair = list(row[key][i])
+        pair[k] = how(pair[k])
+        row[key] = [*row[key][:i], pair, *row[key][i + 1:]]
+
+
+def _edit_pair(rows, j, rng, how):
+    """Replace one pair of row ``j``, if it has any, by ``how(id, color)``."""
+    row = rows[j]
+    keys = [key for key in ("seen", "heard") if row[key]]
+    if keys:
+        key = rng.choice(keys)
+        i = rng.randrange(len(row[key]))
+        row[key] = [*row[key][:i], how(*row[key][i]), *row[key][i + 1:]]
+
+
+def _set(rows, j, **fields):
+    rows[j] = dict(rows[j], **fields)
+
+
+_ROW_MUTATIONS = {
+    "unknown-asking": lambda rows, j, inst, rng: _set(rows, j, t=max(inst.askings) + 1),
+    "wrong-id": lambda rows, j, inst, rng: _edit_pair(rows, j, rng, lambda x, v: [x + 1, v]),
+    "dropped-pair": lambda rows, j, inst, rng: _set(rows, j, seen=rows[j]["seen"][1:]),
+    "extra-pair": lambda rows, j, inst, rng: _set(rows, j, heard=[*rows[j]["heard"], [max(inst.askings), 0]]),
+    "seen-as-heard": lambda rows, j, inst, rng: _set(rows, j, seen=rows[j]["heard"], heard=rows[j]["seen"]),
+    "unsorted-ids": lambda rows, j, inst, rng: _set(rows, j, seen=rows[j]["seen"][::-1]),
+    "color-past-range": lambda rows, j, inst, rng: _edit_pair(rows, j, rng, lambda x, v: [x, inst.colors.size]),
+    "negative-color": lambda rows, j, inst, rng: _edit_pair(rows, j, rng, lambda x, v: [x, -1]),
+    "negative-guess": lambda rows, j, inst, rng: _set(rows, j, guess=-1),
+    "repeated-row": lambda rows, j, inst, rng: rows.insert(rng.randrange(len(rows) + 1), dict(rows[j])),
+    "row-given-twice": lambda rows, j, inst, rng: rows.__setitem__(j, dict(rows[j - 1])),
+    "text-value": lambda rows, j, inst, rng: _edit_value(rows, j, rng, str),
+    "float-value": lambda rows, j, inst, rng: _edit_value(rows, j, rng, float),
+    "bool-value": lambda rows, j, inst, rng: _edit_value(rows, j, rng, bool),
+    "missing-key": lambda rows, j, inst, rng: rows[j].pop(rng.choice(["t", "seen", "heard", "guess"])),
+    "extra-key": lambda rows, j, inst, rng: _set(rows, j, note=0),
+    "tuple-pair": lambda rows, j, inst, rng: _edit_pair(rows, j, rng, lambda x, v: (x, v)),
+    "text-pair": lambda rows, j, inst, rng: _edit_pair(rows, j, rng, lambda x, v: f"{x}{v}"),
+    "object-pair": lambda rows, j, inst, rng: _edit_pair(rows, j, rng, lambda x, v: {"0": x, "1": v}),
+    "queue-pair": lambda rows, j, inst, rng: _edit_pair(rows, j, rng, lambda x, v: deque([x, v])),
+    "long-pair": lambda rows, j, inst, rng: _edit_pair(rows, j, rng, lambda x, v: [x, v, 0]),
+    "tuple-observation": lambda rows, j, inst, rng: _set(rows, j, seen=tuple(rows[j]["seen"])),
+    "text-observation": lambda rows, j, inst, rng: _set(rows, j, heard=""),
+    "text-observations": lambda rows, j, inst, rng: _set(
+        rows, next((i for i, row in enumerate(rows) if not row["seen"] and not row["heard"]), j), seen="", heard=""),
+    "row-not-an-object": lambda rows, j, inst, rng: rows.__setitem__(j, list(rows[j].values())),
+}
+"""Single-row faults, and rows written other than plainly, for the table reader."""
 
 
 def test_strategies_carry_their_rule():
@@ -360,6 +446,52 @@ class TestDescriptors:
             strategy_from_descriptor({"name": "table", "params": {"entries": rows}}, inst)
         # without the instance a table takes any row
         assert len(TableStrategy.from_json(rows).entries) == 2
+
+    @pytest.mark.parametrize("space", [*SPACES, *CHAINS])
+    def test_one_pass_reader_agrees_with_reading_then_checking(self, space, monkeypatch):
+        """Full seeded tables, in shuffled row order, and each single-row
+        mutation of them read as ``from_json`` then ``_readable`` read them:
+        the same table, or the same message. Unmutated rows never reach those
+        two."""
+        inst = instance_from_json(CHAINS[space]) if space in CHAINS else SPACES[space](at_least(1))
+        rng = random.Random(space)
+        for _ in range(3):
+            rows = full_table(inst, rng).to_json()
+            rng.shuffle(rows)
+            with monkeypatch.context() as patched:
+                patched.setattr(strategies, "_readable", None)  # the fault path would call it
+                assert _read_outcome(strategies._read_table, rows, inst) == _read_outcome(_read_then_check, rows, inst)
+            for name, mutate in _ROW_MUTATIONS.items():
+                for _ in range(2):
+                    bad = [dict(row) for row in rows]
+                    mutate(bad, rng.randrange(len(bad)), inst, rng)
+                    got = _read_outcome(strategies._read_table, bad, inst)
+                    assert got == _read_outcome(_read_then_check, bad, inst), name
+
+    def test_keys_a_play_meets_only_as_equal_dict_keys_still_answer(self):
+        # 1.0 and True equal 1 as dict keys: such keys are kept aside from the
+        # ranked tables, and both play forms still find them
+        inst = hnsa(2, 2, at_least(1))
+        table = TableStrategy({(0, ((1, 0),), ()): 1, (0, ((1, 1.0),), ()): 0,
+                               (1, ((0, 0),), ()): 0, (1, ((0, 1),), ()): 1})
+        guesses = [run_game(inst, table, a).guesses for a in iter_assignment_tuples(inst)]
+        assert guesses == [{0: 1, 1: 0}, {0: 0, 1: 0}, {0: 1, 1: 1}, {0: 0, 1: 1}]
+        assert sweep(inst, table).to_json() == {"assignments": 4, "min_correct": 1, "max_incorrect": 1,
+                                                "winning": True, "counterexample": None}
+        assert TableStrategy({(0, ((1, True),), ()): 1}).decide(0, {1: 1}, {}) == 1
+
+    def test_a_read_table_leaves_the_collector_almost_nothing_to_track(self):
+        inst = hnsf(8, 3, at_least(1))
+        rows = full_table(inst, random.Random(0)).to_json()
+        assert len(rows) == 3280
+        strategy_from_descriptor({"name": "table", "params": {"entries": rows[:1]}}, inst)  # warm every cache
+        gc.collect()
+        before = len(gc.get_objects())
+        table = strategy_from_descriptor({"name": "table", "params": {"entries": rows}}, inst)
+        gc.collect()
+        tracked = len(gc.get_objects()) - before
+        assert tracked <= 4
+        assert table.to_json() == rows
 
     @pytest.mark.parametrize("space", ["hnsf", "hnsa", "hbsf"])
     def test_every_row_of_a_full_table_is_readable(self, space):
