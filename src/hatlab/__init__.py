@@ -6,6 +6,8 @@ The package splits along the natural seams of the problem:
   and their play steps, validation, canonical families, JSON descriptors;
 * :mod:`hatlab.engine` -- the unique play of a strategy against an
   assignment, outcome evaluation, assignment sweeps, strategy combination;
+* :mod:`hatlab.tables` -- table strategies: one guess per asking and
+  observation, read from JSON or built by the search;
 * :mod:`hatlab.strategies` -- the constructive strategies and the
   line adversary;
 * :mod:`hatlab.oracle` -- exhaustive and counting certificates over the
@@ -33,10 +35,10 @@ _EXPORTS = {
         "validate_instance",
     ),
     "engine": (
-        "CombinedStrategy", "GameResult", "RuleStrategy", "Strategy", "SweepReport",
-        "TableStrategy", "combine", "evaluate", "is_winning", "iter_assignment_tuples",
-        "iter_plays", "run_game", "sweep",
+        "CombinedStrategy", "GameResult", "RuleStrategy", "Strategy", "SweepReport", "combine",
+        "evaluate", "is_winning", "iter_assignment_tuples", "iter_plays", "run_game", "sweep",
     ),
+    "tables": ("TableStrategy",),
     "strategies": (
         "BlockPartition", "base_selector", "block_mod_sum", "consecutive_blocks", "constant",
         "diagonal_adversary", "mod_sum", "seeded_random_strategy", "strategy_from_descriptor",

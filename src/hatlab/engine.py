@@ -47,30 +47,10 @@ from dataclasses import FrozenInstanceError, dataclass
 from functools import cache, reduce
 from itertools import compress, product, repeat
 from operator import add, and_, or_
-from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .errors import (
-    CoverageError,
-    MissingTableEntry,
-    OverlapError,
-    StrategyRangeError,
-    SweepTooLarge,
-    check_budget,
-)
-from .model import (
-    Assignment,
-    EvaluationRule,
-    Instance,
-    RuleKind,
-    _bits,
-    _is_color,
-    _int_pairs,
-    _json_field,
-    _json_int,
-    _json_object,
-    as_assignment,
-)
+from .errors import CoverageError, OverlapError, StrategyRangeError, SweepTooLarge, check_budget
+from .model import Assignment, EvaluationRule, Instance, RuleKind, _bits, _is_color, as_assignment
 
 DEFAULT_SWEEP_BUDGET = 10**8
 """Largest assignment space a sweep will exhaust without an explicit budget."""
@@ -163,129 +143,6 @@ class RuleStrategy(Strategy):
 
     def decide(self, t, seen, heard):
         return self.fn(t, seen, heard)
-
-
-def freeze_observation(mapping: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
-    """Canonical hashable form of a seen/heard map."""
-    return tuple(sorted(mapping.items()))
-
-
-class TableStrategy(Strategy):
-    """Strategy given extensionally, one entry per (asking, seen, heard) triple.
-
-    Entries are keyed by ``(t, freeze_observation(seen), freeze_observation(heard))``.
-    They are held as one table per asking, seen ids and heard ids, from the rank
-    of the colors, seen then heard, in base ``_base`` (the instance's colors,
-    or one more than the largest color), to the guess. Keys no table ranks (a
-    negative color, a guess other than an int >= 0) are kept aside as given.
-    ``entries`` is a read-only mapping built from both on each access.
-    The table must cover every triple the instance can present.
-    """
-
-    def __init__(self, entries: Mapping, label: str = "table"):
-        self._tables, self._odd, self.label = {}, {}, label
-        places = [(key, _place(key), guess) for key, guess in entries.items()]
-        self._base = 1 + max((max(place[1], default=0) for _, place, _ in places if place), default=0)
-        for key, place, guess in places:
-            if place and type(guess) is int and guess >= 0:
-                self._tables.setdefault(place[0], {})[_rank(place[1], self._base)] = guess
-            else:
-                self._odd[key] = guess
-
-    @classmethod
-    def _from_ranks(cls, tables: dict, base: int) -> "TableStrategy":
-        """The table of ``tables``, ``(t, seen ids, heard ids) -> {rank: guess}``, ranked in ``base``."""
-        table = cls({})
-        table._tables, table._base = tables, base
-        return table
-
-    @property
-    def entries(self) -> Mapping:
-        """Every key and its guess, built anew on each access."""
-        b, out = self._base, {}
-        for (t, vis, hrd), guesses in self._tables.items():
-            places = [b**k for k in reversed(range(len(vis) + len(hrd)))]
-            for rank, guess in guesses.items():
-                colors = [rank // place % b for place in places]
-                out[t, tuple(zip(vis, colors)), tuple(zip(hrd, colors[len(vis):]))] = guess
-        return MappingProxyType({**out, **self._odd})
-
-    def decide_sets(self, t, seen, heard, full, colors):
-        vis, hrd = tuple(sorted(seen)), tuple(sorted(heard))
-        guesses, base, cells = self._tables.get((t, vis, hrd)), self._base, [(0, full)]
-        if guesses is None or colors > base:  # no table for these ids, or colors past its ranks: ``decide`` reads
-            return super().decide_sets(t, seen, heard, full, colors)
-        for part in [*map(seen.get, vis), *map(heard.get, hrd)]:
-            cells = [(rank * base + g, sub) for rank, cell in cells for g, s in enumerate(part) if (sub := cell & s)]
-        part = [0] * colors
-        try:
-            for rank, cell in cells:
-                part[guesses[rank]] |= cell
-        except (KeyError, IndexError):  # a missing entry or a guess past the colors: ``decide`` names it
-            return super().decide_sets(t, seen, heard, full, colors)
-        return part
-
-    def decide(self, t, seen, heard):
-        vis, hrd = sorted(seen), sorted(heard)
-        colors, base = [*map(seen.get, vis), *map(heard.get, hrd)], self._base
-        guesses = self._tables.get((t, tuple(vis), tuple(hrd)), {})
-        if all(type(g) is int and 0 <= g < base for g in colors) and (rank := _rank(colors, base)) in guesses:
-            return guesses[rank]
-        try:  # the keys kept aside, and keys equal to a ranked one only as dict keys
-            return self.entries[t, freeze_observation(seen), freeze_observation(heard)]
-        except KeyError:
-            raise MissingTableEntry(
-                f"table strategy has no entry for asking {t} with seen={dict(seen)} heard={dict(heard)}"
-            ) from None
-
-    def __eq__(self, other):
-        return isinstance(other, TableStrategy) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(frozenset(self.entries.items()))
-
-    def to_json(self) -> list:
-        return [
-            {"t": t, "seen": [list(p) for p in seen], "heard": [list(p) for p in heard], "guess": guess}
-            for (t, seen, heard), guess in sorted(self.entries.items())
-        ]
-
-    @staticmethod
-    def from_json(rows: Sequence[Mapping]) -> "TableStrategy":
-        if not isinstance(rows, (list, tuple)):
-            raise ValueError(f"table strategy 'entries' must be a JSON list, got {type(rows).__name__}")
-        entries = {}
-        repeat = None  # (j, key) of the first row j whose entry an earlier row gave
-        for j, row in enumerate(rows):
-            try:
-                key = _json_int(row["t"]), _int_pairs(row["seen"]), _int_pairs(row["heard"])
-                entries[key] = _json_int(row["guess"])
-            except (KeyError, TypeError, ValueError, OverflowError):  # name the row's fault, off the fast path
-                _json_object(row, "table row", ("t", "seen", "heard", "guess"))
-                for field, form in (("seen", "observation"), ("heard", "observation"), ("t", "int"), ("guess", "int")):
-                    _json_field(row, "table row", field, form=form)
-                raise
-            if len(entries) == j and repeat is None:
-                repeat = j, key
-        if repeat:  # after the loop, so that a malformed row anywhere is named first
-            j, key = repeat
-            t, seen, heard = key
-            # every row before j added a new key, so the first one to give
-            # this entry is at its position in ``entries``
-            raise ValueError(f"table rows {list(entries).index(key)} and {j} are both the entry t={t} "
-                             f"seen={[list(p) for p in seen]} heard={[list(p) for p in heard]}")
-        return TableStrategy(entries)
-
-
-def _place(key) -> tuple[tuple, list] | None:
-    """``((t, seen ids, heard ids), colors)`` for a key ``(t, seen, heard)`` that a
-    table ranks: each observation a tuple of ``(id, color)`` tuples, each color
-    an int >= 0, seen then heard. Else ``None``."""
-    if type(key) is tuple and len(key) == 3 and type(key[1]) is type(key[2]) is tuple:
-        t, seen, heard = key
-        if all(type(p) is tuple and len(p) == 2 and type(p[1]) is int and p[1] >= 0 for p in seen + heard):
-            return (t, tuple(x for x, _ in seen), tuple(x for x, _ in heard)), [v for _, v in seen + heard]
-    return None
 
 
 def _rank(colors, base: int) -> int:

@@ -498,7 +498,7 @@ def _json_int(raw) -> int:
 
 
 def _int_pairs(raw) -> tuple[tuple[int, int], ...]:
-    """Pairs of integers from JSON, sorted (the key order of ``freeze_observation``).
+    """Pairs of integers from JSON, sorted (the order of a table key's observations).
     The list and each pair are lists or tuples: text such as ``"11"`` is not ``[1, 1]``."""
     if not isinstance(raw, (list, tuple)):
         raise TypeError("not a list")

@@ -45,18 +45,14 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import count, dropwhile, product
 from operator import getitem, or_
+from typing import TYPE_CHECKING
 
-from .engine import (
-    TableStrategy,
-    Strategy,
-    _cells,
-    _hat_sets,
-    _play_chunks,
-    _rank,
-    evaluate,
-)
+from .engine import Strategy, _cells, _hat_sets, _play_chunks, _rank, evaluate
 from .errors import BudgetExceeded, check_budget, check_positive
 from .model import Instance, instance_to_json
+
+if TYPE_CHECKING:
+    from .tables import TableStrategy
 
 
 @dataclass(frozen=True)
@@ -137,13 +133,17 @@ def enumerate_table_strategies(inst: Instance, max_strategies: int | None = None
     check_positive(cap)  # before the play order, which may raise CyclicHearing
     check_budget(c, _entry_count(inst), cap, BudgetExceeded)
     per_step = [product(range(c), repeat=_table_size(c, step)) for step in inst.steps]
-    return (_materialize(inst, combo) for combo in product(*per_step))
+    return (_strategy(inst, combo) for combo in product(*per_step))
 
 
-def _materialize(inst: Instance, tables) -> TableStrategy:
-    """The table strategy of one table per play step, each in rank order."""
-    return TableStrategy._from_ranks({(t, seen, heard): dict(enumerate(table))
-                                      for (t, _, seen, heard), table in zip(inst.steps, tables)}, inst.colors.size)
+def _strategy(inst: Instance, tables) -> TableStrategy | None:
+    """The table strategy of ``tables``, one per play step, or ``None`` for ``None``.
+    The table module is imported here, so a search that finds no witness never loads it."""
+    if tables is None:
+        return None
+    from .tables import from_steps
+
+    return from_steps(inst, tables)
 
 
 # --- branch-and-bound walk ---------------------------------------------------
@@ -431,7 +431,7 @@ def best_guaranteed_correct(inst: Instance, budget: SearchBudget | None = None) 
     best, tables, examined, pruned = _walk(inst, budget or DEFAULT_BUDGET, -1, False)
     return SearchVerdict(
         exists_winning=bool(evaluate(inst.rule, best, len(inst.asked) - best)),
-        witness=_materialize(inst, tables),
+        witness=_strategy(inst, tables),
         best_guaranteed=best,
         strategies_examined=examined,
         pruned=pruned,
@@ -453,7 +453,7 @@ def exists_winning_exhaustive(inst: Instance, budget: SearchBudget | None = None
     _, tables, examined, pruned = _walk(inst, budget or DEFAULT_BUDGET, need - 1, True)
     return SearchVerdict(
         exists_winning=tables is not None,
-        witness=None if tables is None else _materialize(inst, tables),
+        witness=_strategy(inst, tables),
         best_guaranteed=None,
         strategies_examined=examined,
         pruned=pruned,

@@ -10,11 +10,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
 from typing import Mapping, Sequence
 
 from . import engine
-from .engine import RuleStrategy, Strategy, TableStrategy
+from .engine import RuleStrategy, Strategy
 from .errors import (
     BlockSizeMismatch,
     NeedsTwoColors,
@@ -22,8 +21,7 @@ from .errors import (
     TooManyBlocks,
     ZeroSize,
 )
-from .model import (ColorSpace, Instance, _int_pairs, _is_color, _json_field, _json_int, _json_object, as_colors,
-                    at_least, custom_instance)
+from .model import ColorSpace, Instance, _is_color, _json_field, _json_object, as_colors, at_least, custom_instance
 
 
 class _Constant(RuleStrategy):
@@ -274,63 +272,7 @@ def strategy_from_descriptor(desc: Mapping, inst: Instance) -> Strategy:
         return sum_broadcast(inst.colors)
     if name == "random":
         return seeded_random_strategy(inst.colors, param("seed", 0))
-    return _read_table(_json_object(params, "table strategy params", ("entries",))["entries"], inst)
+    from .tables import read_table
 
+    return read_table(_json_object(params, "table strategy params", ("entries",))["entries"], inst)
 
-def _read_table(rows, inst: Instance) -> TableStrategy:
-    """The table of ``rows`` against ``inst``, ranked in one pass when every row
-    is plain: int ``t`` and ``guess`` >= 0, and ``[id, color]`` int lists in its
-    asking's id order, colors 0..c-1, no entry twice. Any other rows are read by
-    ``from_json`` and :func:`_readable`, which name the first row at fault."""
-    c = inst.colors.size
-    tables = {(t, seen, heard): {} for t, _, seen, heard in inst.steps}
-    reads = {t: (seen + heard, len(seen), len(heard), guesses) for (t, seen, heard), guesses in tables.items()}
-    try:  # a row that is not plain raises, and all rows are read again below
-        if type(rows) is not list:
-            raise TypeError
-        for row in rows:
-            t, seen, heard, guess = row["t"], row["seen"], row["heard"], row["guess"]
-            ids, n_seen, n_heard, guesses = reads[t]
-            pairs = seen + heard
-            if ((type(t), type(guess), type(pairs)) != (int, int, list) or guess < 0
-                    or (len(seen), len(heard)) != (n_seen, n_heard)):
-                raise TypeError
-            rank = 0
-            for pair, x in zip(pairs, ids):
-                y, v = pair if type(pair) is list else ()
-                if not (type(y) is type(v) is int and y == x and 0 <= v < c):
-                    raise TypeError
-                rank = rank * c + v
-            guesses[rank] = guess
-    except (KeyError, TypeError, ValueError):
-        pass
-    else:
-        if sum(map(len, tables.values())) == len(rows):  # else a row repeats an entry
-            return TableStrategy._from_ranks(tables, c)
-    table = TableStrategy.from_json(rows)
-    _readable(rows, inst)
-    return table
-
-
-def _readable(rows, inst: Instance) -> None:
-    """Raise a ``ValueError`` naming the first of ``rows``, table rows that
-    ``from_json`` reads, that no play of ``inst`` reads: one not of its asking's
-    seen and heard ids, in id order, each once, with colors 0..c-1."""
-    first, second = itemgetter(0), itemgetter(1)
-    in_range = frozenset(range(inst.colors.size)).issuperset
-    reads = {t: (seen, heard) for t, _, seen, heard in inst.steps}
-    for j, row in enumerate(rows):
-        t, seen, heard = _json_int(row["t"]), _int_pairs(row["seen"]), _int_pairs(row["heard"])
-        ids = reads.get(t)
-        if ids is None:
-            why = f"the instance has no asking {t}"
-        elif tuple(map(first, seen)) != ids[0]:
-            why = f"asking {t} sees players {list(ids[0])}"
-        elif tuple(map(first, heard)) != ids[1]:
-            why = f"asking {t} hears askings {list(ids[1])}"
-        elif in_range(map(second, seen + heard)):
-            continue
-        else:
-            why = f"its colors must be 0..{inst.colors.size - 1}"
-        raise ValueError(f"table row {j}, the entry t={t} seen={[list(p) for p in seen]} "
-                         f"heard={[list(p) for p in heard]}, is never read: {why}")

@@ -1033,10 +1033,11 @@ def _python(code: str) -> str:
 
 _ALWAYS = {"hatlab", "hatlab.cli", "hatlab.errors", "hatlab.model"}
 _PLAY = _ALWAYS | {"hatlab.engine", "hatlab.strategies"}
-_ALL = _PLAY | {"hatlab.oracle", "hatlab.line", "hatlab.acceptance"}
+_ALL = _PLAY | {"hatlab.oracle", "hatlab.line", "hatlab.acceptance", "hatlab.tables"}
 _INSTANCE = ["--kind", "hnsa", "-m", "3", "-c", "2", "--rule", "at_least:1"]
 
-# The 82 names ``dir(hatlab)`` listed while the package imported every submodule eagerly.
+# The 82 names ``dir(hatlab)`` listed while the package imported every submodule eagerly,
+# and ``tables``, the module that now holds ``TableStrategy``.
 _PUBLIC = sorted("""
     Assignment BlockPartition BlockSizeMismatch BudgetExceeded ColorSpace CombinedStrategy
     CoverageError CyclicHearing EvaluationRule FRONT GameResult HatlabError Instance LazyAssignment
@@ -1050,7 +1051,7 @@ _PUBLIC = sorted("""
     extended_sum fewer_incorrect_than hbsf hnsa hnsf instance_from_json instance_to_json is_winning
     iter_assignment_tuples iter_plays lazy_assignment_from_json line mismatch_census mod_sum model
     oracle pointwise_sum run_game run_lazy seeded_random_strategy strategies strategy_from_descriptor
-    sum_broadcast sweep topological_extension validate_instance
+    sum_broadcast sweep tables topological_extension validate_instance
 """.split())
 
 
@@ -1058,7 +1059,12 @@ _LOADS = [
     (["run", *_INSTANCE, "--strategy", "constant:0", "--assignment", "0,1,1"], _PLAY),
     (["sweep", *_INSTANCE, "--strategy", "constant:0"], _PLAY),
     (["run", *_INSTANCE, "--strategy", "no_such_strategy", "--assignment", "0,0,0"], _PLAY),
-    (["search", *_INSTANCE, "--mode", "best"], _ALWAYS | {"hatlab.engine", "hatlab.oracle"}),
+    (["sweep", "--kind", "hnsa", "-m", "1", "-c", "2", "--rule", "at_least:1",
+      "--strategy", 'table:entries=[{"t": 0, "seen": [], "heard": [], "guess": 1}]'], _PLAY | {"hatlab.tables"}),
+    # a best search always builds its witness; an exists search with no winner builds none
+    (["search", *_INSTANCE, "--mode", "best"], _ALWAYS | {"hatlab.engine", "hatlab.oracle", "hatlab.tables"}),
+    (["search", "--kind", "hnsf", "-m", "2", "-c", "2", "--rule", "at_least:1"],
+     _ALWAYS | {"hatlab.engine", "hatlab.oracle"}),
     (["line", "--strategy", "sum_broadcast", "-c", "2", "--exception", "0,3,1", "--front", "1"],
      _ALWAYS | {"hatlab.line"}),
     (["verify", "--only", "broadcast-exhaustive"], _ALL),
@@ -1068,7 +1074,8 @@ _LOADS = [
 
 class TestImports:
     @pytest.mark.parametrize("args,loaded", _LOADS,
-                             ids=["run", "sweep", "config-error", "search", "line", "verify", "help"])
+                             ids=["run", "sweep", "config-error", "table-sweep", "search", "search-no-winner", "line",
+                                  "verify", "help"])
     def test_each_command_loads_only_what_it_runs(self, args, loaded):
         out = _python(
             "import json, sys\n"

@@ -35,7 +35,8 @@ from hatlab import (
 from hatlab.engine import iter_assignment_tuples
 from hatlab.errors import CyclicHearing, power_count, power_over
 from hatlab import oracle
-from hatlab.oracle import DEFAULT_BUDGET, _materialize, _rank, _table_size, _walk
+from hatlab.oracle import DEFAULT_BUDGET, _rank, _table_size, _walk
+from hatlab.tables import from_steps
 
 
 # --- reference: every table strategy, swept -----------------------------------
@@ -364,7 +365,7 @@ class TestRelabelling:
         c = inst.colors.size
         perms = {x: data.draw(st.permutations(range(c))) for x in inst.players}
         rng = random.Random(data.draw(st.integers(0, 2**32)))
-        strat = _materialize(inst, [tuple(rng.randrange(c) for _ in range(_table_size(c, step))) for step in inst.steps])
+        strat = from_steps(inst, [tuple(rng.randrange(c) for _ in range(_table_size(c, step))) for step in inst.steps])
         image = _relabel(inst, strat, perms)
         assert set(image.entries) == set(strat.entries)  # a table strategy of the same space
         before, after = sweep(inst, strat), sweep(inst, image)
@@ -387,7 +388,7 @@ class TestRelabelling:
         if len(tables) > 512:  # c = 3 and nine entries: a seeded sample
             tables = random.Random(space).sample(tables, 512)
         for table in tables:
-            strat = _materialize(inst, [table, *rest])
+            strat = from_steps(inst, [table, *rest])
             images = set()
             for q, j in product(inst.players, range(c - 1)):
                 swap = [*range(j), j + 1, j, *range(j + 2, c)]
@@ -577,7 +578,7 @@ class TestBestGuaranteed:
         verdict = best_guaranteed_correct(inst)
         best, tables, examined, pruned = _reference_walk(inst, DEFAULT_BUDGET, False, -1, False)
         assert (examined, pruned) == (count_table_strategies(inst), 0)
-        assert (verdict.best_guaranteed, verdict.witness) == (best, _materialize(inst, tables))
+        assert (verdict.best_guaranteed, verdict.witness) == (best, from_steps(inst, tables))
         reference = swept(space)
         assert best == max(low for _, low, _ in reference)
         assert verdict.witness == next(s for s, low, _ in reference if low == best)
@@ -619,7 +620,7 @@ class TestExistsWinning:
         inst = SPACES[space](RULES[rule])
         found = exists_winning_exhaustive(inst)
         tables = _reference_walk(inst, DEFAULT_BUDGET, False, _need(inst) - 1, True)[1]
-        assert found.witness == (None if tables is None else _materialize(inst, tables))
+        assert found.witness == (None if tables is None else from_steps(inst, tables))
         first = next((s for s, low, high in swept(space) if evaluate(inst.rule, low, high)), None)
         assert found.witness == first
         assert found.exists_winning == (first is not None)

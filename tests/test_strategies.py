@@ -2,6 +2,7 @@ import gc
 import random
 import re
 from collections import deque
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,10 +38,10 @@ from hatlab import (
     sum_broadcast,
     sweep,
 )
-from hatlab import strategies
+from hatlab import tables
 from hatlab.cli import main
-from hatlab.model import _json_field, instance_from_json
-from hatlab.strategies import STRATEGY_PARAMS, _readable
+from hatlab.model import _int_pairs, _json_field, _json_int, _json_object, instance_from_json
+from hatlab.strategies import STRATEGY_PARAMS
 from test_kernel import drain, full_table
 from test_oracle import CHAINS, SPACES
 
@@ -54,10 +55,47 @@ _JSON = _PAIR_LISTS | st.recursive(
 
 
 def _read_then_check(rows, inst):
-    """The table reader as two passes: ``from_json``, then ``_readable``."""
-    table = TableStrategy.from_json(rows)
-    _readable(rows, inst)
-    return table
+    """The table reader as two passes over the rows, kept as the reference of
+    the one-pass reader: read every row, then check that a play reads each."""
+    if not isinstance(rows, (list, tuple)):
+        raise ValueError(f"table strategy 'entries' must be a JSON list, got {type(rows).__name__}")
+    entries = {}
+    repeat = None  # (j, key) of the first row j whose entry an earlier row gave
+    for j, row in enumerate(rows):
+        try:
+            key = _json_int(row["t"]), _int_pairs(row["seen"]), _int_pairs(row["heard"])
+            entries[key] = _json_int(row["guess"])
+        except (KeyError, TypeError, ValueError, OverflowError):
+            _json_object(row, "table row", ("t", "seen", "heard", "guess"))
+            for field, form in (("seen", "observation"), ("heard", "observation"), ("t", "int"), ("guess", "int")):
+                _json_field(row, "table row", field, form=form)
+            raise
+        if len(entries) == j and repeat is None:
+            repeat = j, key
+    if repeat:
+        j, key = repeat
+        t, seen, heard = key
+        raise ValueError(f"table rows {list(entries).index(key)} and {j} are both the entry t={t} "
+                         f"seen={[list(p) for p in seen]} heard={[list(p) for p in heard]}")
+    first, second = itemgetter(0), itemgetter(1)
+    in_range = frozenset(range(inst.colors.size)).issuperset
+    reads = {t: (seen, heard) for t, _, seen, heard in inst.steps}
+    for j, row in enumerate(rows):
+        t, seen, heard = _json_int(row["t"]), _int_pairs(row["seen"]), _int_pairs(row["heard"])
+        ids = reads.get(t)
+        if ids is None:
+            why = f"the instance has no asking {t}"
+        elif tuple(map(first, seen)) != ids[0]:
+            why = f"asking {t} sees players {list(ids[0])}"
+        elif tuple(map(first, heard)) != ids[1]:
+            why = f"asking {t} hears askings {list(ids[1])}"
+        elif in_range(map(second, seen + heard)):
+            continue
+        else:
+            why = f"its colors must be 0..{inst.colors.size - 1}"
+        raise ValueError(f"table row {j}, the entry t={t} seen={[list(p) for p in seen]} "
+                         f"heard={[list(p) for p in heard]}, is never read: {why}")
+    return TableStrategy(entries)
 
 
 def _read_outcome(read, rows, inst):
@@ -428,6 +466,13 @@ class TestDescriptors:
         assert again is not table and hash(again) == hash(table)
         assert len({table, again}) == 1
 
+    def test_entries_are_built_once_per_table(self):
+        inst = hbsf(3, 2, at_least(1))
+        table = full_table(inst, random.Random(0))
+        read = strategy_from_descriptor({"name": "table", "params": {"entries": table.to_json()}}, inst)
+        assert table.entries is table.entries and read.entries is read.entries
+        assert read.entries == table.entries
+
     @pytest.mark.parametrize("inst, row, why", [
         (hnsa(2, 2, at_least(1)), {"t": 0, "seen": [[1, 1], [1, 1]], "heard": []}, "asking 0 sees players [1]"),
         (hnsa(2, 2, at_least(1)), {"t": 0, "seen": [], "heard": []}, "asking 0 sees players [1]"),
@@ -450,23 +495,39 @@ class TestDescriptors:
     @pytest.mark.parametrize("space", [*SPACES, *CHAINS])
     def test_one_pass_reader_agrees_with_reading_then_checking(self, space, monkeypatch):
         """Full seeded tables, in shuffled row order, and each single-row
-        mutation of them read as ``from_json`` then ``_readable`` read them:
-        the same table, or the same message. Unmutated rows never reach those
-        two."""
+        mutation of them read as the two-pass reference reads them: the same
+        table, or the same message. Unmutated rows never reach the slow
+        parser."""
         inst = instance_from_json(CHAINS[space]) if space in CHAINS else SPACES[space](at_least(1))
         rng = random.Random(space)
         for _ in range(3):
             rows = full_table(inst, rng).to_json()
             rng.shuffle(rows)
+            expected = _read_outcome(_read_then_check, rows, inst)
             with monkeypatch.context() as patched:
-                patched.setattr(strategies, "_readable", None)  # the fault path would call it
-                assert _read_outcome(strategies._read_table, rows, inst) == _read_outcome(_read_then_check, rows, inst)
+                patched.setattr(tables, "_parse", None)  # the fault path would call it
+                assert _read_outcome(tables.read_table, rows, inst) == expected
             for name, mutate in _ROW_MUTATIONS.items():
                 for _ in range(2):
                     bad = [dict(row) for row in rows]
                     mutate(bad, rng.randrange(len(bad)), inst, rng)
-                    got = _read_outcome(strategies._read_table, bad, inst)
+                    got = _read_outcome(tables.read_table, bad, inst)
                     assert got == _read_outcome(_read_then_check, bad, inst), name
+
+    @pytest.mark.parametrize("later, message", [
+        (2, "table row 'guess' must be an integer, got 1.5"),
+        (1, "table rows 1 and 5 are both the entry t=0 seen=[[1, 0]] heard=[]"),
+        (0, "table row 0, the entry t=7 seen=[] heard=[], is never read: the instance has no asking 7"),
+    ])
+    def test_one_pass_reader_names_faults_in_the_two_pass_order(self, later, message):
+        # an unread first row, then ``later`` rows: a repeated one, then a malformed
+        # one; the fault of the earliest kind is named, wherever its row is
+        inst = hnsa(2, 2, at_least(1))
+        rows = full_table(inst, random.Random(0)).to_json()
+        rows = [{"t": 7, "seen": [], "heard": [], "guess": 0}, *rows, rows[0], dict(rows[1], guess=1.5)][:5 + later]
+        assert _read_outcome(tables.read_table, rows, inst) == _read_outcome(_read_then_check, rows, inst)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tables.read_table(rows, inst)
 
     def test_keys_a_play_meets_only_as_equal_dict_keys_still_answer(self):
         # 1.0 and True equal 1 as dict keys: such keys are kept aside from the
