@@ -29,10 +29,11 @@ The kernel keeps one wrong set per asked player (a player is wrong when any of
 its guesses is) and the sets ``S[k]`` of assignments with at least ``k``
 players wrong. Chunks run in lexicographic order, so the lowest bit of the
 first failing ``S[k]`` of the first failing chunk is the least counterexample.
-A chunk that raises is replayed one assignment at a time through
-:func:`_play`, so errors, and the plays that come before them, are those of
-the scalar loop. :func:`iter_plays` decodes a chunk's partitions into byte
-columns, one lane per assignment holding its color, built from each set's
+A set form that cannot give a cell's guess leaves the cell out or raises, and
+a chunk that raises or falls short is replayed one assignment at a time
+through :func:`_play`, so errors, and the plays that come before them, are
+those of the scalar loop. :func:`iter_plays` decodes a chunk's partitions into
+byte columns, one lane per assignment holding its color, built from each set's
 binary digits by ``bytes.translate``, and zips them into plays in C. Each
 play's :class:`GameResult` is a tuple that ``tuple.__new__`` builds from its
 guesses and its wrong pattern's outcome, scored once per chunk, so Python code
@@ -77,6 +78,9 @@ class Strategy:
     partitions. It returns the guess partition, equal to ``decide`` on every
     assignment. The default adapts ``decide``, once per distinct observation of
     the chunk; a subclass overriding ``decide`` keeps it or overrides both.
+    Where it cannot give a cell's guess (``decide`` raises there, or returns no
+    color), the set form leaves the cell out or raises, and the kernel's
+    replay of the chunk reports the scalar error.
     """
 
     label = "strategy"
@@ -93,15 +97,15 @@ class Strategy:
 
 def _cell_partition(seen, heard, full, colors, guess_of) -> list[int]:
     """The guess partition giving each non-empty cell of ``full``, split by the
-    ``seen`` then the ``heard`` partitions, ``guess_of(seen_pairs, heard_pairs)``."""
+    ``seen`` then the ``heard`` partitions, ``guess_of(seen_pairs, heard_pairs)``;
+    a cell whose guess is not a color is left out, so the partition falls short."""
     split = len(seen)
     part = [0] * colors
     labelled = [list(zip(zip(repeat(x), range(colors)), p)) for x, p in (*seen.items(), *heard.items())]
     for pairs, cell in _cells(full, labelled):
         g = guess_of(pairs[:split], pairs[split:])
-        if not _is_color(g, colors):
-            raise StrategyRangeError(f"strategy returned {g!r}; colors are 0..{colors - 1}")
-        part[g] |= cell
+        if _is_color(g, colors):
+            part[g] |= cell
     return part
 
 

@@ -430,7 +430,7 @@ Assignment = Mapping[int, int]
 def as_assignment(inst: Instance, values: Assignment | Sequence[int]) -> dict[int, int]:
     """Normalize an assignment given as a mapping or as colors in player order."""
     if isinstance(values, Mapping):
-        a = {int(k): int(v) for k, v in values.items()}
+        a = {int(k): v for k, v in values.items()}
         missing = [m for m in inst.players if m not in a]
         if missing:
             raise ValueError(f"assignment misses players {missing}")
@@ -443,7 +443,7 @@ def as_assignment(inst: Instance, values: Assignment | Sequence[int]) -> dict[in
             raise ValueError(
                 f"assignment has {len(values)} colors, instance has {len(inst.players)} players"
             )
-        a = {m: int(v) for m, v in zip(inst.players, values)}
+        a = dict(zip(inst.players, values))
     bad = {m: v for m, v in a.items() if not _is_color(v, inst.colors.size)}
     if bad:
         raise ValueError(f"assignment colors out of range 0..{inst.colors.size - 1}: {bad}")

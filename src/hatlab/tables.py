@@ -21,23 +21,22 @@ class TableStrategy(Strategy):
     """Strategy given extensionally, one entry per (asking, seen, heard) triple.
 
     Entries are keyed by ``(t, seen, heard)``, each observation a tuple of
-    ``(id, color)`` pairs in id order. They are held as one table per asking,
-    seen ids and heard ids, from the rank of the colors, seen then heard, in
-    base ``_base`` (the instance's colors, or one more than the largest color),
-    to the guess. Keys no table ranks (a negative color, a guess other than an
-    int >= 0) are kept aside as given. ``entries``, a read-only mapping, is built
-    from both on first access. The table must cover every triple it is played on.
+    ``(id, color)`` pairs in id order, and every ``t``, id, color and guess
+    an int, each color and guess >= 0; any other entry is refused with a
+    ``ValueError`` naming it. They are held as one table per asking, seen ids
+    and heard ids, from the rank of the colors, seen then heard, in base
+    ``_base`` (the instance's colors, or one more than the largest color), to
+    the guess. ``entries``, a read-only mapping, is built from them on first
+    access. The table must cover every triple it is played on.
     """
 
-    def __init__(self, entries: Mapping, label: str = "table"):
-        self._tables, self._odd, self.label = {}, {}, label
-        places = [(key, _place(key), guess) for key, guess in entries.items()]
-        self._base = 1 + max((max(place[1], default=0) for _, place, _ in places if place), default=0)
-        for key, place, guess in places:
-            if place and type(guess) is int and guess >= 0:
-                self._tables.setdefault(place[0], {})[_rank(place[1], self._base)] = guess
-            else:
-                self._odd[key] = guess
+    label = "table"
+
+    def __init__(self, entries: Mapping):
+        places = [(_place(key, guess), guess) for key, guess in entries.items()]
+        self._tables, self._base = {}, 1 + max((max(colors, default=0) for (_, colors), _ in places), default=0)
+        for (ids, colors), guess in places:
+            self._tables.setdefault(ids, {})[_rank(colors, self._base)] = guess
 
     @classmethod
     def _from_ranks(cls, tables: dict, base: int) -> "TableStrategy":
@@ -58,22 +57,19 @@ class TableStrategy(Strategy):
                 for rank, guess in guesses.items():
                     colors = [rank // place % b for place in places]
                     out[t, tuple(zip(vis, colors)), tuple(zip(hrd, colors[len(vis):]))] = guess
-            self._entries = MappingProxyType({**out, **self._odd})
+            self._entries = MappingProxyType(out)
         return self._entries
 
     def decide_sets(self, t, seen, heard, full, colors):
+        # a missing table or entry raises, a guess past the colors raises, and a
+        # color past the base leaves its cells out: the kernel's replay names each
         vis, hrd = tuple(sorted(seen)), tuple(sorted(heard))
-        guesses, base, cells = self._tables.get((t, vis, hrd)), self._base, [(0, full)]
-        if guesses is None or colors > base:  # no table for these ids, or colors past its ranks: ``decide`` reads
-            return super().decide_sets(t, seen, heard, full, colors)
-        for part in [*map(seen.get, vis), *map(heard.get, hrd)]:
+        guesses, base, cells = self._tables[t, vis, hrd], self._base, [(0, full)]
+        for part in [p[:base] for p in (*map(seen.get, vis), *map(heard.get, hrd))]:
             cells = [(rank * base + g, sub) for rank, cell in cells for g, s in enumerate(part) if (sub := cell & s)]
         part = [0] * colors
-        try:
-            for rank, cell in cells:
-                part[guesses[rank]] |= cell
-        except (KeyError, IndexError):  # a missing entry or a guess past the colors: ``decide`` names it
-            return super().decide_sets(t, seen, heard, full, colors)
+        for rank, cell in cells:
+            part[guesses[rank]] |= cell
         return part
 
     def decide(self, t, seen, heard):
@@ -82,12 +78,8 @@ class TableStrategy(Strategy):
         guesses = self._tables.get((t, tuple(vis), tuple(hrd)), {})
         if all(type(g) is int and 0 <= g < base for g in colors) and (rank := _rank(colors, base)) in guesses:
             return guesses[rank]
-        try:  # the keys kept aside, and keys equal to a ranked one only as dict keys
-            return self.entries[t, tuple(sorted(seen.items())), tuple(sorted(heard.items()))]
-        except KeyError:
-            raise MissingTableEntry(
-                f"table strategy has no entry for asking {t} with seen={dict(seen)} heard={dict(heard)}"
-            ) from None
+        raise MissingTableEntry(f"table strategy has no entry for asking {t} "
+                                f"with seen={dict(seen)} heard={dict(heard)}")
 
     def __eq__(self, other):
         return isinstance(other, TableStrategy) and self.entries == other.entries
@@ -106,15 +98,17 @@ class TableStrategy(Strategy):
         return TableStrategy(_parse(rows))
 
 
-def _place(key) -> tuple[tuple, list] | None:
-    """``((t, seen ids, heard ids), colors)`` for a key ``(t, seen, heard)`` that a
-    table ranks: each observation a tuple of ``(id, color)`` tuples, each color
-    an int >= 0, seen then heard. Else ``None``."""
+def _place(key, guess) -> tuple[tuple, list]:
+    """``((t, seen ids, heard ids), colors)`` of the entry ``key: guess``, seen
+    colors then heard, or a ``ValueError`` naming an entry a table cannot rank."""
     if type(key) is tuple and len(key) == 3 and type(key[1]) is type(key[2]) is tuple:
         t, seen, heard = key
-        if all(type(p) is tuple and len(p) == 2 and type(p[1]) is int and p[1] >= 0 for p in seen + heard):
-            return (t, tuple(x for x, _ in seen), tuple(x for x, _ in heard)), [v for _, v in seen + heard]
-    return None
+        pairs = seen + heard
+        if type(t) is type(guess) is int and guess >= 0 and all(
+                type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int and p[1] >= 0 for p in pairs):
+            return (t, tuple(x for x, _ in seen), tuple(x for x, _ in heard)), [v for _, v in pairs]
+    raise ValueError(f"table entry {key!r}: {guess!r} is refused: an entry is (t, seen, heard): guess, seen and "
+                     "heard tuples of (id, color) pairs, all ints, colors and guess >= 0")
 
 
 def from_steps(inst: Instance, tables) -> TableStrategy:

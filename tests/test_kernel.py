@@ -40,7 +40,8 @@ from hatlab import (
 from hatlab import engine, strategies
 from test_oracle import SPACES
 
-CHUNKS = st.sampled_from([1, 2, 3, 5, 16, engine.CHUNK_PLAYS])
+CHUNK_SIZES = [1, 2, 3, 5, 16, engine.CHUNK_PLAYS]
+CHUNKS = st.sampled_from(CHUNK_SIZES)
 
 
 # --- the scalar reference ------------------------------------------------------
@@ -310,6 +311,27 @@ def test_a_table_short_of_the_top_colors_decides_as_its_entries(inst, seed, chun
                 with pytest.raises(MissingTableEntry):
                     table.decide(t, dict(seen), dict(heard))
     assert_matches_reference(inst, table, chunk)
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+@given(inst=instances(), seed=st.integers(0, 10**6))
+@settings(max_examples=20, deadline=None)
+def test_a_table_set_form_leaves_every_miss_to_the_replay(inst, seed, chunk):
+    """A partial table, and one short of the top colors, sweep as the scalar
+    loop plays them without the ``decide`` adapter: a missing table or entry
+    raises and a color past the base falls short, and the replay names each."""
+    rng = random.Random(seed)
+    entries = full_table(inst, rng).entries
+    top = rng.randrange(inst.colors.size)
+    tables = [TableStrategy({key: g for key, g in entries.items() if rng.random() >= 0.2}),
+              TableStrategy({key: g for key, g in entries.items() if all(v <= top for _, v in key[1] + key[2])})]
+
+    def adapter(*args):
+        raise AssertionError("a table's set form called the decide adapter")
+
+    with mock.patch.object(engine.Strategy, "decide_sets", adapter):
+        for table in tables:
+            assert_matches_reference(inst, table, chunk)
 
 
 def test_out_of_range_column_function_reports_the_scalar_error():

@@ -463,6 +463,11 @@ class TestAssignments:
             as_assignment(inst, {0: 0, 1: 0, 9: 0})
         with pytest.raises(ValueError, match=r"^assignment misses players \[1\]$"):
             as_assignment(inst, {0: 0})
+        # each color is checked as given, never truncated by int()
+        for values, bad in [((0.7, True), "{0: 0.7, 1: True}"), ((0, True), "{1: True}"),
+                            ({0: "1", 1: 0}, "{0: '1'}")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'assignment colors out of range 0..1: {bad}')}$"):
+                as_assignment(inst, values)
 
 
 class TestJson:

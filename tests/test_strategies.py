@@ -54,6 +54,12 @@ _JSON = _PAIR_LISTS | st.recursive(
     max_leaves=8)
 
 
+def refused(key, guess):
+    """The message, escaped, that a table refuses the entry ``key: guess`` with."""
+    return re.escape(f"table entry {key!r}: {guess!r} is refused: an entry is (t, seen, heard): guess, "
+                     "seen and heard tuples of (id, color) pairs, all ints, colors and guess >= 0")
+
+
 def _read_then_check(rows, inst):
     """The table reader as two passes over the rows, kept as the reference of
     the one-pass reader: read every row, then check that a play reads each."""
@@ -489,8 +495,13 @@ class TestDescriptors:
         message = f"table row 1, the entry t={row['t']} seen={seen} heard={heard}, is never read: {why}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             strategy_from_descriptor({"name": "table", "params": {"entries": rows}}, inst)
-        # without the instance a table takes any row
-        assert len(TableStrategy.from_json(rows).entries) == 2
+        # without the instance a table takes any row but one with a color below 0
+        if any(v < 0 for _, v in seen + heard):
+            key = (row["t"], tuple(map(tuple, seen)), tuple(map(tuple, heard)))
+            with pytest.raises(ValueError, match=f"^{refused(key, 0)}$"):
+                TableStrategy.from_json(rows)
+        else:
+            assert len(TableStrategy.from_json(rows).entries) == 2
 
     @pytest.mark.parametrize("space", [*SPACES, *CHAINS])
     def test_one_pass_reader_agrees_with_reading_then_checking(self, space, monkeypatch):
@@ -529,17 +540,19 @@ class TestDescriptors:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             tables.read_table(rows, inst)
 
-    def test_keys_a_play_meets_only_as_equal_dict_keys_still_answer(self):
-        # 1.0 and True equal 1 as dict keys: such keys are kept aside from the
-        # ranked tables, and both play forms still find them
-        inst = hnsa(2, 2, at_least(1))
-        table = TableStrategy({(0, ((1, 0),), ()): 1, (0, ((1, 1.0),), ()): 0,
-                               (1, ((0, 0),), ()): 0, (1, ((0, 1),), ()): 1})
-        guesses = [run_game(inst, table, a).guesses for a in iter_assignment_tuples(inst)]
-        assert guesses == [{0: 1, 1: 0}, {0: 0, 1: 0}, {0: 1, 1: 1}, {0: 0, 1: 1}]
-        assert sweep(inst, table).to_json() == {"assignments": 4, "min_correct": 1, "max_incorrect": 1,
-                                                "winning": True, "counterexample": None}
-        assert TableStrategy({(0, ((1, True),), ()): 1}).decide(0, {1: 1}, {}) == 1
+    @pytest.mark.parametrize("entries, key", [
+        *(({(0, ((1, 0),), ()): 1, (0, ((1, v),), ()): 0}, (0, ((1, v),), ())) for v in (1.0, True, -1, None)),
+        ({(0, (), ()): 1, ("0", (), ()): 0}, ("0", (), ())),
+        ({(0, (("1", 0),), ()): 1}, (0, (("1", 0),), ())),
+        *(({(0, ((1, 0),), ()): 1, (0, ((1, 1),), ()): g}, (0, ((1, 1),), ())) for g in (-1, True)),
+        ({(0, ((1, 0),), ()): 1, (0, ((1, 1),)): 0}, (0, ((1, 1),))),
+        ({(0, ((1, 0),), ()): 1, (0, ((1, 2),), ()): -1, ("0", (), ()): 0}, (0, ((1, 2),), ())),
+    ])
+    def test_entries_no_table_ranks_are_refused(self, entries, key):
+        # 1.0 and True equal 1 as dict keys, and no table ranks None, a text
+        # id or asking, or a color or guess below 0: the first such entry is named
+        with pytest.raises(ValueError, match=f"^{refused(key, entries[key])}$"):
+            TableStrategy(entries)
 
     def test_a_read_table_leaves_the_collector_almost_nothing_to_track(self):
         inst = hnsf(8, 3, at_least(1))
@@ -613,9 +626,14 @@ class TestDescriptors:
             message = f"table row {key!r} must be a list of [id, color] pairs, got {value!r}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 TableStrategy.from_json([row])
-        else:  # sorted integer pairs, duplicates kept
+        else:  # sorted integer pairs, duplicates kept; a table refuses a color below 0
             pairs = tuple(sorted((int(a), int(b)) for a, b in value))
-            assert TableStrategy.from_json([row]).entries == {(0, *((pairs, ()) if key == "seen" else ((), pairs))): 0}
+            entry = (0, *((pairs, ()) if key == "seen" else ((), pairs)))
+            if any(v < 0 for _, v in pairs):
+                with pytest.raises(ValueError, match=f"^{refused(entry, 0)}$"):
+                    TableStrategy.from_json([row])
+            else:
+                assert TableStrategy.from_json([row]).entries == {entry: 0}
 
     @pytest.mark.parametrize("play", [
         lambda inst, table: run_game(inst, table, (0, 1)),
