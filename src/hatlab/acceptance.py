@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 
 from . import line as lazyline
 from .engine import _play, iter_plays, run_game, sweep
-from .model import _steps, as_assignment, at_least, fewer_incorrect_than, hbsf, hnsa, hnsf, topological_extension
+from .model import _Record, _steps, as_assignment, at_least, fewer_incorrect_than, hbsf, hnsa, hnsf, topological_extension
 from .oracle import (
     best_guaranteed_correct,
     correct_count_census,
@@ -29,8 +28,7 @@ from .strategies import (
 )
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(_Record):
     cid: str
     passed: bool
     detail: str

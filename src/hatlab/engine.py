@@ -44,14 +44,13 @@ from __future__ import annotations
 
 import sys
 from collections import namedtuple
-from dataclasses import FrozenInstanceError, dataclass
 from functools import cache, reduce
 from itertools import compress, product, repeat
 from operator import add, and_, or_
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import CoverageError, OverlapError, StrategyRangeError, SweepTooLarge, check_budget
-from .model import Assignment, EvaluationRule, Instance, RuleKind, _bits, _is_color, as_assignment
+from .model import Assignment, EvaluationRule, Instance, RuleKind, _bits, _is_color, _Record, as_assignment
 
 DEFAULT_SWEEP_BUDGET = 10**8
 """Largest assignment space a sweep will exhaust without an explicit budget."""
@@ -169,11 +168,7 @@ class GameResult(namedtuple("GameResult", "guesses correct_set incorrect_set ver
     __hash__ = tuple.__hash__  # defining __eq__ alone would set it to None
     __lt__ = __le__ = __gt__ = __ge__ = object.__lt__  # unordered: no tuple order on results
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__, __delattr__ = _Record.__setattr__, _Record.__delattr__
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -245,8 +240,7 @@ def iter_assignment_tuples(inst: Instance) -> Iterator[tuple[int, ...]]:
     return product(range(inst.colors.size), repeat=len(inst.players))
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(_Record):
     assignments: int
     min_correct: int
     max_incorrect: int

@@ -30,17 +30,16 @@ part above the player).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property, partial, total_ordering
 from typing import Iterable, Mapping
 
 from .errors import ShapeMismatch
-from .model import ColorSpace, _json_field, _json_object, as_colors
+from .model import ColorSpace, _json_field, _json_object, _Record, as_colors
 
 
-@dataclass(frozen=True, order=True)
-class OrdinalPosition:
+@total_ordering
+class OrdinalPosition(_Record):
     """Player position ``w*block + offset``; ``block = -1`` is the front marker."""
 
     block: int
@@ -51,6 +50,9 @@ class OrdinalPosition:
             raise ValueError(f"bad ordinal position ({self.block}, {self.offset})")
         if self.block == -1 and self.offset != 0:
             raise ValueError("the front marker has no offset")
+
+    def __lt__(self, other):  # the order of the field tuples, as ``@dataclass(order=True)`` has it
+        return self._values() < other._values() if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def is_front(self) -> bool:
@@ -67,8 +69,7 @@ class OrdinalPosition:
 FRONT = OrdinalPosition(-1, 0)
 
 
-@dataclass(frozen=True)
-class LineShape:
+class LineShape(_Record):
     """How long the line is: ``limit_blocks`` blocks of order type w, plus
     an optional front player standing before all of them."""
 
@@ -85,8 +86,7 @@ class LineShape:
         return 0 <= pos.block < self.limit_blocks
 
 
-@dataclass(frozen=True)
-class LazyAssignment:
+class LazyAssignment(_Record):
     """An eventually-constant assignment: ``base`` everywhere except at
     finitely many listed positions (and, when present, at the front).
 
@@ -195,8 +195,7 @@ class LineStrategyKind(Enum):
     SUM_BROADCAST = "sum_broadcast"
 
 
-@dataclass(frozen=True)
-class LazyGuessRecord:
+class LazyGuessRecord(_Record):
     """A whole play, finitely presented.
 
     Every position not listed in ``overrides`` guesses ``base_guess``. The

@@ -32,7 +32,6 @@ import bisect
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial, reduce
 from graphlib import CycleError, TopologicalSorter
@@ -61,8 +60,53 @@ def _is_color(g, size: int) -> bool:
     return isinstance(g, int) and not isinstance(g, bool) and 0 <= g < size
 
 
-@dataclass(frozen=True)
-class ColorSpace:
+class _Record:
+    """A frozen record, as ``@dataclass(frozen=True)`` made one, with no code
+    generated per class. A class's fields are its own annotations, in order,
+    and a class attribute of a field's name is its default. ``__init__`` takes
+    the fields by position or by keyword, then runs ``__post_init__``. The
+    ``repr`` lists the fields, ``==`` holds only within one class, ``hash`` is
+    that of the tuple of fields, and assigning or deleting an attribute raises
+    ``dataclasses.FrozenInstanceError``."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {f: vars(cls)[f] for f in cls._fields if f in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        if len(args) > len(fields) or kwargs.keys() & fields[:len(args)] or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__qualname__}() takes the fields {', '.join(fields)}, "
+                            f"by position or by keyword; got {len(args)} by position and {sorted(kwargs)}")
+        vars(self).update((f, values[f]) for f in fields)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._fields))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # off the import path: it loads ``inspect``
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class ColorSpace(_Record):
     """The hat colors ``0 .. size-1``."""
 
     size: int
@@ -90,8 +134,7 @@ class RuleKind(Enum):
     FEWER_INCORRECT_THAN = "fewer_incorrect"
 
 
-@dataclass(frozen=True)
-class EvaluationRule:
+class EvaluationRule(_Record):
     """Win condition over the counts of correct and incorrect guesses.
 
     ``AT_LEAST_CORRECT`` with threshold k wins when at least k guesses are
@@ -140,8 +183,7 @@ def _pairs(relation) -> frozenset:
     return frozenset((int(a), int(b)) for a, b in relation)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Record):
     """One hat-guessing problem.
 
     ``players`` is a finite ordered set of integer ids. ``sight`` holds pairs
@@ -316,8 +358,7 @@ def custom_instance(
 
 # --- validation -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Record):
     errors: tuple[str, ...]
     warnings: tuple[str, ...]
     hearing_cycle: tuple[int, ...] | None = None

@@ -41,7 +41,6 @@ returning an answer computed from a partial walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import count, dropwhile, product
 from operator import getitem, or_
@@ -49,14 +48,13 @@ from typing import TYPE_CHECKING
 
 from .engine import Strategy, _cells, _hat_sets, _play_chunks, _rank, evaluate
 from .errors import BudgetExceeded, check_budget, check_positive
-from .model import Instance, instance_to_json
+from .model import Instance, _Record, instance_to_json
 
 if TYPE_CHECKING:
     from .tables import TableStrategy
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(_Record):
     """Hard limits for strategy-space searches.
 
     ``max_strategies`` caps the number of table strategies the space may
@@ -75,8 +73,7 @@ class SearchBudget:
 DEFAULT_BUDGET = SearchBudget()
 
 
-@dataclass(frozen=True)
-class SearchVerdict:
+class SearchVerdict(_Record):
     """Outcome of a strategy-space search."""
 
     exists_winning: bool

@@ -8,7 +8,6 @@ player id.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Sequence
 
@@ -21,7 +20,8 @@ from .errors import (
     TooManyBlocks,
     ZeroSize,
 )
-from .model import ColorSpace, Instance, _is_color, _json_field, _json_object, as_colors, at_least, custom_instance
+from .model import ColorSpace, Instance, _is_color, _json_field, _json_object, _Record, as_colors, at_least
+from .model import custom_instance
 
 
 class _Constant(RuleStrategy):
@@ -68,8 +68,7 @@ def constant(color: int) -> Strategy:
     return _Constant(color, f"constant:{color}")
 
 
-@dataclass(frozen=True)
-class BlockPartition:
+class BlockPartition(_Record):
     """Players split into same-size blocks plus an unused leftover."""
 
     blocks: tuple[tuple[int, ...], ...]

@@ -81,6 +81,9 @@ class TableStrategy(Strategy):
         raise MissingTableEntry(f"table strategy has no entry for asking {t} "
                                 f"with seen={dict(seen)} heard={dict(heard)}")
 
+    def __getstate__(self):  # a pickle or copy leaves out the entries view, which pickle refuses
+        return dict(vars(self), _entries=None)
+
     def __eq__(self, other):
         return isinstance(other, TableStrategy) and self.entries == other.entries
 
@@ -99,14 +102,15 @@ class TableStrategy(Strategy):
 
 
 def _place(key, guess) -> tuple[tuple, list]:
-    """``((t, seen ids, heard ids), colors)`` of the entry ``key: guess``, seen
-    colors then heard, or a ``ValueError`` naming an entry a table cannot rank."""
+    """``((t, seen ids, heard ids), colors)`` of the entry ``key: guess``, each
+    observation's pairs in id order as the JSON readers sort them, seen colors
+    then heard, or a ``ValueError`` naming an entry a table cannot rank."""
     if type(key) is tuple and len(key) == 3 and type(key[1]) is type(key[2]) is tuple:
         t, seen, heard = key
-        pairs = seen + heard
         if type(t) is type(guess) is int and guess >= 0 and all(
-                type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int and p[1] >= 0 for p in pairs):
-            return (t, tuple(x for x, _ in seen), tuple(x for x, _ in heard)), [v for _, v in pairs]
+                type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int and p[1] >= 0 for p in seen + heard):
+            seen, heard = sorted(seen), sorted(heard)
+            return (t, tuple(x for x, _ in seen), tuple(x for x, _ in heard)), [v for _, v in seen + heard]
     raise ValueError(f"table entry {key!r}: {guess!r} is refused: an entry is (t, seen, heard): guess, seen and "
                      "heard tuples of (id, color) pairs, all ints, colors and guess >= 0")
 

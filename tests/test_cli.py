@@ -1077,6 +1077,8 @@ class TestImports:
                              ids=["run", "sweep", "config-error", "table-sweep", "search", "search-no-winner", "line",
                                   "verify", "help"])
     def test_each_command_loads_only_what_it_runs(self, args, loaded):
+        # and no command loads dataclasses, nor the inspect it imports: hatlab's
+        # records are its own, and FrozenInstanceError is imported where it is raised
         out = _python(
             "import json, sys\n"
             "from hatlab.cli import main\n"
@@ -1084,7 +1086,7 @@ class TestImports:
             f"    main({args!r})\n"
             "except SystemExit:\n"
             "    pass\n"
-            "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'hatlab']))\n"
+            "print(json.dumps([m for m in sys.modules if m.split('.')[0] in ('hatlab', 'dataclasses', 'inspect')]))\n"
         )
         assert set(json.loads(out.splitlines()[-1])) == loaded
 

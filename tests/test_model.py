@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import re
 from unittest import mock
@@ -28,7 +31,7 @@ from hatlab import (
     validate_instance,
 )
 from hatlab import model
-from hatlab.model import ValidationReport, _steps, find_hearing_cycle
+from hatlab.model import ValidationReport, _Record, _steps, find_hearing_cycle
 
 
 class TestCanonicalConstructors:
@@ -522,3 +525,145 @@ def test_rule_kinds_disagree_only_through_counts(correct, incorrect):
     assert not evaluate(at_least(correct + 1), correct, incorrect)
     assert evaluate(fewer_incorrect_than(incorrect + 1), correct, incorrect)
     assert not evaluate(fewer_incorrect_than(incorrect), correct, incorrect)
+
+
+# --- the record contract ------------------------------------------------------
+
+def _records():
+    """Each record class, and the argument tuples of its sample values."""
+    from hatlab import (
+        FRONT,
+        BlockPartition,
+        Instance,
+        LazyAssignment,
+        LazyGuessRecord,
+        LineShape,
+        OrdinalPosition as P,
+        RuleKind,
+        SearchBudget,
+        SearchVerdict,
+        SweepReport,
+        TableStrategy,
+    )
+    from hatlab.acceptance import CriterionResult
+
+    return {
+        ColorSpace: [(2,), (3,)],
+        EvaluationRule: [(RuleKind.AT_LEAST_CORRECT, 2), (RuleKind.FEWER_INCORRECT_THAN, OMEGA),
+                         (RuleKind.FEWER_INCORRECT_THAN, 2)],
+        Instance: [((0, 1), 2, [(0, 1), (1, 0)], (0, 1), (), (0, 1), at_least(1)),
+                   ((0, 1), ColorSpace(2), {(0, 1), (1, 0)}, [0, 1], set(), (0, 1), at_least(1), "hnsa"),
+                   ((0, 1, 2), 3, [(2, 1)], (0, 1, 2), [(0, 2)], (0, 1, 2), fewer_incorrect_than(OMEGA))],
+        ValidationReport: [((), ()), (("no players",), ("w",), (0, 1)), ((), ("w",), None)],
+        SweepReport: [(4, 1, 1, True, None), (4, 0, 2, False, (0, 1))],
+        BlockPartition: [(((0, 1),), (2,)), ((), (0,))],
+        SearchBudget: [(), (5,), (5, 6)],
+        SearchVerdict: [(False, None, None, 8), (True, TableStrategy({(0, (), ()): 1}), 1, 2, 1)],
+        P: [(-1, 0), (0, 3), (2, 1), (0, 0), (0, 10)],
+        LineShape: [(1,), (2, True), (2, False)],
+        LazyAssignment: [(0,), (1, ((P(1, 2), 2), (P(0, 3), 0), (P(0, 4), 1)), 1), (1, ((P(0, 3), 1),))],
+        LazyGuessRecord: [(LineShape(1), 0, (), frozenset(), True),
+                          (LineShape(2, True), 1, ((FRONT, 0), (P(0, 2), 1)), frozenset({FRONT, P(0, 2), P(1, 5)}), False)],
+        CriterionResult: [("c", True, "ok", 0.5), ("c", False, "off", 1.0)],
+    }
+
+
+_ORDER = ("__lt__", "__le__", "__gt__", "__ge__")
+
+
+def _twin(cls):
+    """``cls`` as a ``@dataclass(frozen=True)``: its own annotations, defaults,
+    ``__post_init__``, methods and ``repr`` if it has one, with dataclasses' own
+    ``__init__``, ``==``, ``hash``, frozenness and, for ``OrdinalPosition``, order."""
+    own = {k: v for k, v in vars(cls).items() if k not in ("_fields", "_defaults", *_ORDER)}
+    twin = type(cls.__name__, (), dict(own, __qualname__=cls.__qualname__))
+    return dataclasses.dataclass(frozen=True, order="__lt__" in vars(cls))(twin)
+
+
+def _frozen_message(action):
+    try:
+        action()
+    except dataclasses.FrozenInstanceError as exc:
+        return str(exc)
+    raise AssertionError("no FrozenInstanceError")
+
+
+_RECORDS = _records()
+
+
+class TestRecords:
+    def test_every_record_is_sampled(self):
+        import hatlab.acceptance  # noqa: F401  (its one record)
+
+        assert set(_Record.__subclasses__()) == set(_RECORDS)
+        assert len(_RECORDS) == 13
+
+    @pytest.mark.parametrize("cls", _RECORDS, ids=lambda cls: cls.__name__)
+    def test_a_record_is_its_dataclass_twin(self, cls):
+        twin = _twin(cls)
+        names = [f.name for f in dataclasses.fields(twin)]
+        assert list(cls._fields) == names
+        records, twins = [cls(*a) for a in _RECORDS[cls]], [twin(*a) for a in _RECORDS[cls]]
+        for args, rec, tw in zip(_RECORDS[cls], records, twins):
+            assert repr(rec) == repr(tw)
+            assert hash(rec) == hash(tw)
+            # by keyword, and with each default left out, it is the same record
+            by_keyword = cls(**dict(zip(names, args)))
+            assert repr(by_keyword) == repr(rec) and by_keyword == rec
+            required = [f.name for f in dataclasses.fields(twin) if f.default is dataclasses.MISSING]
+            assert repr(cls(*args[:len(required)])) == repr(twin(*args[:len(required)]))
+            # a missing, an extra or a repeated argument is a TypeError, as for the twin
+            full = tuple(getattr(tw, name) for name in names)
+            bad = [((*full, 0), {}), (full, {"no_such_field": 0}), (full[:1], {names[0]: full[0]})]
+            for bad_args, bad_kwargs in bad + [(full[:len(required) - 1], {})] * bool(required):
+                for make in (cls, twin):
+                    with pytest.raises(TypeError):
+                        make(*bad_args, **bad_kwargs)
+            # assigning or deleting a field, or any other name, fails with the twin's message
+            for name in (names[0], "no_such_field"):
+                for action in (lambda r: setattr(r, name, 0), lambda r: delattr(r, name)):
+                    assert _frozen_message(lambda: action(rec)) == _frozen_message(lambda: action(tw))
+            # pickle and copy give back an equal record, of the same repr and hash
+            for again in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)):
+                assert type(again) is cls and again == rec and repr(again) == repr(rec) and hash(again) == hash(rec)
+        # == and != hold within one class only, as for the twins
+        for i, j in [(i, j) for i in range(len(records)) for j in range(len(records))]:
+            assert (records[i] == records[j]) == (twins[i] == twins[j]) == (i == j)
+            assert (records[i] != records[j]) == (twins[i] != twins[j]) == (i != j)
+        other = ColorSpace(2) if cls is not ColorSpace else at_least(1)
+        for rec, tw in zip(records, twins):
+            fields = tuple(getattr(rec, name) for name in names)
+            assert rec != tw and not rec == tw and rec != other and rec != fields and rec != 0
+
+    def test_positions_sort_as_their_twins_and_other_records_do_not(self):
+        from hatlab import OrdinalPosition
+
+        twin, samples = _twin(OrdinalPosition), _RECORDS[OrdinalPosition]
+        got = sorted(OrdinalPosition(*a) for a in samples)
+        want = sorted(twin(*a) for a in samples)
+        assert [(p.block, p.offset) for p in got] == [(p.block, p.offset) for p in want]
+        first, second = OrdinalPosition(0, 0), OrdinalPosition(0, 3)
+        for op in _ORDER:
+            assert getattr(first, op)(second) == getattr(twin(0, 0), op)(twin(0, 3))
+            assert getattr(second, op)(second) == getattr(twin(0, 3), op)(twin(0, 3))
+        for a, b in [(first, (0, 3)), (ColorSpace(1), ColorSpace(2)), (first, twin(0, 3))]:
+            with pytest.raises(TypeError):
+                a < b
+
+    def test_post_init_refuses_as_the_twin_does(self):
+        from hatlab import LineShape, OrdinalPosition, SearchBudget
+
+        for cls, args, error in [(ColorSpace, (0,), ZeroSize), (OrdinalPosition, (-1, 2), ValueError),
+                                 (LineShape, (0,), ValueError), (SearchBudget, (0,), ValueError),
+                                 (EvaluationRule, (model.RuleKind.AT_LEAST_CORRECT, OMEGA), ValueError)]:
+            messages = []
+            for make in (cls, _twin(cls)):
+                with pytest.raises(error) as exc:
+                    make(*args)
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1]
+
+    def test_cached_properties_still_cache(self):
+        inst = hnsa(3, 2, at_least(1))
+        assert inst.steps is inst.steps and "steps" in vars(inst)
+        assert hash(inst) == hash(hnsa(3, 2, at_least(1))) and inst == hnsa(3, 2, at_least(1))

@@ -472,6 +472,15 @@ class TestDescriptors:
         assert again is not table and hash(again) == hash(table)
         assert len({table, again}) == 1
 
+    def test_a_table_pickles_and_copies_after_its_entries_are_read(self):
+        import copy
+        import pickle
+
+        table = full_table(hbsf(3, 2, at_least(1)), random.Random(0))
+        hash(table)  # builds the read-only entries view
+        for again in (pickle.loads(pickle.dumps(table)), copy.copy(table), copy.deepcopy(table)):
+            assert again == table and again.to_json() == table.to_json()
+
     def test_entries_are_built_once_per_table(self):
         inst = hbsf(3, 2, at_least(1))
         table = full_table(inst, random.Random(0))
@@ -591,6 +600,16 @@ class TestDescriptors:
         again = TableStrategy.from_json(shuffled)
         assert again == table
         assert sweep(inst, again) == sweep(inst, table)
+
+    def test_a_mapping_key_is_ranked_in_id_order(self):
+        # a key whose pairs are out of id order is the entry its JSON row names
+        table = TableStrategy({(0, ((2, 0), (1, 0)), ((4, 1), (3, 0))): 1})
+        assert table.decide(0, {1: 0, 2: 0}, {3: 0, 4: 1}) == 1
+        assert table.entries == {(0, ((1, 0), (2, 0)), ((3, 0), (4, 1))): 1}
+        assert TableStrategy.from_json(table.to_json()) == table
+        plain = TableStrategy({(0, ((2, 0), (1, 0)), ()): 1})
+        assert plain.decide(0, {1: 0, 2: 0}, {}) == 1
+        assert TableStrategy.from_json(plain.to_json()) == plain
 
     def test_table_rows_read_integers_as_every_descriptor_does(self):
         row = {"t": 0, "seen": [[1, 0]], "heard": [], "guess": 1}
