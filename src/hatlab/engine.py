@@ -34,20 +34,23 @@ a chunk that raises or falls short is replayed one assignment at a time
 through :func:`_play`, so errors, and the plays that come before them, are
 those of the scalar loop. :func:`iter_plays` decodes a chunk's partitions into
 byte columns, one lane per assignment holding its color, built from each set's
-binary digits by ``bytes.translate``, and zips them into plays in C. Each
-play's :class:`GameResult` is a tuple that ``tuple.__new__`` builds from its
-guesses and its wrong pattern's outcome, scored once per chunk, so Python code
-runs per chunk and per distinct wrong pattern, never per play.
+binary digits by ``bytes.translate``, and packs the wrong sets into one column
+of codes, bit ``j`` of an assignment's code set where the ``j``-th asked player
+is wrong. Per chunk it builds these columns and a table of outcomes that
+scores each distinct code once, at the first play that has it. Per play, one
+dict display, compiled once per stream from the askings, takes the play's
+guesses from the columns; the play's outcome is its code's entry in the table,
+and ``tuple.__new__`` builds its :class:`GameResult` from the two in C.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import namedtuple
-from functools import cache, reduce
-from itertools import compress, product, repeat
-from operator import add, and_, or_
-from typing import Callable, Iterator, Mapping, Sequence
+from functools import reduce
+from itertools import compress, product, repeat, starmap
+from operator import add, and_, lshift, or_
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CoverageError, OverlapError, StrategyRangeError, SweepTooLarge, check_budget
 from .model import Assignment, EvaluationRule, Instance, RuleKind, _bits, _is_color, _Record, as_assignment
@@ -160,7 +163,9 @@ class GameResult(namedtuple("GameResult", "guesses correct_set incorrect_set ver
     (``correct_set``, ``incorrect_set``) and the rule's ``verdict``.
 
     A frozen 4-tuple, so :func:`iter_plays` builds each one in C with
-    ``tuple.__new__``. It compares equal only to another ``GameResult``, and
+    ``tuple.__new__``, from a ``guesses`` dict made by one compiled dict
+    display per play and the outcome its chunk scored once for the play's
+    wrong pattern. It compares equal only to another ``GameResult``, and
     ``guesses`` is a dict, so hashing one raises ``TypeError``.
     """
 
@@ -335,23 +340,65 @@ def _is_partition(part, size: int, full: int) -> bool:
     return len(part) == size and reduce(or_, part) == full and sum(map(int.bit_count, part)) == full.bit_count()
 
 
-def _column(part: list[int], n: int) -> memoryview:
-    """The color of each of ``n`` assignments in a partition: each set's bits
-    spread to lanes of 1, 2 or 4 bytes, scaled by its color and joined by OR."""
-    width = next(w for w in (1, 2, 4) if len(part) <= 1 << 8 * w)
-    low = 0 if sys.byteorder == "little" else width - 1  # the lane byte holding a 1
-    col = 0
-    for g, s in enumerate(part):
+_LANES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _column(weighted: Iterable[tuple[int, int]], n: int, top: int) -> memoryview:
+    """Per assignment of ``n``, the sum of the weights ``g`` of the ``(g, s)``
+    sets ``s`` holding it, for sums up to ``top``, in lanes of 1, 2, 4 or 8
+    bytes. Byte ``b`` of every lane is one integer of ``n`` bytes: each set's
+    binary digits as bytes, times its weight's byte ``b``, joined by OR, so no
+    two sets may add up in one byte (the sets of a partition are disjoint, and
+    distinct powers of two share no bit)."""
+    width = next(w for w in _LANES if top < 1 << 8 * w)
+    planes = [0] * width
+    for g, s in weighted:
         if g and s:
-            lanes = bytearray(n * width)
-            lanes[low::width] = _bits(s, n)
-            col |= g * int.from_bytes(lanes, sys.byteorder)
-    return memoryview(col.to_bytes(n * width, sys.byteorder)).cast("BHI"[width // 2])
+            ones = int.from_bytes(_bits(s, n), "little")
+            for b in range(width):
+                planes[b] |= (g >> 8 * b & 255) * ones
+    lanes = bytearray(n * width)
+    for b, plane in enumerate(planes):
+        lanes[b if sys.byteorder == "little" else width - 1 - b::width] = plane.to_bytes(n, "little")
+    return memoryview(lanes).cast(_LANES[width])
 
 
-def _rows(parts, n: int) -> Iterator[tuple[int, ...]]:
-    """Per assignment, its color in each of ``parts``."""
-    return zip(*(_column(part, n) for part in parts)) if parts else repeat((), n)
+def _codes(sets: list[int], n: int) -> Sequence[int]:
+    """Per assignment of ``n``, the code with bit ``j`` set where the ``j``-th
+    of ``sets`` holds it: one column of lanes per 64 sets, joined past 64."""
+    codes = None
+    for i in range(0, len(sets) or 1, 64):
+        group = sets[i:i + 64]
+        col = _column([(1 << j, s) for j, s in enumerate(group)], n, (1 << len(group)) - 1)
+        codes = col if codes is None else list(map(or_, codes, map(lshift, col, repeat(i))))
+    return codes
+
+
+class _Outcomes(dict):
+    """Per wrong-pattern code, the players right and wrong and the verdict of a
+    play whose wrong players are the asked players at the code's set bits,
+    scored on first lookup: a play looks its code up in C, the first one in
+    Python."""
+
+    __slots__ = ("inst",)
+
+    def __init__(self, inst: Instance):
+        self.inst = inst
+
+    def __missing__(self, code: int) -> tuple[frozenset[int], frozenset[int], bool]:
+        asked, rule = self.inst.asked, self.inst.rule
+        incorrect = frozenset(compress(asked, _bits(code, len(asked))))
+        correct = frozenset(asked) - incorrect
+        self[code] = outcome = correct, incorrect, evaluate(rule, len(correct), len(incorrect))
+        return outcome
+
+
+def _dict_display(keys: Sequence[int]) -> Callable[..., dict]:
+    """``lambda g0, g1, ...: {keys[0]: g0, keys[1]: g1, ...}``, compiled once: a
+    presized dict per call, keyed in ``keys`` order. The keys are exact ints, as
+    every instance makes its asking ids, so each is written as its digits."""
+    args = [f"g{j}" for j in range(len(keys))]
+    return eval(f"lambda {', '.join(args)}: {{{', '.join(f'{t:d}: {g}' for t, g in zip(keys, args))}}}", {})
 
 
 def sweep(
@@ -385,19 +432,19 @@ def iter_plays(
     max_assignments: int | None = None,
 ) -> Iterator[tuple[tuple[int, ...], GameResult]]:
     """Play every assignment in lexicographic order, yielding full results."""
+    build = None
     for chunk in _play_chunks(inst, strat, max_assignments):
-        @cache  # this chunk's wrong patterns only, freed with it
-        def outcome(wrong: tuple[int, ...]) -> tuple[frozenset[int], frozenset[int], bool]:
-            incorrect = frozenset(compress(inst.asked, wrong))
-            correct = frozenset(inst.asked) - incorrect
-            return correct, incorrect, evaluate(inst.rule, len(correct), len(incorrect))
-
+        if build is None:  # every chunk has the same askings, in play order
+            build = _dict_display(list(chunk.guesses))
         n = chunk.colors**chunk.width
-        guesses = map(dict, map(zip, repeat(tuple(chunk.guesses)), _rows(chunk.guesses.values(), n)))
-        outcomes = map(outcome, _rows([[0, w] for w in chunk.wrong.values()], n))
+        columns = [_column(enumerate(part), n, len(part) - 1) for part in chunk.guesses.values()]
+        guesses = map(build, *columns) if columns else starmap(build, repeat((), n))
+        codes = _codes(list(chunk.wrong.values()), n)
+        outcomes = _Outcomes(inst)  # this chunk's wrong patterns, each scored once
         values = product(*zip(chunk.prefix), *repeat(range(chunk.colors), chunk.width))
         # (guesses,) + outcome is the record's tuple; tuple.__new__ builds it in C
-        yield from zip(values, map(tuple.__new__, repeat(GameResult), map(add, zip(guesses), outcomes)))
+        yield from zip(values, map(tuple.__new__, repeat(GameResult),
+                                   map(add, zip(guesses), map(outcomes.__getitem__, codes))))
 
 
 def is_winning(

@@ -23,7 +23,8 @@ class TableStrategy(Strategy):
     Entries are keyed by ``(t, seen, heard)``, each observation a tuple of
     ``(id, color)`` pairs in id order, and every ``t``, id, color and guess
     an int, each color and guess >= 0; any other entry is refused with a
-    ``ValueError`` naming it. They are held as one table per asking, seen ids
+    ``ValueError`` naming it, and so are two keys naming one entry, their
+    pairs in another order. They are held as one table per asking, seen ids
     and heard ids, from the rank of the colors, seen then heard, in base
     ``_base`` (the instance's colors, or one more than the largest color), to
     the guess. ``entries``, a read-only mapping, is built from them on first
@@ -37,6 +38,12 @@ class TableStrategy(Strategy):
         self._tables, self._base = {}, 1 + max((max(colors, default=0) for (_, colors), _ in places), default=0)
         for (ids, colors), guess in places:
             self._tables.setdefault(ids, {})[_rank(colors, self._base)] = guess
+        if sum(map(len, self._tables.values())) < len(places):  # two keys are one entry, their pairs reordered
+            first = {}
+            for key, ((ids, colors), _) in zip(entries, places):
+                other = first.setdefault((ids, tuple(colors)), key)
+                if other is not key:
+                    raise ValueError(f"table entries {other!r} and {key!r} are one entry, their pairs in another order")
 
     @classmethod
     def _from_ranks(cls, tables: dict, base: int) -> "TableStrategy":

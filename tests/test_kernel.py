@@ -244,6 +244,9 @@ def wide_colors(raises):
     (hbsf(4, 2, fewer_incorrect_than(1)), sum_broadcast(2)),
     (hnsa(4, 3, at_least(1)), constant(2)),
     relay_table(),
+    # 10 askings: a play's wrong pattern takes more than one byte
+    (hnsa(10, 2, at_least(5)), block_mod_sum(10, 2, 5)),
+    (hbsf(10, 2, fewer_incorrect_than(1)), sum_broadcast(2)),
     wide_colors(raises=False),
     wide_colors(raises=True),
 ])
@@ -419,20 +422,49 @@ def test_is_winning_stops_at_the_first_failing_chunk():
 
 def test_stream_keeps_one_chunk_of_outcomes():
     # constant(0) is wrong exactly on the nonzero hats: 16 wrong patterns in
-    # all, 4 in each chunk of 4 plays; a cache kept across chunks holds 16
-    caches = []
+    # all, 4 in each chunk of 4 plays, each scored once; a table kept across
+    # chunks holds 16
+    tables, scored = [], []
 
-    def cache(fn):
-        cached = functools.cache(fn)
-        caches.append(weakref.ref(cached))
-        return cached
+    class Outcomes(engine._Outcomes):
+        def __init__(self, inst):
+            super().__init__(inst)
+            tables.append(weakref.ref(self))
+
+        def __missing__(self, code):
+            scored.append(code)
+            return super().__missing__(code)
 
     inst = hnsa(4, 2, at_least(1))
-    with mock.patch.object(engine, "CHUNK_PLAYS", 4), mock.patch.object(engine, "cache", cache):
+    with mock.patch.object(engine, "CHUNK_PLAYS", 4), mock.patch.object(engine, "_Outcomes", Outcomes):
         for values, result in iter_plays(inst, constant(0)):
             assert result == run_game(inst, constant(0), values)
-            assert sum(c().cache_info().currsize for c in caches if c() is not None) <= 4
-    assert len(caches) == 4
+            assert sum(len(t()) for t in tables if t() is not None) <= 4
+    assert len(tables) == 4
+    assert len(scored) == len(set(scored)) == 16
+
+
+def test_each_play_has_its_own_guesses():
+    inst, strat = hbsf(4, 2, fewer_incorrect_than(2)), sum_broadcast(2)
+    want = [(values, run_game(inst, strat, values)) for values in itertools.product(range(2), repeat=4)]
+    with mock.patch.object(engine, "CHUNK_PLAYS", 4):
+        plays = list(iter_plays(inst, strat))
+        assert plays == want
+        for _, result in plays:
+            result.guesses[-1] = 7
+            result.guesses[99] = 0
+        assert [result.guesses for _, result in plays] == [
+            {**result.guesses, -1: 7, 99: 0} for _, result in want]
+        assert list(iter_plays(inst, strat)) == want
+
+
+def test_a_stream_of_more_than_64_asked_players_matches_scalar():
+    # 70 asked players: a wrong pattern is wider than any one lane
+    inst = hnsa(70, 2, at_least(1))
+    plays = itertools.islice(iter_plays(inst, constant(0), max_assignments=2**70), 300)
+    for values, result in plays:
+        assert result == run_game(inst, constant(0), values)
+    assert values == (0,) * 61 + (1, 0, 0, 1, 0, 1, 0, 1, 1)
 
 
 @pytest.mark.parametrize("inst, chunk, want", [

@@ -611,6 +611,18 @@ class TestDescriptors:
         assert plain.decide(0, {1: 0, 2: 0}, {}) == 1
         assert TableStrategy.from_json(plain.to_json()) == plain
 
+    @pytest.mark.parametrize("guesses", [(1, 0), (1, 1)])
+    def test_two_mapping_keys_naming_one_entry_are_refused(self, guesses):
+        # as the JSON reader refuses the same two rows, whether their guesses agree or not
+        first, second = (0, ((2, 0), (1, 0)), ()), (0, ((1, 0), (2, 0)), ())
+        message = f"table entries {first!r} and {second!r} are one entry, their pairs in another order"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TableStrategy({first: guesses[0], (1, (), ()): 0, second: guesses[1]})
+        rows = [{"t": t, "seen": [list(p) for p in seen], "heard": [], "guess": g}
+                for (t, seen, _), g in zip((first, second), guesses)]
+        with pytest.raises(ValueError, match=r"^table rows 0 and 1 are both the entry t=0 seen=\[\[1, 0\], \[2, 0\]\]"):
+            TableStrategy.from_json(rows)
+
     def test_table_rows_read_integers_as_every_descriptor_does(self):
         row = {"t": 0, "seen": [[1, 0]], "heard": [], "guess": 1}
         same = {"t": "0", "seen": [[1.0, "0"]], "heard": [], "guess": 1.0}
