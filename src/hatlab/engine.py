@@ -79,9 +79,11 @@ class Strategy:
     where a hat or guess is ``g``; ``seen`` and ``heard`` map to hat and guess
     partitions. It returns the guess partition, equal to ``decide`` on every
     assignment. The default adapts ``decide``, once per distinct observation of
-    the chunk; a subclass overriding ``decide`` keeps it or overrides both.
-    Where it cannot give a cell's guess (``decide`` raises there, or returns no
-    color), the set form leaves the cell out or raises, and the kernel's
+    the chunk; a subclass overriding ``decide`` keeps it or overrides both. The
+    adapter splits depth first on one stack of cells, paying a call per cell
+    anyway; a table splits breadth first, faster but holding every cell.
+    Where a set form cannot give a cell's guess (``decide`` raises there, or
+    returns no color), it leaves the cell out or raises, and the kernel's
     replay of the chunk reports the scalar error.
     """
 
@@ -91,37 +93,22 @@ class Strategy:
         raise NotImplementedError
 
     def decide_sets(self, t: int, seen: Mapping, heard: Mapping, full: int, colors: int) -> list[int]:
-        return _cell_partition(seen, heard, full, colors, lambda s, h: self.decide(t, dict(s), dict(h)))
+        # depth first on one stack; each level's cells go on reversed, so they pop in lexicographic order
+        split = len(seen)
+        levels = [[((x, g), s) for g, s in enumerate(p)][::-1] for x, p in (*seen.items(), *heard.items())]
+        part, stack = [0] * colors, [((), full)]
+        while stack:
+            pairs, cell = stack.pop()
+            if len(pairs) < len(levels):
+                stack += [((*pairs, pair), sub) for pair, s in levels[len(pairs)] if (sub := cell & s)]
+            else:
+                g = self.decide(t, dict(pairs[:split]), dict(pairs[split:]))
+                if _is_color(g, colors):  # else the partition falls short, and the chunk is replayed
+                    part[g] |= cell
+        return part
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.label}>"
-
-
-def _cell_partition(seen, heard, full, colors, guess_of) -> list[int]:
-    """The guess partition giving each non-empty cell of ``full``, split by the
-    ``seen`` then the ``heard`` partitions, ``guess_of(seen_pairs, heard_pairs)``;
-    a cell whose guess is not a color is left out, so the partition falls short."""
-    split = len(seen)
-    part = [0] * colors
-    labelled = [list(zip(zip(repeat(x), range(colors)), p)) for x, p in (*seen.items(), *heard.items())]
-    for pairs, cell in _cells(full, labelled):
-        g = guess_of(pairs[:split], pairs[split:])
-        if _is_color(g, colors):
-            part[g] |= cell
-    return part
-
-
-def _cells(full: int, partitions: Sequence[Sequence[tuple]]) -> Iterator[tuple[tuple, int]]:
-    """``(labels, cell)`` for each non-empty cell of ``full`` split by each
-    partition, a list of ``(label, set)``, in turn: lexicographic, depth first."""
-    depth = len(partitions)
-    stack = [((), full)]
-    while stack:
-        key, cell = stack.pop()
-        if len(key) == depth:
-            yield key, cell
-            continue
-        stack += [((*key, label), sub) for label, s in reversed(partitions[len(key)]) if (sub := cell & s)]
 
 
 def _hat_sets(colors: int, width: int) -> list[list[int]]:

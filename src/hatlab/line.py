@@ -35,7 +35,7 @@ from functools import cached_property, partial, total_ordering
 from typing import Iterable, Mapping
 
 from .errors import ShapeMismatch
-from .model import ColorSpace, _json_field, _json_object, _Record, as_colors
+from .model import ColorSpace, _is_int, _json_field, _json_object, _Record, as_colors
 
 
 @total_ordering
@@ -90,9 +90,9 @@ class LazyAssignment(_Record):
     """An eventually-constant assignment: ``base`` everywhere except at
     finitely many listed positions (and, when present, at the front).
 
-    A position listed twice is a ``ValueError``. Exceptions whose color
-    equals the base are dropped on construction, so the listed exceptions are
-    exactly the deviations.
+    A position listed twice, or a color that is not an int (a bool is not one),
+    is a ``ValueError``. Exceptions whose color equals the base are dropped on
+    construction, so the listed exceptions are exactly the deviations.
     """
 
     base: int
@@ -100,15 +100,20 @@ class LazyAssignment(_Record):
     front: int | None = None
 
     def __post_init__(self):
+        for what, color in (("base", self.base), ("front", self.front)):
+            if not _is_int(color) and (what, color) != ("front", None):
+                raise ValueError(f"the {what} color must be an integer, got {color!r}")
         cleaned, listed = [], set()
         for pos, color in sorted(self.exceptions):
             if pos.is_front:
                 raise ValueError("the front hat is the 'front' field, not an exception")
             if pos in listed:
                 raise ValueError(f"exception at {pos!r} is listed more than once")
+            if not _is_int(color):
+                raise ValueError(f"exception color at {pos!r} must be an integer, got {color!r}")
             listed.add(pos)
             if color != self.base:
-                cleaned.append((pos, int(color)))
+                cleaned.append((pos, color))
         object.__setattr__(self, "exceptions", tuple(cleaned))
 
     @staticmethod

@@ -55,9 +55,13 @@ def _bits(s: int, n: int) -> bytes:
     return format(s, f"0{n}b")[::-1].encode().translate(_BITS)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)  # a bool is no count and no color
+
+
 def _is_color(g, size: int) -> bool:
     """Whether ``g`` is one of ``size`` colors: an int, not a bool, in range."""
-    return isinstance(g, int) and not isinstance(g, bool) and 0 <= g < size
+    return isinstance(g, int) and not isinstance(g, bool) and 0 <= g < size  # inline: it runs per play step
 
 
 class _Record:
@@ -112,6 +116,8 @@ class ColorSpace(_Record):
     size: int
 
     def __post_init__(self):
+        if not _is_int(self.size):
+            raise ValueError(f"the color count must be an integer, got {self.size!r}")
         if self.size < 1:
             raise ZeroSize(f"need at least one color, got {self.size}")
 
@@ -152,7 +158,7 @@ class EvaluationRule(_Record):
             if self.kind is not RuleKind.FEWER_INCORRECT_THAN:
                 raise ValueError("an unbounded threshold only makes sense for fewer_incorrect_than")
             return
-        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+        if not _is_int(t) or t < 0:
             raise ValueError(f"threshold must be a nonnegative integer or OMEGA, got {t!r}")
 
     def to_json(self) -> dict:
@@ -415,8 +421,9 @@ def _id_errors(inst: Instance) -> Iterator[str]:
     players, askings = set(inst.players), set(inst.askings)
     if len(inst.labeling) != len(inst.askings):
         yield f"labeling covers {len(inst.labeling)} askings, instance has {len(inst.askings)}"
-    for t in sorted(t for t, k in Counter(inst.askings).items() if k > 1):
-        yield f"asking {t} appears more than once"
+    for what, ids in (("player", inst.players), ("asking", inst.askings)):
+        for x in sorted(x for x, k in Counter(ids).items() if k > 1):
+            yield f"{what} {x} appears more than once"
     for t, m in zip(inst.askings, inst.labeling):
         if m not in players:
             yield f"asking {t} is labeled with unknown player {m}"
@@ -442,9 +449,9 @@ def validate_instance(inst: Instance) -> ValidationReport:
     """Check well-formedness; reports errors instead of raising.
 
     An instance is valid exactly when every strategy can be played to
-    completion on it: the hearing relation is acyclic, the asking ids are
-    distinct, the labeling covers every asking with a real player, and all
-    relations stay inside the declared players and askings.
+    completion on it: the hearing relation is acyclic, the player and asking
+    ids are distinct, the labeling covers every asking with a real player, and
+    all relations stay inside the declared players and askings.
     """
     errors = list(_id_errors(inst))
     cycle = find_hearing_cycle(inst)

@@ -46,7 +46,7 @@ from itertools import count, dropwhile, product
 from operator import getitem, or_
 from typing import TYPE_CHECKING
 
-from .engine import Strategy, _cells, _hat_sets, _play_chunks, _rank, evaluate
+from .engine import Strategy, _hat_sets, _play_chunks, _rank, evaluate
 from .errors import BudgetExceeded, check_budget, check_positive
 from .model import Instance, _Record, instance_to_json
 
@@ -269,7 +269,7 @@ def _walk(inst: Instance, budget: SearchBudget, floor, first: bool):
     levels = []
     for d, (_, player, seen, heard) in enumerate(steps):
         # the assignments behind each seen-color pattern (none is empty)
-        cells = [cell for _, cell in _cells(full, [list(enumerate(hats[index[x]])) for x in seen])]
+        cells = reduce(lambda cut, x: [e & s for e in cut for s in hats[index[x]]], seen, [full])
         me = index[player]
         levels.append((cells, me, [full ^ h for h in hats[me]],
                        tuple(depth_of[x] for x in heard), d in heard_later))

@@ -405,6 +405,34 @@ def test_memo_calls_decide_once_per_observation():
     assert all(list(seen) == sorted(seen) and list(heard) == sorted(heard) for _, seen, heard in swept)
 
 
+def test_adapter_calls_decide_once_per_cell_in_lexicographic_order():
+    # the adapter's whole call sequence: per chunk, per play step, one call per
+    # non-empty cell, in lexicographic order of (seen colors, heard guesses)
+    def guess(t, seen, heard):
+        return (t + 2 * sum(seen.values()) + sum(heard.values()) + len(heard) * seen.get(2, 0)) % 2
+
+    calls = []
+
+    def decide(t, seen, heard):
+        calls.append((t, tuple(seen.items()), tuple(heard.items())))
+        return guess(t, seen, heard)
+
+    inst = hbsf(4, 2, at_least(2))
+    with mock.patch.object(engine, "CHUNK_PLAYS", 4):  # four chunks, led by the hats of -1 and 0
+        report = sweep(inst, RuleStrategy(decide))
+    assert report == reference_sweep(inst, RuleStrategy(guess))
+    want = []
+    for prefix in itertools.product(range(2), repeat=2):
+        plays = [(values, run_game(inst, RuleStrategy(guess), values).guesses)
+                 for values in itertools.product(*zip(prefix), range(2), range(2))]
+        for t, _, vis, hrd in inst.steps:  # player 0's hat, which leads, reaches every asking: none is steady
+            cells = sorted({(tuple(dict(zip(inst.players, values))[x] for x in vis), tuple(g[x] for x in hrd))
+                            for values, g in plays})
+            want += [(t, tuple(zip(vis, seen)), tuple(zip(hrd, heard))) for seen, heard in cells]
+    assert calls == want
+    assert len(calls) == 48  # cells, of the 64 (play, step) observations
+
+
 def test_is_winning_stops_at_the_first_failing_chunk():
     calls = []
 

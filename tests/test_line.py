@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -61,6 +63,17 @@ class TestLazyAssignment:
         x = LazyAssignment.of(1, {pos(0, 1): 0}, front=1)
         y = LazyAssignment.of(1, front=2)
         assert pointwise_sum(x, y, 3) == LazyAssignment.of(2, {pos(0, 1): 1}, front=0)
+
+    @pytest.mark.parametrize("color", [1.5, 1.0, True, "2"])
+    def test_a_color_that_is_not_an_int_is_refused(self, color):
+        # an exception color was once passed through int(): 1.5 played as 1
+        got = re.escape(repr(color))
+        with pytest.raises(ValueError, match=f"^exception color at 3 must be an integer, got {got}$"):
+            LazyAssignment.of(0, {pos(0, 3): color})
+        with pytest.raises(ValueError, match=f"^the base color must be an integer, got {got}$"):
+            LazyAssignment.of(color)
+        with pytest.raises(ValueError, match=f"^the front color must be an integer, got {got}$"):
+            LazyAssignment.of(0, front=color)
 
     def test_front_lives_in_its_own_field(self):
         with pytest.raises(ValueError):

@@ -126,6 +126,24 @@ class TestValidation:
         assert validate_instance(inst) == ValidationReport(
             ("asking 0 appears more than once", "asking 1 appears more than once"), ())
 
+    def test_repeated_player_id_is_an_error(self):
+        # without it the sweep counted 4 assignments of one player, and the
+        # play kept the last of its two colors
+        from hatlab import sweep
+
+        error = "player 0 appears more than once"
+        inst = custom_instance((0, 0), 2, [], at_least(1), askings=(0,), labeling=(0,))
+        assert validate_instance(inst) == ValidationReport((error,), ())
+        for play in (lambda i: i.steps, lambda i: sweep(i, constant(0)), lambda i: run_game(i, constant(0), (1, 0))):
+            with pytest.raises(ValueError, match=f"^{error}$"):
+                play(inst)
+        # after the labeling's length, before the askings, in id order
+        inst = custom_instance((3, 1, 3, 1, 2), 2, [], at_least(1), askings=(0, 0), labeling=(7,))
+        assert validate_instance(inst).errors == (
+            "labeling covers 1 askings, instance has 2", "player 1 appears more than once",
+            "player 3 appears more than once", "asking 0 appears more than once",
+            "asking 0 is labeled with unknown player 7")
+
     def test_unknown_player_in_labeling(self):
         inst = custom_instance(2, 2, sight=(), rule=at_least(1), labeling=(0, 7))
         assert not validate_instance(inst).valid
@@ -185,7 +203,10 @@ class TestValidation:
                        for pair in ((pick(askings), pick(askings)) for _ in range(rng.randint(0, 2 * n)))
                        if pair[0] != pair[1] or rng.random() < 0.1]
             rule = at_least(rng.randint(0, n + 1))
-            inst = custom_instance(n, 2, sight, rule, hearing=hearing, askings=askings, labeling=labeling)
+            players = list(range(n))
+            if rng.random() < 0.1:
+                players.insert(rng.randint(0, n), rng.randrange(n))  # a player id repeats
+            inst = custom_instance(players, 2, sight, rule, hearing=hearing, askings=askings, labeling=labeling)
             report = validate_instance(inst)
             assert report.errors == _errors_by_loops(inst), seed
             assert report.warnings == _warnings_by_loops(inst), seed
@@ -205,6 +226,7 @@ def _errors_by_loops(inst):
     errors = []
     if len(inst.labeling) != len(inst.askings):
         errors.append(f"labeling covers {len(inst.labeling)} askings, instance has {len(inst.askings)}")
+    errors += [f"player {m} appears more than once" for m in sorted(players) if inst.players.count(m) > 1]
     errors += [f"asking {t} appears more than once" for t in sorted(askings) if inst.askings.count(t) > 1]
     errors += [f"asking {t} is labeled with unknown player {m}"
                for t, m in zip(inst.askings, inst.labeling) if m not in players]
@@ -447,6 +469,16 @@ class TestColorSpace:
         assert 2 in cs and 3 not in cs and -1 not in cs and True not in cs
         with pytest.raises(ZeroSize):
             ColorSpace(0)
+
+    @pytest.mark.parametrize("size", [2.5, 2.0, True, "2", None])
+    def test_a_color_count_that_is_not_an_int_is_refused(self, size):
+        # a float once reached the kernel as a bare TypeError, and True played as one color
+        message = f"^the color count must be an integer, got {re.escape(repr(size))}$"
+        with pytest.raises(ValueError, match=message):
+            ColorSpace(size)
+        if isinstance(size, (int, float)):  # a bool too; a str or None fails hnsa's own size check first
+            with pytest.raises(ValueError, match=message):
+                hnsa(2, size, at_least(1))
 
 
 class TestAssignments:
