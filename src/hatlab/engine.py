@@ -18,7 +18,9 @@ lexicographic assignment space into chunks of at most :data:`CHUNK_PLAYS`
 assignments that share their leading colors and run through every value of the
 trailing ones. Inside a chunk a set of assignments is one int, bit ``i`` for
 the ``i``-th; each player's hat is a partition of the chunk into one set per
-color, and so is each asking's guess. The kernel checks the sweep budget, then
+color, and so is each asking's guess. The trailing hats' partitions depend
+only on the chunk width, and the instance keeps them per width
+(``Instance.trailing_hats``). The kernel checks the sweep budget, then
 walks ``Instance.steps`` once per chunk; at each asking it asks
 :meth:`Strategy.decide_sets` for the guess partition, given the visible hat
 partitions and the heard guess partitions, and checks that it is one set per
@@ -115,13 +117,14 @@ def _hat_sets(colors: int, width: int) -> list[list[int]]:
     """The hat partition of each of ``width`` trailing players over the
     ``colors ** width`` assignments of their colors, built by doubling."""
     n = colors**width
+    mask = (1 << n) - 1
     hats = []
     for j in range(width):
         stride = colors ** (width - 1 - j)
         row, period = [((1 << stride) - 1) << g * stride for g in range(colors)], colors * stride
         while period < n:
             row, period = [x | x << period for x in row], 2 * period
-        hats.append([x & ((1 << n) - 1) for x in row])
+        hats.append([x & mask for x in row])
     return hats
 
 
@@ -277,7 +280,9 @@ class _Chunk:
 
 def _play_chunks(inst: Instance, strat: Strategy, max_assignments: int | None) -> Iterator[_Chunk]:
     """Play every assignment, in lexicographic order, a chunk at a time, once
-    the space is checked against the budget."""
+    the space is checked against the budget. The trailing hat partitions are
+    the instance's, built once per width (``Instance.trailing_hats``); each
+    sweep copies them into the lists its strategy is handed."""
     players = inst.players
     size = inst.colors.size
     check_budget(size, len(players), DEFAULT_SWEEP_BUDGET if max_assignments is None else max_assignments, SweepTooLarge)
@@ -286,7 +291,9 @@ def _play_chunks(inst: Instance, strat: Strategy, max_assignments: int | None) -
     while width < len(players) and size ** (width + 1) <= CHUNK_PLAYS:
         width += 1
     full = (1 << size**width) - 1
-    trailing = _hat_sets(size, width)
+    if width not in inst.trailing_hats:
+        inst.trailing_hats[width] = tuple(map(tuple, _hat_sets(size, width)))
+    trailing = list(map(list, inst.trailing_hats[width]))  # fresh lists: strategies get them in ``seen``
     lead = players[:len(players) - width]  # with no leading hat there is one chunk, and nothing to reuse
     steady = dict.fromkeys(t for t, hats in inst.influence.items() if hats.isdisjoint(lead)) if lead else {}
     for prefix in product(range(size), repeat=len(players) - width):
@@ -322,9 +329,17 @@ def _play_chunks(inst: Instance, strat: Strategy, max_assignments: int | None) -
 
 
 def _is_partition(part, size: int, full: int) -> bool:
-    """Whether ``part`` is ``size`` disjoint sets covering ``full``: they cover
-    it, and their sizes add up to its size."""
-    return len(part) == size and reduce(or_, part) == full and sum(map(int.bit_count, part)) == full.bit_count()
+    """Whether ``part`` is ``size`` disjoint sets covering ``full`` and nothing
+    more: each set misses the union of those before it, and the union of all
+    is ``full``. One AND and one OR per set, and no count of bits."""
+    if len(part) != size:
+        return False
+    union = 0
+    for s in part:
+        if union & s:
+            return False
+        union |= s
+    return union == full
 
 
 _LANES = {1: "B", 2: "H", 4: "I", 8: "Q"}

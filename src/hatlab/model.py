@@ -185,8 +185,22 @@ def fewer_incorrect_than(threshold: int | float) -> EvaluationRule:
     return EvaluationRule(RuleKind.FEWER_INCORRECT_THAN, threshold)
 
 
-def _pairs(relation) -> frozenset:
-    return frozenset((int(a), int(b)) for a, b in relation)
+def _ids(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of exact ints; a value that is no int, or a bool, is
+    a ``ValueError`` naming it, where ``int()`` would truncate 1.7 to 1."""
+    ids = tuple(values)
+    for x in ids:
+        if not _is_int(x):
+            raise ValueError(f"{what} must be an integer, got {x!r}")
+    return tuple(map(int, ids))
+
+
+def _pairs(relation, what: str) -> frozenset:
+    pairs = [(a, b) for a, b in relation]
+    for pair in pairs:
+        if not (_is_int(pair[0]) and _is_int(pair[1])):
+            raise ValueError(f"a {what} pair must hold two integers, got {pair!r}")
+    return frozenset((int(a), int(b)) for a, b in pairs)
 
 
 class Instance(_Record):
@@ -213,12 +227,12 @@ class Instance(_Record):
     kind: str = "custom"
 
     def __post_init__(self):
-        object.__setattr__(self, "players", tuple(int(p) for p in self.players))
+        object.__setattr__(self, "players", _ids(self.players, "a player id"))
         object.__setattr__(self, "colors", as_colors(self.colors))
-        object.__setattr__(self, "sight", _pairs(self.sight))
-        object.__setattr__(self, "askings", tuple(int(t) for t in self.askings))
-        object.__setattr__(self, "hearing", _pairs(self.hearing))
-        object.__setattr__(self, "labeling", tuple(int(m) for m in self.labeling))
+        object.__setattr__(self, "sight", _pairs(self.sight, "sight"))
+        object.__setattr__(self, "askings", _ids(self.askings, "an asking id"))
+        object.__setattr__(self, "hearing", _pairs(self.hearing, "hearing"))
+        object.__setattr__(self, "labeling", _ids(self.labeling, "a label"))
         if not self.players:
             raise ZeroSize("an instance needs at least one player")
 
@@ -291,6 +305,12 @@ class Instance(_Record):
             masks[t] = reduce(or_, map(bit.__getitem__, vis), 0) | reduce(or_, map(masks.__getitem__, hrd), 0)
         return {t: frozenset(compress(bit, _bits(mask, len(bit)))) for t, mask in masks.items()}
 
+    @cached_property
+    def trailing_hats(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        """Per chunk width, the hat partitions of the trailing players that the
+        sweep kernel builds once (``engine._play_chunks``), kept as tuples."""
+        return {}
+
     def assignment_count(self) -> int:
         return self.colors.size ** len(self.players)
 
@@ -305,6 +325,9 @@ def build_canonical_instance(kind: str, m: int, c: int, rule: EvaluationRule) ->
     kind = kind.lower()
     if kind not in CANONICAL_KINDS:
         raise ValueError(f"unknown canonical kind {kind!r}; expected one of {CANONICAL_KINDS}")
+    for what, count in (("player", m), ("color", c)):
+        if not _is_int(count):
+            raise ValueError(f"the {what} count must be an integer, got {count!r}")
     if m < 1 or c < 1:
         raise ZeroSize(f"need at least one player and one color, got m={m}, c={c}")
 

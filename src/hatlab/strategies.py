@@ -40,8 +40,8 @@ class _Affine(Strategy):
     """The rule guessing ``k + sum(a * v) mod size`` for ``terms(t, seen, heard)
     = (k, [(a, v), ...])``, each ``v`` read from ``seen`` or ``heard``. Given
     colors, ``terms`` gives ``decide``; given partitions, the set form, by one
-    c x c convolution per term, so both share every guess and every error the
-    rule raises."""
+    convolution per term over the sum's non-empty cells, so both share every
+    guess and every error the rule raises."""
 
     def __init__(self, size: int, terms, label: str):
         self.size, self.terms, self.label = size, terms, label
@@ -57,8 +57,9 @@ class _Affine(Strategy):
         for a, term in pairs:
             out = [0] * size
             for i, x in enumerate(acc):
-                for j, y in enumerate(term):
-                    out[(i + a * j) % size] |= x & y
+                if x:  # an empty cell adds nothing: the first term convolves one cell, not c
+                    for j, y in enumerate(term):
+                        out[(i + a * j) % size] |= x & y
             acc = out
         return (acc + [0] * colors)[:colors]  # sums past the colors leave the sets short of the chunk
 

@@ -8,6 +8,7 @@ plays streamed before them.
 
 import functools
 import itertools
+import operator
 import random
 import weakref
 from unittest import mock
@@ -381,6 +382,124 @@ def test_wrong_batch_is_reported_when_decide_is_fine():
 ], ids=["overlap", "overlap-and-gap", "outside", "too-few", "too-many"])
 def test_bad_partition_is_reported_when_decide_is_fine(fault):
     assert_bad_partition_is_reported(fault)
+
+
+# --- hat partitions and the partition check ---------------------------------------
+
+def reference_hat_sets(c, width):
+    """Digit by digit: trailing player ``j`` wears ``g`` on assignment ``i`` of
+    the ``c ** width`` where ``i``'s base-``c`` digit of place ``stride`` is ``g``."""
+    n = c**width
+    hats = []
+    for j in range(width):
+        stride = c ** (width - 1 - j)
+        digits = [(i // stride) % c for i in range(n)]
+        hats.append([int("".join("1" if d == g else "0" for d in reversed(digits)), 2) for g in range(c)])
+    return hats
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 5])
+def test_hat_partitions_are_the_base_c_digits(c):
+    # every width a chunk can take, up to the chunk limit (one color: up to 16 players)
+    widths = range(17) if c == 1 else itertools.takewhile(lambda w: c**w <= engine.CHUNK_PLAYS, itertools.count())
+    for width in widths:
+        assert engine._hat_sets(c, width) == reference_hat_sets(c, width)
+
+
+def popcount_partition(part, size, full):
+    """The partition check as first written: the sets cover ``full``, and their sizes add up to its size."""
+    return len(part) == size and functools.reduce(operator.or_, part) == full and \
+        sum(map(int.bit_count, part)) == full.bit_count()
+
+
+PARTITION_EDGES = [
+    ([7], 1, 7), ([0b101, 0b010], 2, 7), ([0, 7, 0], 3, 7),  # partitions
+    ([7, 1], 2, 7), ([6, 3], 2, 7), ([6, 2], 2, 7),  # an overlap; an overlap hiding a gap
+    ([6, 0], 2, 7), ([0, 0], 2, 7),  # short covers
+    ([6, 9], 2, 7), ([7, 8], 2, 7), ([15], 1, 7),  # bits past full
+    ([-1], 1, 7), ([7, -8], 2, 7), ([-8, 7], 2, 7), ([8, -1], 2, 7), ([1, -2], 2, 1),  # negative ints
+    ([7], 2, 7), ([3, 4], 1, 7), ([3, 4, 0], 2, 7), ([], 1, 7),  # the wrong length
+]
+
+
+@pytest.mark.parametrize("part, size, full", PARTITION_EDGES)
+def test_partition_check_agrees_with_the_popcount_definition_on_edges(part, size, full):
+    assert engine._is_partition(part, size, full) == popcount_partition(part, size, full)
+
+
+def test_partition_check_agrees_with_the_popcount_definition_at_random():
+    rng = random.Random(32)
+    kinds = {True: 0, False: 0}
+    for _ in range(3000):
+        size, n = rng.randint(1, 5), rng.randint(1, 70)
+        full = (1 << n) - 1
+        part = [0] * size
+        for i in range(n):  # a partition of full, then perhaps broken
+            part[rng.randrange(size)] |= 1 << i
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            k, bit = rng.randrange(size), 1 << rng.randrange(n + 3)
+            part[k] = rng.choice([part[k] ^ bit, part[k] | bit, -part[k] - 1, rng.getrandbits(n + 2)])
+        if rng.random() < 0.1:
+            part = part[:-1] if rng.random() < 0.5 else part + [rng.getrandbits(n)]
+        got = engine._is_partition(part, size, full)
+        assert got == popcount_partition(part, size, full)
+        kinds[got] += 1
+    assert min(kinds.values()) > 500  # both answers are common
+
+
+# --- hat partitions kept on the instance -------------------------------------------
+
+@pytest.mark.parametrize("inst, strat", [
+    (hbsf(5, 3, fewer_incorrect_than(2)), sum_broadcast(3)),
+    (hnsa(5, 3, at_least(1)), seeded_random_strategy(3, 7)),
+], ids=["hbsf-5x3-broadcast", "hnsa-5x3-random"])
+def test_one_instance_swept_at_several_widths_plays_as_a_fresh_one(inst, strat):
+    # chunks of 4, 16 and CHUNK_PLAYS plays are widths 1, 2 and 5, all kept on
+    # the one instance; the last pass reuses width 1's
+    want_report, want_plays = reference_sweep(inst, strat), list(reference_plays(inst, strat))
+    for chunk in (4, 16, engine.CHUNK_PLAYS, 4):
+        with mock.patch.object(engine, "CHUNK_PLAYS", chunk):
+            assert sweep(inst, strat) == sweep(inst, strat) == want_report
+            assert list(iter_plays(inst, strat)) == want_plays
+    assert inst.trailing_hats == {w: tuple(map(tuple, reference_hat_sets(3, w))) for w in (1, 2, 5)}
+
+
+def test_hat_partitions_are_built_once_per_instance_and_width():
+    insts = [hbsf(5, 3, fewer_incorrect_than(2)), hnsa(5, 3, at_least(1))]
+    with mock.patch.object(engine, "_hat_sets", wraps=engine._hat_sets) as build:
+        for _ in range(2):
+            for chunk in (4, 16, engine.CHUNK_PLAYS):
+                with mock.patch.object(engine, "CHUNK_PLAYS", chunk):
+                    for inst in insts:
+                        strat = seeded_random_strategy(3, 1)
+                        sweep(inst, strat)
+                        list(iter_plays(inst, strat))
+                        is_winning(inst, strat)
+                        correct_count_census(inst, strat)
+    assert build.call_args_list == [mock.call(3, w) for w in (1, 2, 5) for _ in insts]
+
+
+def test_a_strategy_that_mutates_its_hat_partitions_cannot_change_the_next_sweep():
+    handed = set()
+
+    class Vandal(RuleStrategy):
+        def decide_sets(self, t, seen, heard, full, colors):
+            part = super().decide_sets(t, seen, heard, full, colors)
+            handed.update(map(type, seen.values()))
+            for hats in seen.values():  # the lists it is handed, and not the partitions it read
+                hats.reverse()
+                hats[0] = full
+            return part
+
+    inst, strat = hbsf(5, 3, fewer_incorrect_than(2)), sum_broadcast(3)
+    for chunk in (16, engine.CHUNK_PLAYS):
+        with mock.patch.object(engine, "CHUNK_PLAYS", chunk):
+            width = 2 if chunk == 16 else 5
+            sweep(inst, strat)  # the partitions are kept before the vandal sees them
+            outcome(lambda: sweep(inst, Vandal(lambda t, s, h: sum(s.values()) % 3)))  # later askings read what it broke
+            assert inst.trailing_hats[width] == tuple(map(tuple, reference_hat_sets(3, width)))
+            assert sweep(inst, strat) == reference_sweep(inst, strat)
+    assert handed == {list}
 
 
 # --- chunking and steady askings ---------------------------------------------------

@@ -144,6 +144,29 @@ class TestValidation:
             "player 3 appears more than once", "asking 0 appears more than once",
             "asking 0 is labeled with unknown player 7")
 
+    def test_an_id_that_is_not_an_int_is_refused(self):
+        # int() once truncated these: players (0.5, 1.7) became (0, 1), and
+        # (0.5, 0.7) was reported as a repeated player 0
+        cases = [
+            (lambda: custom_instance((0.5, 1.7), 2, [(0.5, 1.7)], at_least(1)), "a player id must be an integer, got 0.5"),
+            (lambda: custom_instance((0, True), 2, [], at_least(1)), "a player id must be an integer, got True"),
+            (lambda: custom_instance(2, 2, [(0, 1.0)], at_least(1)), "a sight pair must hold two integers, got (0, 1.0)"),
+            (lambda: custom_instance(2, 2, [], at_least(1), hearing=[("0", 1)]),
+             "a hearing pair must hold two integers, got ('0', 1)"),
+            (lambda: custom_instance(2, 2, [], at_least(1), askings=(0, 1.5)), "an asking id must be an integer, got 1.5"),
+            (lambda: custom_instance(2, 2, [], at_least(1), labeling=(0, None)), "a label must be an integer, got None"),
+        ]
+        for build, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
+
+    @pytest.mark.parametrize("m", [2.5, 2.0, True, "2", None])
+    def test_a_player_count_that_is_not_an_int_is_refused(self, m):
+        # 2.5 once let a bare TypeError out of range(), and True built one player
+        for kind in ("hnsa", "hnsf", "hbsf"):
+            with pytest.raises(ValueError, match=f"^the player count must be an integer, got {re.escape(repr(m))}$"):
+                build_canonical_instance(kind, m, 2, at_least(1))
+
     def test_unknown_player_in_labeling(self):
         inst = custom_instance(2, 2, sight=(), rule=at_least(1), labeling=(0, 7))
         assert not validate_instance(inst).valid
@@ -476,9 +499,8 @@ class TestColorSpace:
         message = f"^the color count must be an integer, got {re.escape(repr(size))}$"
         with pytest.raises(ValueError, match=message):
             ColorSpace(size)
-        if isinstance(size, (int, float)):  # a bool too; a str or None fails hnsa's own size check first
-            with pytest.raises(ValueError, match=message):
-                hnsa(2, size, at_least(1))
+        with pytest.raises(ValueError, match=message):
+            hnsa(2, size, at_least(1))
 
 
 class TestAssignments:
